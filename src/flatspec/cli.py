@@ -3,7 +3,7 @@
 Commands: validate, betti, homology, multiplicity, spectrum, compare, corpus.
 Groups come either from the built-in catalog (``--corpus 5.1``, members
 addressable as ``5.1a``/``5.1b``) or from JSON files (``--input path``).
-Exit codes: 0 success, 1 usage error, 2 validation failure.
+Exit codes: 0 success, 1 usage error or resource limit, 2 validation failure.
 """
 
 from __future__ import annotations
@@ -16,13 +16,19 @@ from typing import Optional
 
 from . import corpus
 from .crystal import (
+    CosetCapError,
     GroupDefinition,
     first_homology,
     group_from_json,
     validate_bieberbach,
 )
 from .isospec import compare_spectra
-from .spectral import betti_row, multiplicity, multiplicity_table
+from .spectral import (
+    EnumerationGuardError,
+    betti_row,
+    multiplicity,
+    multiplicity_table,
+)
 
 OK, USAGE_ERROR, VALIDATION_ERROR = 0, 1, 2
 
@@ -114,12 +120,18 @@ def _config_from_args(args) -> CliConfig:
     cfg.p = getattr(args, "p", None)
     cfg.mu = getattr(args, "mu", None)
     cfg.mu_max = getattr(args, "mu_max", 10)
+    if cfg.mu is not None and cfg.mu < 0:
+        raise CliUsageError(f"--mu {cfg.mu} must be nonnegative")
+    if cfg.mu_max < 0:
+        raise CliUsageError(f"--mu-max {cfg.mu_max} must be nonnegative")
     spec = getattr(args, "p_spec", None)
     if spec is not None:
         try:
             cfg.p_set = _parse_p_spec(spec)
         except ValueError:
             raise CliUsageError(f"cannot parse form-degree spec {spec!r}")
+        if not cfg.p_set:
+            raise CliUsageError(f"form-degree spec {spec!r} is empty")
     return cfg
 
 
@@ -211,6 +223,8 @@ def run(cfg: CliConfig) -> tuple[int, str]:
         raise CliUsageError(f"unknown command {cfg.command!r}")
     except CliUsageError as exc:
         return USAGE_ERROR, f"error: {exc}"
+    except (EnumerationGuardError, CosetCapError) as exc:
+        return USAGE_ERROR, f"error: limit: {exc}"
 
 
 def _run_corpus(cfg: CliConfig) -> tuple[int, str]:
@@ -348,6 +362,9 @@ def _run_compare(cfg: CliConfig, groups) -> tuple[int, str]:
     (label1, g1), (label2, g2) = groups
     if g1.dim != g2.dim:
         raise CliUsageError("compare needs groups of equal dimension")
+    for p in cfg.p_set or ():
+        if not 0 <= p <= g1.dim:
+            raise CliUsageError(f"form degree {p} out of range for dimension {g1.dim}")
     report = compare_spectra(g1, g2, p_set=cfg.p_set, mu_max=cfg.mu_max)
     if cfg.fmt == "json":
         payload = report.to_json_dict()

@@ -20,8 +20,9 @@ from .exact_linear import (
     IntMatrix,
     RatVector,
     as_int_matrix,
+    cycles,
+    dot,
     identity_matrix,
-    in_image_lattice,
     is_signed_permutation,
     mat_mul,
     mat_sub,
@@ -279,28 +280,38 @@ def check_pairwise_condition(definition: GroupDefinition) -> list[tuple[int, int
     return failures
 
 
-def _power_sum(matrix: IntMatrix) -> IntMatrix:
-    # S = sum_{j=0}^{m-1} B^{-j} for B of order m
+def _power_sum_image(matrix: IntMatrix, b: RatVector) -> RatVector:
+    """S b for S = sum_{j=0}^{m-1} B^{-j}, m the order of B.
+
+    S vanishes on a cycle of sign -1 and is (m / L_c) u_c u_c^T on a fixed
+    cycle c of length L_c, so S b = sum_c (m / L_c)(u_c . b) u_c.
+    """
     m = signed_permutation_order(matrix)
-    binv = transpose(matrix)
-    acc = identity_matrix(len(matrix))
-    total = acc
-    for _ in range(1, m):
-        acc = mat_mul(acc, binv)
-        total = tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(total, acc))
-    return total
+    w = [Fraction(0)] * len(matrix)
+    for c in cycles(matrix):
+        if c.sign == 1:
+            x = m // len(c.support) * dot(c.vector, b)
+            for j in c.support:
+                w[j] = x * c.vector[j]
+    return tuple(w)
+
 
 def check_torsion_condition(element: PointGroupElement) -> bool:
     """True iff S b(I) lies in Z^n but outside S Z^n, for S = sum_j B_I^{-j}.
 
     This is the per-coset form of the torsion-freeness condition: powers of
-    the element reach a nonzero lattice translation.
+    the element reach a nonzero lattice translation.  The fixed cycles have
+    disjoint supports, so S Z^n = sum_c (m / L_c) Z u_c, and S b lies in it
+    exactly when u_c . b is an integer for every fixed cycle c.
     """
-    s = _power_sum(element.matrix)
-    w = mat_vec(s, element.translation)
-    if any(x.denominator != 1 for x in w):
+    b = element.translation
+    if any(x.denominator != 1 for x in _power_sum_image(element.matrix, b)):
         return False
-    return not in_image_lattice(s, w)
+    return any(
+        dot(c.vector, b).denominator != 1
+        for c in cycles(element.matrix)
+        if c.sign == 1
+    )
 
 
 @lru_cache(maxsize=None)
@@ -322,7 +333,7 @@ def validate_bieberbach(definition: GroupDefinition) -> ValidationReport:
 
     lattice_ok = not pair_failures
     for i, g in enumerate(gens):
-        w = mat_vec(_power_sum(g.matrix), g.translation)
+        w = _power_sum_image(g.matrix, g.translation)
         if any(x.denominator != 1 for x in w):
             word = tuple(1 if k == i else 0 for k in range(len(gens)))
             failures.append((word, "generator-lattice"))
@@ -384,7 +395,7 @@ def first_homology(definition: GroupDefinition) -> AbelianGroupType:
             col = [bmi[k][j] for k in range(n)]
             if any(col):
                 rows.append([0] * r + col)
-        w = mat_vec(_power_sum(g.matrix), g.translation)
+        w = _power_sum_image(g.matrix, g.translation)
         row = [0] * r
         row[i] = g.order
         rows.append(row + [-int(x) for x in w])
@@ -497,8 +508,15 @@ def group_from_json(data: dict) -> GroupDefinition:
         raw_gens = data["generators"]
     except KeyError as exc:
         raise ValueError(f"group definition missing field {exc}") from exc
+    if not isinstance(raw_gens, list):
+        raise ValueError("field 'generators' must be a list")
     gens = []
-    for raw in raw_gens:
+    for i, raw in enumerate(raw_gens):
+        if not isinstance(raw, dict):
+            raise ValueError(f"generators[{i}] must be an object")
+        for key in ("matrix", "translation"):
+            if not isinstance(raw.get(key), list):
+                raise ValueError(f"generators[{i}] needs a list field {key!r}")
         matrix = as_int_matrix(raw["matrix"])
         translation = tuple(_parse_fraction(s) for s in raw["translation"])
         gens.append(

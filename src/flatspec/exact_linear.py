@@ -9,18 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import lcm, prod
+from typing import NamedTuple, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
-
-# Hard cap on matrix dimension; the built-in corpus needs n <= 12.
-MAX_DIM = 32
-
-
-class DimensionLimitError(ValueError):
-    """Matrix dimension exceeds the supported cap."""
 
 
 def as_int_matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
@@ -39,10 +33,6 @@ def as_int_matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
 
 def identity_matrix(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def zero_vector(n: int) -> IntVector:
-    return (0,) * n
 
 
 def transpose(m: IntMatrix) -> IntMatrix:
@@ -91,91 +81,77 @@ def is_signed_permutation(m: IntMatrix) -> bool:
     return len(seen_cols) == n
 
 
-def signed_permutation_order(m: IntMatrix) -> int:
-    """Multiplicative order, via the cycle structure of the underlying permutation."""
+class Cycle(NamedTuple):
+    """One cycle of a signed permutation B.
+
+    ``support`` lists the coordinates in the order B visits them.
+    ``vector`` is the +-1 vector u_c on that support found by following the
+    cycle, and ``sign`` is the product of the signs met along it; B u_c = u_c
+    exactly when ``sign`` is +1.
+    """
+
+    support: tuple[int, ...]
+    vector: IntVector
+    sign: int
+
+
+def cycles(m: IntMatrix) -> tuple[Cycle, ...]:
+    """The cycles of a signed permutation, by one walk over its columns."""
     if not is_signed_permutation(m):
         raise ValueError("matrix is not a signed permutation")
     n = len(m)
-    # m e_j = sign * e_i where i is the row of the nonzero entry in column j
-    image = {}
+    # column j of m is sign[j] * e_{image[j]}
+    image = [0] * n
+    sign = [0] * n
     for i, row in enumerate(m):
-        j = next(k for k, x in enumerate(row) if x != 0)
-        image[j] = i
-    order = 1
-    seen = set()
+        for j, x in enumerate(row):
+            if x:
+                image[j], sign[j] = i, x
+    seen = [False] * n
+    out = []
     for start in range(n):
-        if start in seen:
+        if seen[start]:
             continue
-        length = 0
-        s = 1
-        j = start
-        while True:
-            seen.add(j)
-            length += 1
-            s *= m[image[j]][j]
+        support = []
+        u = [0] * n
+        j, uj = start, 1
+        while not seen[j]:
+            seen[j] = True
+            support.append(j)
+            u[j] = uj
+            uj *= sign[j]
             j = image[j]
-            if j == start:
-                break
-        cycle_order = length if s == 1 else 2 * length
-        order = order * cycle_order // _gcd(order, cycle_order)
-    return order
+        # uj is now the sign product of the cycle
+        out.append(Cycle(tuple(support), tuple(u), uj))
+    return tuple(out)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _trace(m: IntMatrix) -> int:
-    return sum(m[i][i] for i in range(len(m)))
-
-
-def char_poly(m: IntMatrix) -> list[int]:
-    """Coefficients of det(xI - m), degree-descending, leading coefficient 1.
-
-    Uses the Faddeev-LeVerrier recurrence; every division is exact and
-    asserted, so the result is correct over Z for any integer matrix.
-    """
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("characteristic polynomial needs a square matrix")
-    if n > MAX_DIM:
-        raise DimensionLimitError(f"dimension {n} exceeds cap {MAX_DIM}")
-    coeffs = [1]
-    acc = m
-    for k in range(1, n + 1):
-        t = _trace(acc)
-        if t % k != 0:
-            raise ArithmeticError("Faddeev-LeVerrier divisibility broken")
-        c = -(t // k)
-        coeffs.append(c)
-        if k < n:
-            shifted = tuple(
-                tuple(acc[i][j] + (c if i == j else 0) for j in range(n))
-                for i in range(n)
-            )
-            acc = mat_mul(m, shifted)
-    return coeffs
+def signed_permutation_order(m: IntMatrix) -> int:
+    """Multiplicative order: lcm of L_c, or 2 L_c for a cycle of sign -1."""
+    return lcm(*(len(c.support) * (1 if c.sign == 1 else 2) for c in cycles(m)))
 
 
 def det(m: IntMatrix) -> int:
-    cs = char_poly(m)
-    n = len(m)
-    return cs[n] if n % 2 == 0 else -cs[n]
+    """Determinant of a signed permutation: prod_c (-1)^(L_c + 1) s_c."""
+    return prod((-1) ** (len(c.support) + 1) * c.sign for c in cycles(m))
 
 
 def trace_p(m: IntMatrix, p: int) -> int:
-    """Trace of the induced action on the p-th exterior power.
+    """Trace of a signed permutation's action on the p-th exterior power.
 
-    Equals the p-th elementary symmetric function of the eigenvalues, read
-    off the characteristic polynomial: trace_p = (-1)^p * coeff of x^(n-p).
+    It is the coefficient of t^p in det(I + tB), and a cycle of length L
+    and sign s contributes the factor 1 - s (-t)^L.
     """
     n = len(m)
     if not 0 <= p <= n:
         raise ValueError(f"exterior power {p} out of range for dimension {n}")
-    coeffs = char_poly(m)
-    return coeffs[p] if p % 2 == 0 else -coeffs[p]
+    poly = [1] + [0] * n
+    for c in cycles(m):
+        length = len(c.support)
+        step = -c.sign * (-1) ** length
+        for k in range(n, length - 1, -1):
+            poly[k] += step * poly[k - length]
+    return poly[p]
 
 
 @dataclass(frozen=True)

@@ -29,15 +29,13 @@ from .crystal import (
 )
 from .exact_linear import (
     IntMatrix,
+    cycles,
     dot,
-    identity_matrix,
-    integer_kernel,
-    mat_sub,
     mat_vec,
     trace_p,
     transpose,
 )
-from .krawtchouk import diagonal_trace, krawtchouk
+from .krawtchouk import krawtchouk
 
 SHELL_NORM_CAP = 10**4
 SHELL_DIM_CAP = 12
@@ -206,18 +204,13 @@ def enumerate_shell(n: int, mu: int) -> Shell:
 
 
 @lru_cache(maxsize=None)
-def _fixed_lattice_basis(matrix: IntMatrix) -> tuple[tuple[int, ...], ...]:
-    return integer_kernel(mat_sub(matrix, identity_matrix(len(matrix))))
-
-
-@lru_cache(maxsize=None)
 def enumerate_fixed_shell(matrix: IntMatrix, mu: int) -> tuple[tuple[int, ...], ...]:
     """Vectors v with matrix v = v and |v|^2 = mu, without scanning the full shell.
 
     Works in coordinates on the fixed sublattice ker(matrix - I).  For a
-    signed permutation the kernel basis consists of cycle vectors with
-    disjoint supports, so the Gram matrix is diagonal and the search is a
-    weighted norm enumeration.
+    signed permutation it is spanned by the cycle vectors u_c of the cycles
+    with sign +1; their supports are disjoint, so the basis is orthogonal
+    with weights |u_c|^2 = L_c and the search is a weighted norm enumeration.
     """
     n = len(matrix)
     if mu < 0:
@@ -226,27 +219,20 @@ def enumerate_fixed_shell(matrix: IntMatrix, mu: int) -> tuple[tuple[int, ...], 
         raise EnumerationGuardError(f"norm {mu} exceeds guard {SHELL_NORM_CAP}")
     if mu == 0:
         return ((0,) * n,)
-    basis = _fixed_lattice_basis(matrix)
+    basis = [c for c in cycles(matrix) if c.sign == 1]
     if not basis:
         return ()
     if len(basis) > SHELL_DIM_CAP:
         raise EnumerationGuardError(
             f"fixed sublattice rank {len(basis)} exceeds guard {SHELL_DIM_CAP}"
         )
-    for a in range(len(basis)):
-        for b in range(a + 1, len(basis)):
-            if dot(basis[a], basis[b]) != 0:
-                raise AssertionError(
-                    "fixed-lattice basis of a signed permutation must be orthogonal"
-                )
-    weights = tuple(dot(v, v) for v in basis)
+    weights = tuple(len(c.support) for c in basis)
     vectors = []
     for coeffs in _weighted_norm_solutions(weights, mu):
         v = [0] * n
-        for c, bvec in zip(coeffs, basis):
-            if c:
-                for j, x in enumerate(bvec):
-                    v[j] += c * x
+        for k, c in zip(coeffs, basis):
+            for j in c.support:
+                v[j] = k * c.vector[j]
         vectors.append(tuple(v))
     return tuple(sorted(vectors))
 
@@ -272,11 +258,16 @@ def character_sum(element: PointGroupElement, mu: int) -> RootOfUnityTally:
     return RootOfUnityTally(q, tuple(counts))
 
 
-def _assemble(defn: GroupDefinition, mu: int, weight_of) -> int:
+@lru_cache(maxsize=None)
+def multiplicity(defn: GroupDefinition, p: int, mu: int) -> int:
+    """Exact d_{p,mu}: multiplicity of eigenvalue 4 pi^2 mu on p-forms."""
+    require_valid(defn)
+    if not 0 <= p <= defn.dim:
+        raise ValueError(f"form degree {p} out of range for dimension {defn.dim}")
     elements = close_point_group(defn)
     total = tally_zero()
     for el in elements:
-        w = weight_of(el)
+        w = trace_p(el.matrix, p)
         if w:
             total = tally_add(total, tally_scale(character_sum(el, mu), w))
     value = reduce_tally(total) / len(elements)
@@ -285,33 +276,6 @@ def _assemble(defn: GroupDefinition, mu: int, weight_of) -> int:
             f"multiplicity came out {value}; must be a nonnegative integer"
         )
     return int(value)
-
-
-@lru_cache(maxsize=None)
-def multiplicity(defn: GroupDefinition, p: int, mu: int) -> int:
-    """Exact d_{p,mu}: multiplicity of eigenvalue 4 pi^2 mu on p-forms."""
-    require_valid(defn)
-    if not 0 <= p <= defn.dim:
-        raise ValueError(f"form degree {p} out of range for dimension {defn.dim}")
-    return _assemble(defn, mu, lambda el: trace_p(el.matrix, p))
-
-
-def multiplicity_diagonal(defn: GroupDefinition, p: int, mu: int) -> int:
-    """Same value for diagonal holonomy, with exterior traces read off
-    Krawtchouk values K_p^n(n - n_B) instead of characteristic polynomials."""
-    require_valid(defn)
-    n = defn.dim
-    if not 0 <= p <= n:
-        raise ValueError(f"form degree {p} out of range for dimension {n}")
-    for g in defn.generators:
-        if any(g.matrix[i][j] and i != j for i in range(n) for j in range(n)):
-            raise ValueError("diagonal fast path needs diagonal generator matrices")
-
-    def weight(el: PointGroupElement) -> int:
-        n_fixed = sum(1 for i in range(n) if el.matrix[i][i] == 1)
-        return diagonal_trace(p, n, n_fixed)
-
-    return _assemble(defn, mu, weight)
 
 
 def multiplicity_hw(a: HWMatrix, p: int, mu: int) -> int:

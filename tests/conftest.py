@@ -6,8 +6,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import strategies as st
 
 from flatspec import HWMatrix, build_hw_group, example
+from flatspec.exact_linear import mat_mul
 
 HALF = Fraction(1, 2)
 
@@ -15,7 +17,7 @@ HALF = Fraction(1, 2)
 def det_oracle(matrix) -> int:
     """Determinant by minor expansion with column-mask memoization.
 
-    Independent of the Faddeev-LeVerrier route used by the package.
+    Independent of the cycle-type route used by the package.
     """
     n = len(matrix)
 
@@ -33,6 +35,50 @@ def det_oracle(matrix) -> int:
         return total
 
     return expand(0, (1 << n) - 1)
+
+
+def signed_permutations(n):
+    """Hypothesis strategy: n x n signed permutation matrices."""
+    return st.tuples(st.permutations(range(n)), st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)).map(
+        lambda pair: tuple(
+            tuple(pair[1][i] if j == pair[0][i] else 0 for j in range(n))
+            for i in range(n)
+        )
+    )
+
+
+def char_poly(m) -> list[int]:
+    """Coefficients of det(xI - m), degree-descending, leading coefficient 1.
+
+    Uses the Faddeev-LeVerrier recurrence; every division is exact and
+    asserted, so the result is correct over Z for any integer matrix.  A
+    reference for the package's cycle-type exterior traces.
+    """
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("characteristic polynomial needs a square matrix")
+    coeffs = [1]
+    acc = m
+    for k in range(1, n + 1):
+        t = sum(acc[i][i] for i in range(n))
+        if t % k != 0:
+            raise ArithmeticError("Faddeev-LeVerrier divisibility broken")
+        c = -(t // k)
+        coeffs.append(c)
+        if k < n:
+            shifted = tuple(
+                tuple(acc[i][j] + (c if i == j else 0) for j in range(n))
+                for i in range(n)
+            )
+            acc = mat_mul(m, shifted)
+    return coeffs
+
+
+def diagonal_fixed_count(matrix) -> int:
+    """n_B: coordinates fixed by a diagonal +-1 matrix (asserted diagonal)."""
+    n = len(matrix)
+    assert all(matrix[i][j] == 0 for i in range(n) for j in range(n) if i != j)
+    return sum(1 for i in range(n) if matrix[i][i] == 1)
 
 
 def classical_hw_matrix() -> HWMatrix:

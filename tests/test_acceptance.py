@@ -32,7 +32,7 @@ from flatspec.isospec import (
     is_orientable,
     kunneth_betti,
 )
-from flatspec.krawtchouk import krawtchouk, krawtchouk_subset_oracle
+from flatspec.krawtchouk import diagonal_trace, krawtchouk, krawtchouk_subset_oracle
 from flatspec.spectral import (
     PROJECTOR_BASIS_CAP,
     betti,
@@ -40,7 +40,6 @@ from flatspec.spectral import (
     character_sum,
     enumerate_shell,
     multiplicity,
-    multiplicity_diagonal,
     multiplicity_hw,
     projector_oracle,
     reduce_tally,
@@ -49,7 +48,7 @@ from flatspec.spectral import (
 )
 from flatspec import AffineGenerator, GroupDefinition, example
 
-from conftest import classical_hw_matrix, corpus_defs
+from conftest import classical_hw_matrix, corpus_defs, diagonal_fixed_count
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -314,12 +313,15 @@ def test_criterion_11_property_suite():
                 checked += 1
     assert checked > 200
 
-    # fast paths agree with the generic route
+    # diagonal holonomy: Krawtchouk traces equal the generic trace row, per
+    # element; the HW rewrite agrees with the generic route
     for key in ("4.1(n=4,k=1)", "4.1(n=6,k=3)", "4.2(n=6,k=3,j=2)", "4.2h(n=4,h=2)"):
         defn = example(key)
-        for p in range(defn.dim + 1):
-            for mu in range(4):
-                assert multiplicity_diagonal(defn, p, mu) == multiplicity(defn, p, mu)
+        n = defn.dim
+        for el in close_point_group(defn):
+            n_fixed = diagonal_fixed_count(el.matrix)
+            for p in range(n + 1):
+                assert diagonal_trace(p, n, n_fixed) == trace_p(el.matrix, p)
     hw = classical_hw_matrix()
     hw_group = build_hw_group(hw)
     for p in range(4):
@@ -392,5 +394,5 @@ def test_criterion_11_property_suite():
                 mat_sub(el.matrix, identity_matrix(defn.dim))
             ), (label, el.word)
 
-    note(f"criterion 11: PASS (projector oracle x{checked}; fast paths; "
+    note(f"criterion 11: PASS (projector oracle x{checked}; Krawtchouk traces; HW rewrite; "
          "Krawtchouk identities; Euler sums; duality; invariance; homology rank)")

@@ -201,3 +201,111 @@ class TestDeterminism:
             for defn in example(key):
                 data = json.loads(json.dumps(group_to_json(defn)))
                 assert group_from_json(data) == defn
+
+
+def run_cli_all(capsys, *argv):
+    """Exit status and stdout plus stderr, for error cases."""
+    status = main(list(argv))
+    captured = capsys.readouterr()
+    return status, captured.out + captured.err
+
+
+def assert_one_line_error(status, text, prefix="error: "):
+    assert status == 1
+    assert "Traceback" not in text
+    lines = [line for line in text.splitlines() if line.startswith("error:")]
+    assert len(lines) == 1 and lines[0].startswith(prefix), text
+
+
+class TestRangeErrors:
+    def test_negative_mu(self, capsys):
+        status, text = run_cli_all(
+            capsys, "multiplicity", "--corpus", "5.1a", "--p", "0", "--mu", "-1"
+        )
+        assert_one_line_error(status, text)
+        assert "--mu -1" in text
+
+    def test_compare_degree_above_dimension(self, capsys):
+        status, text = run_cli_all(capsys, "compare", "--corpus", "5.1", "--p", "9")
+        assert_one_line_error(status, text)
+        assert "form degree 9" in text
+
+    def test_negative_mu_max(self, capsys):
+        status, text = run_cli_all(capsys, "spectrum", "--corpus", "5.1a", "--mu-max", "-3")
+        assert_one_line_error(status, text)
+        assert "--mu-max -3" in text
+
+    def test_empty_degree_range(self, capsys):
+        status, text = run_cli_all(capsys, "spectrum", "--corpus", "5.1a", "--p", "3..1")
+        assert_one_line_error(status, text)
+        assert "empty" in text
+
+
+class TestLimitErrors:
+    def test_norm_guard(self, capsys):
+        status, text = run_cli_all(
+            capsys, "multiplicity", "--corpus", "5.1a", "--p", "0", "--mu", "20000"
+        )
+        assert_one_line_error(status, text, prefix="error: limit: ")
+
+    def test_fixed_rank_guard(self, capsys):
+        status, text = run_cli_all(
+            capsys, "spectrum", "--corpus", "4.1(n=14,k=1)", "--mu-max", "1"
+        )
+        assert_one_line_error(status, text, prefix="error: limit: ")
+        assert "rank 14" in text
+
+    def test_coset_cap(self, capsys, tmp_path):
+        # cycles of lengths 3, 4, 5, 7 and 11: order 4620 > 1024 cosets
+        n = 30
+        matrix = [[0] * n for _ in range(n)]
+        start = 0
+        for length in (3, 4, 5, 7, 11):
+            for i in range(length):
+                matrix[start + (i + 1) % length][start + i] = 1
+            start += length
+        payload = {"dim": n, "generators": [{"matrix": matrix, "translation": [0] * n}]}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(payload))
+        status, text = run_cli_all(capsys, "validate", "--input", str(path))
+        assert_one_line_error(status, text, prefix="error: limit: ")
+        assert "4620" in text
+
+    def test_forty_dimensional_betti_row(self, capsys):
+        from math import comb
+
+        status, out = run_cli(capsys, "betti", "--corpus", "4.1(n=40,k=1)")
+        assert status == 0
+        row = [int(x) for x in out.split(":")[1].split()]
+        assert row == [comb(39, 2 * (p // 2)) for p in range(41)]
+        assert row[-1] == 0
+
+
+class TestJsonFieldErrors:
+    def check(self, capsys, tmp_path, payload, field):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(payload))
+        status, text = run_cli_all(capsys, "validate", "--input", str(path))
+        assert_one_line_error(status, text)
+        assert field in text
+
+    def test_generators_not_a_list(self, capsys, tmp_path):
+        self.check(capsys, tmp_path, {"dim": 2, "generators": "x"}, "'generators'")
+
+    def test_generator_not_an_object(self, capsys, tmp_path):
+        self.check(capsys, tmp_path, {"dim": 2, "generators": ["x"]}, "generators[0]")
+
+    def test_missing_matrix(self, capsys, tmp_path):
+        payload = {"dim": 2, "generators": [{"translation": ["1/2", "0"]}]}
+        self.check(capsys, tmp_path, payload, "'matrix'")
+
+    def test_missing_translation(self, capsys, tmp_path):
+        payload = {"dim": 2, "generators": [{"matrix": [[1, 0], [0, -1]]}]}
+        self.check(capsys, tmp_path, payload, "'translation'")
+
+
+def test_every_public_name_resolves():
+    import flatspec
+
+    for name in flatspec.__all__:
+        assert getattr(flatspec, name) is not None, name

@@ -1,9 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatspec.crystal import (
     AffineGenerator,
+    PointGroupElement,
+    _power_sum_image,
     CosetCapError,
     GroupDefinition,
     GroupStructureError,
@@ -18,10 +23,17 @@ from flatspec.crystal import (
     group_to_json,
     validate_bieberbach,
 )
-from flatspec.exact_linear import identity_matrix, signed_permutation_order
+from flatspec.exact_linear import (
+    identity_matrix,
+    in_image_lattice,
+    mat_mul,
+    mat_vec,
+    signed_permutation_order,
+    transpose,
+)
 from flatspec import example
 
-from conftest import classical_hw_matrix
+from conftest import classical_hw_matrix, signed_permutations
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -167,6 +179,76 @@ class TestTorsionCondition:
         gens = (AffineGenerator(diag(-1, -1), (Fraction(0), Fraction(0))),)
         els = close_point_group(GroupDefinition(2, gens))
         assert not check_torsion_condition(els[1])
+
+
+def power_sum_oracle(matrix):
+    """S = sum_{j=0}^{m-1} B^{-j}, summing powers of B^{-1} up to the identity."""
+    ident = identity_matrix(len(matrix))
+    binv = transpose(matrix)
+    total, acc = ident, mat_mul(ident, binv)
+    while acc != ident:
+        total = tuple(
+            tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(total, acc)
+        )
+        acc = mat_mul(acc, binv)
+    return total
+
+
+def torsion_oracle(matrix, b) -> bool:
+    s = power_sum_oracle(matrix)
+    w = mat_vec(s, b)
+    if any(x.denominator != 1 for x in w):
+        return False
+    return not in_image_lattice(s, w)
+
+
+DENOMINATORS = (1, 2, 3, 4, 6, 8, 12)
+
+matrix_and_translation = st.integers(1, 10).flatmap(
+    lambda n: st.tuples(
+        signed_permutations(n),
+        st.sampled_from(DENOMINATORS).flatmap(
+            lambda d: st.lists(
+                st.integers(0, d - 1).map(lambda k: Fraction(k, d)),
+                min_size=n,
+                max_size=n,
+            )
+        ),
+    )
+)
+
+
+class TestPowerSumDifferential:
+    """The cycle route to S b and the torsion check, against the S matrix."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrix_and_translation)
+    def test_image_and_torsion_check_match_matrix_route(self, case):
+        matrix, b = case
+        b = tuple(b)
+        assert _power_sum_image(matrix, b) == mat_vec(power_sum_oracle(matrix), b)
+        element = PointGroupElement(matrix=matrix, translation=b, word=(1,))
+        assert check_torsion_condition(element) == torsion_oracle(matrix, b)
+
+    def test_seeded_sweep_reaches_both_outcomes(self):
+        rng = random.Random(5)
+        outcomes = []
+        for _ in range(400):
+            n = rng.randint(1, 10)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            matrix = tuple(
+                tuple(rng.choice((1, -1)) if j == perm[i] else 0 for j in range(n))
+                for i in range(n)
+            )
+            d = rng.choice(DENOMINATORS)
+            b = tuple(Fraction(rng.randrange(d), d) for _ in range(n))
+            element = PointGroupElement(matrix=matrix, translation=b, word=(1,))
+            expected = torsion_oracle(matrix, b)
+            assert check_torsion_condition(element) == expected
+            assert _power_sum_image(matrix, b) == mat_vec(power_sum_oracle(matrix), b)
+            outcomes.append(expected)
+        assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
 
 
 class TestValidation:

@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatspec.exact_linear import (
-    DimensionLimitError,
-    char_poly,
+    cycles,
     det,
     hermite_row_basis,
     identity_matrix,
@@ -14,6 +13,7 @@ from flatspec.exact_linear import (
     integer_kernel,
     is_signed_permutation,
     mat_mul,
+    mat_sub,
     mat_vec,
     signed_permutation_order,
     smith_normal_form,
@@ -22,7 +22,7 @@ from flatspec.exact_linear import (
 )
 from flatspec import example
 
-from conftest import det_oracle
+from conftest import char_poly, det_oracle, signed_permutations
 
 J = ((0, 1), (-1, 0))
 
@@ -39,15 +39,6 @@ small_matrices = st.integers(2, 4).flatmap(
 )
 
 
-def signed_permutations(n):
-    return st.tuples(st.permutations(range(n)), st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)).map(
-        lambda pair: tuple(
-            tuple(pair[1][i] if j == pair[0][i] else 0 for j in range(n))
-            for i in range(n)
-        )
-    )
-
-
 class TestCharPoly:
     def test_quarter_turn(self):
         assert char_poly(J) == [1, 0, 1]
@@ -62,10 +53,6 @@ class TestCharPoly:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             char_poly(((1, 0, 0), (0, 1, 0)))
-
-    def test_dimension_cap(self):
-        with pytest.raises(DimensionLimitError):
-            char_poly(identity_matrix(33))
 
     @settings(max_examples=80, deadline=None)
     @given(small_matrices)
@@ -133,6 +120,83 @@ class TestTraceP:
                 for i in range(n)
             )
             assert alternating == det_oracle(complement)
+
+
+class TestCycles:
+    def test_signed_three_cycle(self):
+        # e0 -> e1 -> -e2, e2 -> e0: one cycle of length 3, sign -1
+        m = ((0, 0, 1), (1, 0, 0), (0, -1, 0))
+        (c,) = cycles(m)
+        assert c.support == (0, 1, 2)
+        assert c.vector == (1, 1, -1)
+        assert c.sign == -1
+
+    def test_fixed_cycle_vector_is_fixed(self):
+        m = ((0, -1, 0, 0), (-1, 0, 0, 0), (0, 0, -1, 0), (0, 0, 0, 1))
+        by_support = {c.support: c for c in cycles(m)}
+        assert set(by_support) == {(0, 1), (2,), (3,)}
+        assert by_support[(0, 1)].sign == 1
+        assert by_support[(0, 1)].vector == (1, -1, 0, 0)
+        assert mat_vec(m, by_support[(0, 1)].vector) == (1, -1, 0, 0)
+        assert by_support[(2,)].sign == -1
+
+    def test_non_signed_permutation_rejected(self):
+        bad = ((1, 1), (0, 1))
+        for fn in (cycles, signed_permutation_order, det):
+            with pytest.raises(ValueError):
+                fn(bad)
+        with pytest.raises(ValueError):
+            trace_p(bad, 1)
+
+    def test_forty_dimensional_reflection(self):
+        from math import comb
+
+        m = diag(*([1] * 39 + [-1]))
+        for p in range(41):
+            # p-subsets without the negated coordinate minus those with it
+            assert trace_p(m, p) == comb(39, p) - (comb(39, p - 1) if p else 0)
+        assert det(m) == -1
+        assert signed_permutation_order(m) == 2
+
+
+class TestCycleCoreDifferential:
+    """Cycle-type results against generic integer linear algebra, n <= 10."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 10).flatmap(signed_permutations))
+    def test_trace_row_matches_char_poly(self, m):
+        coeffs = char_poly(m)
+        for p in range(len(m) + 1):
+            assert trace_p(m, p) == (-1) ** p * coeffs[p]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 10).flatmap(signed_permutations))
+    def test_det_matches_minor_expansion(self, m):
+        assert det(m) == det_oracle(m)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 10).flatmap(signed_permutations))
+    def test_order_matches_repeated_products(self, m):
+        ident = identity_matrix(len(m))
+        acc, k = m, 1
+        while acc != ident:
+            acc, k = mat_mul(acc, m), k + 1
+        assert signed_permutation_order(m) == k
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 10).flatmap(signed_permutations))
+    def test_fixed_cycles_span_the_kernel(self, m):
+        fixed = [c for c in cycles(m) if c.sign == 1]
+        for c in fixed:
+            assert mat_vec(m, c.vector) == c.vector
+            assert sum(x * x for x in c.vector) == len(c.support)
+        for a in range(len(fixed)):
+            for b in range(a + 1, len(fixed)):
+                assert sum(
+                    x * y for x, y in zip(fixed[a].vector, fixed[b].vector)
+                ) == 0
+        kernel = integer_kernel(mat_sub(m, identity_matrix(len(m))))
+        assert hermite_row_basis([c.vector for c in fixed]) == hermite_row_basis(kernel)
 
 
 class TestSignedPermutations:

@@ -19,15 +19,18 @@ from flatspec.exact_linear import (
     mat_mul,
     mat_sub,
     mat_vec,
+    trace_p,
     transpose,
 )
+from flatspec.krawtchouk import diagonal_trace
 from flatspec.spectral import (
     PROJECTOR_BASIS_CAP,
     betti,
     multiplicity,
-    multiplicity_diagonal,
     projector_oracle,
 )
+
+from conftest import diagonal_fixed_count
 
 HALF = Fraction(1, 2)
 
@@ -142,10 +145,10 @@ def test_random_diagonal_groups_agree_across_paths(case):
         return  # structure violations are exercised elsewhere
     if not report.is_torsion_free:
         return
-    for p in range(n + 1):
-        for mu in range(3):
-            d = multiplicity(defn, p, mu)
-            assert d == multiplicity_diagonal(defn, p, mu)
+    for el in close_point_group(defn):
+        n_fixed = diagonal_fixed_count(el.matrix)
+        for p in range(n + 1):
+            assert diagonal_trace(p, n, n_fixed) == trace_p(el.matrix, p)
     for mu in range(3):
         alternating = sum(
             (-1) ** p * multiplicity(defn, p, mu) for p in range(n + 1)

@@ -4,7 +4,8 @@ from math import comb
 import pytest
 
 from flatspec.crystal import AffineGenerator, GroupDefinition, close_point_group
-from flatspec.exact_linear import signed_permutation_order
+from flatspec.exact_linear import signed_permutation_order, trace_p
+from flatspec.krawtchouk import diagonal_trace
 from flatspec.spectral import (
     EnumerationGuardError,
     NonRationalSumError,
@@ -16,7 +17,6 @@ from flatspec.spectral import (
     enumerate_fixed_shell,
     enumerate_shell,
     multiplicity,
-    multiplicity_diagonal,
     multiplicity_hw,
     multiplicity_table,
     projector_oracle,
@@ -28,7 +28,7 @@ from flatspec.spectral import (
 )
 from flatspec import HWMatrix, example
 
-from conftest import classical_hw_matrix
+from conftest import classical_hw_matrix, diagonal_fixed_count
 
 HALF = Fraction(1, 2)
 
@@ -206,34 +206,36 @@ class TestMultiplicity:
             multiplicity(torus(2), 3, 0)
 
 
+def assert_krawtchouk_traces(defn):
+    n = defn.dim
+    for el in close_point_group(defn):
+        n_fixed = diagonal_fixed_count(el.matrix)
+        for p in range(n + 1):
+            assert diagonal_trace(p, n, n_fixed) == trace_p(el.matrix, p), (el.word, p)
+
+
 class TestDiagonalFastPath:
+    """Diagonal holonomy: the Krawtchouk trace K_p^n(n - n_B) equals the
+    generic exterior trace of every element, so any multiplicity assembled
+    from either weight is the same."""
+
     def test_agrees_on_diagonal_catalog_groups(self):
         for key in ("4.1(n=4,k=1)", "4.1(n=6,k=5)", "4.2(n=4,k=3,j=2)"):
-            defn = example(key)
-            for p in range(defn.dim + 1):
-                for mu in range(4):
-                    assert multiplicity_diagonal(defn, p, mu) == multiplicity(
-                        defn, p, mu
-                    )
+            assert_krawtchouk_traces(example(key))
 
     def test_9d_catalog_pair(self):
-        g, gp = example("4.3")
-        for defn in (g, gp):
-            for p in (0, 2, 5, 9):
-                for mu in range(3):
-                    assert multiplicity_diagonal(defn, p, mu) == multiplicity(
-                        defn, p, mu
-                    )
+        for defn in example("4.3"):
+            assert_krawtchouk_traces(defn)
 
     def test_zero_norm_reduces_to_betti(self):
+        # e_{0,B} = 1, so beta_p is the average Krawtchouk weight
         g, _ = example("4.3")
+        elements = close_point_group(g)
         for p in range(10):
-            assert multiplicity_diagonal(g, p, 0) == betti(g, p)
-
-    def test_non_diagonal_rejected(self):
-        g, _ = example("5.1")
-        with pytest.raises(ValueError):
-            multiplicity_diagonal(g, 1, 1)
+            total = sum(
+                diagonal_trace(p, 9, diagonal_fixed_count(el.matrix)) for el in elements
+            )
+            assert total == len(elements) * betti(g, p)
 
 
 class TestHWFastPath:
