@@ -399,7 +399,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     status, text = run(cfg)
     if text:
-        print(text)
+        print(text, file=sys.stderr if status == USAGE_ERROR else sys.stdout)
     return status
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Callable, Union
 
 from .crystal import AffineGenerator, GroupDefinition, extend_with_characters
+from .exact_linear import signed_perm, signed_perm_matrix
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -22,21 +23,16 @@ CorpusEntry = Union[GroupDefinition, tuple[GroupDefinition, GroupDefinition]]
 
 
 def _diag(*entries: int) -> tuple[tuple[int, ...], ...]:
-    n = len(entries)
-    return tuple(
-        tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n)
-    )
+    return signed_perm_matrix(range(len(entries)), entries)
 
 
 def _block_diag(*blocks) -> tuple[tuple[int, ...], ...]:
-    size = sum(len(b) for b in blocks)
-    rows = []
-    offset = 0
+    image, sign = (), ()
     for b in blocks:
-        for row in b:
-            rows.append((0,) * offset + tuple(row) + (0,) * (size - offset - len(row)))
-        offset += len(b)
-    return tuple(rows)
+        b_image, b_sign = signed_perm(b)
+        image += tuple(i + len(image) for i in b_image)
+        sign += b_sign
+    return signed_perm_matrix(image, sign)
 
 
 def _unit_translation(n: int, components: dict[int, Fraction]) -> tuple[Fraction, ...]:

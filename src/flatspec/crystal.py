@@ -13,23 +13,22 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from itertools import product
+from math import lcm, prod
 from typing import Sequence
 
 from .exact_linear import (
     IntMatrix,
+    IntVector,
     RatVector,
     as_int_matrix,
     cycles,
     dot,
-    identity_matrix,
     is_signed_permutation,
-    mat_mul,
-    mat_sub,
-    mat_vec,
+    signed_perm,
+    signed_perm_matrix,
     signed_permutation_order,
     smith_normal_form,
-    transpose,
 )
 
 COSET_CAP = 1024
@@ -183,12 +182,41 @@ class HWMatrix:
         object.__setattr__(self, "rows", rows)
 
 
-def _coset_mul(
-    am: IntMatrix, at: RatVector, bm: IntMatrix, bt: RatVector
-) -> tuple[IntMatrix, RatVector]:
-    # (A L_a)(B L_b) = AB L_{B^{-1} a + b}; B^{-1} = B^T for signed permutations
-    shifted = mat_vec(transpose(bm), at)
-    return mat_mul(am, bm), tuple(_mod1(x + y) for x, y in zip(shifted, bt))
+# B L_b as (image, sign) of B, read by signed_perm, and t = Q b mod Q
+Coset = tuple[IntVector, IntVector, IntVector]
+
+
+def _integer_generators(definition: GroupDefinition) -> tuple[int, list[Coset]]:
+    """Q and each generator as a Coset.
+
+    Signed permutations only permute and negate coordinates, so Q, the lcm of
+    the generator denominators, serves every product of generators.
+    """
+    gens = definition.generators
+    q = lcm(*(x.denominator for g in gens for x in g.translation))
+    return q, [signed_perm(g.matrix) + (tuple(int(x * q) for x in g.translation),) for g in gens]
+
+
+def _coset_product(x: Coset, y: Coset, q: int) -> Coset:
+    # (A L_a)(B L_b) = AB L_{B^{-1} a + b}, and (B^{-1} a)_j = sign_B[j] a[image_B[j]]
+    (ai, asg, at), (bi, bsg, bt) = x, y
+    return (
+        tuple(ai[k] for k in bi),
+        tuple(s * asg[k] for s, k in zip(bsg, bi)),
+        tuple((s * at[k] + b) % q for s, k, b in zip(bsg, bi, bt)),
+    )
+
+
+def _commutator_term(x: Coset, y: Coset) -> list[int]:
+    """Q ((B_y^{-1} - I) b_x - (B_x^{-1} - I) b_y) for generators x, y.
+
+    The pair satisfies the pairwise condition exactly when every entry is
+    divisible by Q.
+    """
+    (xi, xs, xt), (yi, ys, yt) = x, y
+    return [
+        ys[k] * xt[yi[k]] - xt[k] - xs[k] * yt[xi[k]] + yt[k] for k in range(len(xt))
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -201,83 +229,63 @@ def close_point_group(definition: GroupDefinition) -> tuple[PointGroupElement, .
     word cosets are closed under multiplication (equivalently, gamma_i^{m_i}
     is a lattice translation for each i).
     """
-    gens = definition.generators
-    orders = [g.order for g in gens]
+    orders = [g.order for g in definition.generators]
     total = prod(orders)
     if total > COSET_CAP:
         raise CosetCapError(f"point group order {total} exceeds cap {COSET_CAP}")
 
+    q, gens = _integer_generators(definition)
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            a, b = gens[i].matrix, gens[j].matrix
-            if mat_mul(a, b) != mat_mul(b, a):
+            ab = _coset_product(gens[i], gens[j], q)
+            ba = _coset_product(gens[j], gens[i], q)
+            if ab[:2] != ba[:2]:
                 raise GroupStructureError(
                     f"generator matrices {i} and {j} do not commute"
                 )
 
-    ident = (identity_matrix(definition.dim), (Fraction(0),) * definition.dim)
-    powers = []
-    for g in gens:
-        table = [ident]
-        for _ in range(1, g.order):
-            pm, pt = table[-1]
-            table.append(_coset_mul(pm, pt, g.matrix, g.translation))
-        powers.append(table)
+    n = definition.dim
+    words = sorted(product(*map(range, orders)), key=lambda w: (sum(w), w))
+    # gamma^w = gamma^(w - e_k) gamma_k for the last nonzero exponent k; the
+    # shorter word is built already
+    built = {words[0]: (tuple(range(n)), (1,) * n, (0,) * n)}
+    for word in words[1:]:
+        k = max(i for i, l in enumerate(word) if l)
+        prev = word[:k] + (word[k] - 1,) + word[k + 1:]
+        built[word] = _coset_product(built[prev], gens[k], q)
 
-    words = sorted(
-        _all_words(orders), key=lambda w: (sum(w), w)
-    )
-    elements = []
-    for word in words:
-        mat, tr = ident
-        for i, l in enumerate(word):
-            if l:
-                pm, pt = powers[i][l]
-                mat, tr = _coset_mul(mat, tr, pm, pt)
-        elements.append(PointGroupElement(matrix=mat, translation=tr, word=word))
-
-    if len({el.matrix for el in elements}) != total:
+    if len({c[:2] for c in built.values()}) != total:
         raise GroupStructureError(
             "matrix group is not the direct product of the declared cyclic factors"
         )
-    cosets = {(el.matrix, el.translation) for el in elements}
-    if len(cosets) != total:
-        raise GroupStructureError(
-            "distinct words give the same coset; translation lattice exceeds Z^n"
-        )
-    for el in elements:
+    # distinct matrices make the cosets distinct too
+    coset_set = set(built.values())
+    for c in built.values():
         for g in gens:
-            if _coset_mul(el.matrix, el.translation, g.matrix, g.translation) not in cosets:
+            if _coset_product(c, g, q) not in coset_set:
                 raise GroupStructureError(
                     "word cosets are not closed under multiplication; "
                     "some gamma_i^{m_i} is not a lattice translation"
                 )
-    return tuple(elements)
-
-
-def _all_words(orders: Sequence[int]):
-    if not orders:
-        return [()]
-    rest = _all_words(orders[1:])
-    return [(l,) + w for l in range(orders[0]) for w in rest]
+    return tuple(
+        PointGroupElement(
+            matrix=signed_perm_matrix(image, sign),
+            translation=tuple(Fraction(x, q) for x in t),
+            word=word,
+        )
+        for word, (image, sign, t) in built.items()
+    )
 
 
 def check_pairwise_condition(definition: GroupDefinition) -> list[tuple[int, int]]:
     """Pairs (i, j) violating (B_i^{-1} - I) b_j - (B_j^{-1} - I) b_i in Z^n."""
-    failures = []
-    gens = definition.generators
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            bi, bj = gens[i], gens[j]
-            left = [
-                x - y for x, y in zip(mat_vec(transpose(bi.matrix), bj.translation), bj.translation)
-            ]
-            right = [
-                x - y for x, y in zip(mat_vec(transpose(bj.matrix), bi.translation), bi.translation)
-            ]
-            if any((x - y).denominator != 1 for x, y in zip(left, right)):
-                failures.append((i, j))
-    return failures
+    q, gens = _integer_generators(definition)
+    return [
+        (i, j)
+        for i in range(len(gens))
+        for j in range(i + 1, len(gens))
+        if any(x % q for x in _commutator_term(gens[i], gens[j]))
+    ]
 
 
 def _power_sum_image(matrix: IntMatrix, b: RatVector) -> RatVector:
@@ -339,18 +347,15 @@ def validate_bieberbach(definition: GroupDefinition) -> ValidationReport:
             failures.append((word, "generator-lattice"))
             lattice_ok = False
 
-    closed = True
     elements: tuple[PointGroupElement, ...] = ()
     try:
         elements = close_point_group(definition)
-    except CosetCapError:
-        raise
     except GroupStructureError as exc:
-        closed = False
         failures.append(((), f"closure: {exc}"))
+    closed = bool(elements)
 
     torsion_free = closed and not pair_failures
-    for el in elements[1:] if closed else ():
+    for el in elements[1:]:
         if not check_torsion_condition(el):
             failures.append((el.word, "torsion"))
             torsion_free = False
@@ -359,7 +364,7 @@ def validate_bieberbach(definition: GroupDefinition) -> ValidationReport:
         is_group_closed=closed,
         has_translation_lattice_Zn=lattice_ok,
         is_torsion_free=torsion_free,
-        holonomy_order=len(elements) if closed else 0,
+        holonomy_order=len(elements),
         holonomy_structure=tuple(g.order for g in gens if g.order > 1),
         failures=tuple(failures),
     )
@@ -384,16 +389,19 @@ def first_homology(definition: GroupDefinition) -> AbelianGroupType:
     The (redundant) relation set is absorbed by the Smith normal form.
     """
     require_valid(definition)
-    gens = definition.generators
+    q, gens = _integer_generators(definition)
     r = len(gens)
     n = definition.dim
     rows: list[list[int]] = []
 
-    for i, g in enumerate(gens):
-        bmi = mat_sub(g.matrix, identity_matrix(n))
+    for i, g in enumerate(definition.generators):
+        image, sign, _ = gens[i]
         for j in range(n):
-            col = [bmi[k][j] for k in range(n)]
-            if any(col):
+            # column j of B - I is sign[j] e_{image[j]} - e_j
+            if (image[j], sign[j]) != (j, 1):
+                col = [0] * n
+                col[image[j]] += sign[j]
+                col[j] -= 1
                 rows.append([0] * r + col)
         w = _power_sum_image(g.matrix, g.translation)
         row = [0] * r
@@ -402,19 +410,14 @@ def first_homology(definition: GroupDefinition) -> AbelianGroupType:
 
     for i in range(r):
         for j in range(i + 1, r):
-            gi, gj = gens[i], gens[j]
-            term = [
-                (xj - bj) - (xi - bi)
-                for xj, bj, xi, bi in zip(
-                    mat_vec(transpose(gj.matrix), gi.translation),
-                    gi.translation,
-                    mat_vec(transpose(gi.matrix), gj.translation),
-                    gj.translation,
-                )
-            ]
-            mu = mat_vec(mat_mul(gi.matrix, gj.matrix), term)
+            # require_valid passed the pairwise condition, so the term is integral
+            term = [x // q for x in _commutator_term(gens[i], gens[j])]
+            image, sign, _ = _coset_product(gens[i], gens[j], q)
+            mu = [0] * n
+            for k in range(n):
+                mu[image[k]] = sign[k] * term[k]
             if any(mu):
-                rows.append([0] * r + [int(x) for x in mu])
+                rows.append([0] * r + mu)
 
     if not rows:
         return AbelianGroupType(free_rank=r + n, torsion=())
@@ -434,10 +437,7 @@ def build_hw_group(a: HWMatrix) -> GroupDefinition:
     n = a.n
     gens = []
     for i in range(n - 1):
-        matrix = tuple(
-            tuple((1 if i == k else -1) if k == j else 0 for j in range(n))
-            for k in range(n)
-        )
+        matrix = signed_perm_matrix(range(n), [1 if k == i else -1 for k in range(n)])
         gens.append(AffineGenerator(matrix=matrix, translation=a.rows[i]))
     return GroupDefinition(dim=n, generators=tuple(gens), label=f"hw-{n}d")
 
@@ -464,12 +464,10 @@ def extend_with_characters(
     n = definition.dim
     new_gens = []
     for i, g in enumerate(definition.generators):
-        diag = [row[i] for row in char_rows] + [1] * trivial_count
-        matrix = tuple(
-            tuple(row) + (0,) * extra for row in g.matrix
-        ) + tuple(
-            (0,) * n + tuple(diag[h] if h == k else 0 for h in range(extra))
-            for k in range(extra)
+        image, sign = signed_perm(g.matrix)
+        matrix = signed_perm_matrix(
+            image + tuple(range(n, n + extra)),
+            sign + tuple(row[i] for row in char_rows) + (1,) * trivial_count,
         )
         translation = g.translation + (Fraction(0),) * extra
         new_gens.append(AffineGenerator(matrix=matrix, translation=translation))
@@ -503,7 +501,7 @@ def group_from_json(data: dict) -> GroupDefinition:
     if not isinstance(data, dict):
         raise ValueError("group definition must be a JSON object")
     try:
-        dim = int(data["dim"])
+        dim = _json_int(data["dim"], "'dim'")
         label = str(data.get("label", ""))
         raw_gens = data["generators"]
     except KeyError as exc:
@@ -519,12 +517,15 @@ def group_from_json(data: dict) -> GroupDefinition:
                 raise ValueError(f"generators[{i}] needs a list field {key!r}")
         matrix = as_int_matrix(raw["matrix"])
         translation = tuple(_parse_fraction(s) for s in raw["translation"])
-        gens.append(
-            AffineGenerator(
-                matrix=matrix, translation=translation, order=int(raw.get("order", 0))
-            )
-        )
+        order = _json_int(raw.get("order", 0), f"generators[{i}].order")
+        gens.append(AffineGenerator(matrix=matrix, translation=translation, order=order))
     return GroupDefinition(dim=dim, generators=tuple(gens), label=label)
+
+
+def _json_int(value, name: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"field {name} must be an integer, got {value!r}")
+    return value
 
 
 _FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")

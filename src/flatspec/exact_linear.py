@@ -63,22 +63,42 @@ def dot(u: Sequence, v: Sequence) -> int | Fraction:
     return sum(x * y for x, y in zip(u, v))
 
 
+def signed_perm(m: IntMatrix) -> tuple[IntVector, IntVector]:
+    """(image, sign) of a signed permutation: column j is sign[j] e_{image[j]}.
+
+    Raises ValueError unless ``m`` has exactly one entry +-1 per row and per
+    column.  ``signed_perm_matrix`` is the inverse.
+    """
+    n = len(m)
+    image = [-1] * n
+    sign = [0] * n
+    for i, row in enumerate(m):
+        nz = [j for j, x in enumerate(row) if x != 0]
+        if len(row) != n or len(nz) != 1 or row[nz[0]] not in (1, -1) or image[nz[0]] >= 0:
+            raise ValueError("matrix is not a signed permutation")
+        image[nz[0]], sign[nz[0]] = i, row[nz[0]]
+    return tuple(image), tuple(sign)
+
+
+def signed_perm_matrix(image: Sequence[int], sign: Sequence[int]) -> IntMatrix:
+    """The signed permutation whose column j is sign[j] e_{image[j]}."""
+    rows = [[0] * len(image) for _ in image]
+    for j, (i, s) in enumerate(zip(image, sign)):
+        rows[i][j] = s
+    return tuple(tuple(row) for row in rows)
+
+
 def is_signed_permutation(m: IntMatrix) -> bool:
     """True iff ``m`` has exactly one entry +-1 per row and per column.
 
     Signed permutations are exactly the orthogonal integer matrices, i.e. the
     symmetries of the canonical lattice.
     """
-    n = len(m)
-    if any(len(row) != n for row in m):
+    try:
+        signed_perm(m)
+    except ValueError:
         return False
-    seen_cols = set()
-    for row in m:
-        nz = [j for j, x in enumerate(row) if x != 0]
-        if len(nz) != 1 or row[nz[0]] not in (1, -1):
-            return False
-        seen_cols.add(nz[0])
-    return len(seen_cols) == n
+    return True
 
 
 class Cycle(NamedTuple):
@@ -97,16 +117,8 @@ class Cycle(NamedTuple):
 
 def cycles(m: IntMatrix) -> tuple[Cycle, ...]:
     """The cycles of a signed permutation, by one walk over its columns."""
-    if not is_signed_permutation(m):
-        raise ValueError("matrix is not a signed permutation")
+    image, sign = signed_perm(m)
     n = len(m)
-    # column j of m is sign[j] * e_{image[j]}
-    image = [0] * n
-    sign = [0] * n
-    for i, row in enumerate(m):
-        for j, x in enumerate(row):
-            if x:
-                image[j], sign[j] = i, x
     seen = [False] * n
     out = []
     for start in range(n):

@@ -31,9 +31,8 @@ from .exact_linear import (
     IntMatrix,
     cycles,
     dot,
-    mat_vec,
+    signed_perm,
     trace_p,
-    transpose,
 )
 from .krawtchouk import krawtchouk
 
@@ -241,10 +240,7 @@ def enumerate_fixed_shell(matrix: IntMatrix, mu: int) -> tuple[tuple[int, ...], 
 # Character sums and multiplicities
 
 def _translation_modulus(translation) -> int:
-    q = 1
-    for x in translation:
-        q = lcm(q, x.denominator)
-    return q
+    return lcm(*(x.denominator for x in translation))
 
 
 @lru_cache(maxsize=None)
@@ -370,32 +366,27 @@ def projector_oracle(defn: GroupDefinition, p: int, mu: int) -> int:
     j_index = {jj: t for t, jj in enumerate(j_list)}
     shell_index = {v: i for i, v in enumerate(shell)}
 
-    q = 1
-    for el in elements:
-        q = lcm(q, _translation_modulus(el.translation))
+    q = lcm(*(_translation_modulus(el.translation) for el in elements))
 
     # basis index (v_i, J_t) -> v_i * width + t;
     # columns[c] maps row -> {exponent: signed count}
     columns: list[dict[int, dict[int, int]]] = [dict() for _ in range(size)]
     for el in elements:
-        binv = transpose(el.matrix)
-        # gamma^* dx_i = sign_i dx_{target_i}
-        target = []
-        sign = []
-        for i in range(n):
-            j = next(k for k in range(n) if el.matrix[i][k] != 0)
-            target.append(j)
-            sign.append(el.matrix[i][j])
+        image, sign = signed_perm(el.matrix)
+        # gamma^* dx_i = sign[j] dx_j for the j with image[j] = i
+        target = [0] * n
+        for j, i in enumerate(image):
+            target[i] = j
         j_images = []
         for jj in j_list:
             raw = tuple(target[t] for t in jj)
             eps = _sort_parity(raw)
-            for t in jj:
-                eps *= sign[t]
+            for j in raw:
+                eps *= sign[j]
             j_images.append((j_index[tuple(sorted(raw))], eps))
         scaled = [int(x * q) for x in el.translation]  # q * b, integral
         for vi, v in enumerate(shell):
-            v2 = mat_vec(binv, v)
+            v2 = tuple(s * v[i] for s, i in zip(sign, image))  # B^{-1} v
             base_row = shell_index[v2] * width
             phase = sum(a * b for a, b in zip(v2, scaled)) % q
             base_col = vi * width

@@ -9,7 +9,22 @@ import pytest
 from hypothesis import strategies as st
 
 from flatspec import HWMatrix, build_hw_group, example
-from flatspec.exact_linear import mat_mul
+from flatspec.crystal import (
+    COSET_CAP,
+    AbelianGroupType,
+    CosetCapError,
+    GroupStructureError,
+    _power_sum_image,
+    require_valid,
+)
+from flatspec.exact_linear import (
+    identity_matrix,
+    mat_mul,
+    mat_sub,
+    mat_vec,
+    smith_normal_form,
+    transpose,
+)
 
 HALF = Fraction(1, 2)
 
@@ -79,6 +94,146 @@ def diagonal_fixed_count(matrix) -> int:
     n = len(matrix)
     assert all(matrix[i][j] == 0 for i in range(n) for j in range(n) if i != j)
     return sum(1 for i in range(n) if matrix[i][i] == 1)
+
+
+def _mod1(f: Fraction) -> Fraction:
+    return Fraction(f.numerator % f.denominator, f.denominator)
+
+
+def _coset_mul(am, at, bm, bt):
+    # (A L_a)(B L_b) = AB L_{B^{-1} a + b}; B^{-1} = B^T for signed permutations
+    shifted = mat_vec(transpose(bm), at)
+    return mat_mul(am, bm), tuple(_mod1(x + y) for x, y in zip(shifted, bt))
+
+
+def _all_words(orders):
+    if not orders:
+        return [()]
+    rest = _all_words(orders[1:])
+    return [(l,) + w for l in range(orders[0]) for w in rest]
+
+
+def close_point_group_reference(definition):
+    """(matrix, translation, word) per coset by Fraction matrix products.
+
+    A reference for ``close_point_group``: each word is multiplied out from
+    tables of generator powers, and the checks raise the same exceptions with
+    the same messages in the same order.
+    """
+    gens = definition.generators
+    orders = [g.order for g in gens]
+    total = 1
+    for m in orders:
+        total *= m
+    if total > COSET_CAP:
+        raise CosetCapError(f"point group order {total} exceeds cap {COSET_CAP}")
+
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            a, b = gens[i].matrix, gens[j].matrix
+            if mat_mul(a, b) != mat_mul(b, a):
+                raise GroupStructureError(
+                    f"generator matrices {i} and {j} do not commute"
+                )
+
+    ident = (identity_matrix(definition.dim), (Fraction(0),) * definition.dim)
+    powers = []
+    for g in gens:
+        table = [ident]
+        for _ in range(1, g.order):
+            pm, pt = table[-1]
+            table.append(_coset_mul(pm, pt, g.matrix, g.translation))
+        powers.append(table)
+
+    words = sorted(_all_words(orders), key=lambda w: (sum(w), w))
+    elements = []
+    for word in words:
+        mat, tr = ident
+        for i, l in enumerate(word):
+            if l:
+                pm, pt = powers[i][l]
+                mat, tr = _coset_mul(mat, tr, pm, pt)
+        elements.append((mat, tr, word))
+
+    if len({mat for mat, _, _ in elements}) != total:
+        raise GroupStructureError(
+            "matrix group is not the direct product of the declared cyclic factors"
+        )
+    cosets = {(mat, tr) for mat, tr, _ in elements}
+    if len(cosets) != total:
+        raise GroupStructureError(
+            "distinct words give the same coset; translation lattice exceeds Z^n"
+        )
+    for mat, tr, _ in elements:
+        for g in gens:
+            if _coset_mul(mat, tr, g.matrix, g.translation) not in cosets:
+                raise GroupStructureError(
+                    "word cosets are not closed under multiplication; "
+                    "some gamma_i^{m_i} is not a lattice translation"
+                )
+    return elements
+
+
+def pairwise_condition_reference(definition):
+    """Pairs (i, j) violating (B_i^{-1} - I) b_j - (B_j^{-1} - I) b_i in Z^n."""
+    failures = []
+    gens = definition.generators
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            bi, bj = gens[i], gens[j]
+            left = [
+                x - y for x, y in zip(mat_vec(transpose(bi.matrix), bj.translation), bj.translation)
+            ]
+            right = [
+                x - y for x, y in zip(mat_vec(transpose(bj.matrix), bi.translation), bi.translation)
+            ]
+            if any((x - y).denominator != 1 for x, y in zip(left, right)):
+                failures.append((i, j))
+    return failures
+
+
+def first_homology_reference(definition):
+    """H_1 from the abelianized presentation, relations built by matrix products."""
+    require_valid(definition)
+    gens = definition.generators
+    r = len(gens)
+    n = definition.dim
+    rows = []
+
+    for i, g in enumerate(gens):
+        bmi = mat_sub(g.matrix, identity_matrix(n))
+        for j in range(n):
+            col = [bmi[k][j] for k in range(n)]
+            if any(col):
+                rows.append([0] * r + col)
+        w = _power_sum_image(g.matrix, g.translation)
+        row = [0] * r
+        row[i] = g.order
+        rows.append(row + [-int(x) for x in w])
+
+    for i in range(r):
+        for j in range(i + 1, r):
+            gi, gj = gens[i], gens[j]
+            term = [
+                (xj - bj) - (xi - bi)
+                for xj, bj, xi, bi in zip(
+                    mat_vec(transpose(gj.matrix), gi.translation),
+                    gi.translation,
+                    mat_vec(transpose(gi.matrix), gj.translation),
+                    gj.translation,
+                )
+            ]
+            mu = mat_vec(mat_mul(gi.matrix, gj.matrix), term)
+            if any(mu):
+                rows.append([0] * r + [int(x) for x in mu])
+
+    if not rows:
+        return AbelianGroupType(free_rank=r + n, torsion=())
+    diag = smith_normal_form(tuple(tuple(row) for row in rows)).diagonal()
+    rank = sum(1 for d in diag if d != 0)
+    return AbelianGroupType(
+        free_rank=(r + n) - rank, torsion=tuple(d for d in diag if d > 1)
+    )
 
 
 def classical_hw_matrix() -> HWMatrix:

@@ -217,6 +217,29 @@ def assert_one_line_error(status, text, prefix="error: "):
     assert len(lines) == 1 and lines[0].startswith(prefix), text
 
 
+class TestErrorStream:
+    """Errors raised inside ``run`` go to stderr, like argument errors."""
+
+    def check(self, capsys, *argv):
+        status = main(list(argv))
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+    def test_range_error(self, capsys):
+        self.check(capsys, "compare", "--corpus", "5.1", "--p", "9")
+
+    def test_limit_error(self, capsys):
+        self.check(capsys, "multiplicity", "--corpus", "5.1a", "--p", "0", "--mu", "20000")
+
+    def test_malformed_json(self, capsys, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        self.check(capsys, "betti", "--input", str(path))
+
+
 class TestRangeErrors:
     def test_negative_mu(self, capsys):
         status, text = run_cli_all(
@@ -302,6 +325,14 @@ class TestJsonFieldErrors:
     def test_missing_translation(self, capsys, tmp_path):
         payload = {"dim": 2, "generators": [{"matrix": [[1, 0], [0, -1]]}]}
         self.check(capsys, tmp_path, payload, "'translation'")
+
+    def test_non_integer_dim(self, capsys, tmp_path):
+        for dim in (2.9, "x", True):
+            self.check(capsys, tmp_path, {"dim": dim, "generators": []}, "'dim'")
+
+    def test_non_integer_order(self, capsys, tmp_path):
+        gen = {"matrix": [[1, 0], [0, -1]], "translation": ["1/2", "0"], "order": 2.7}
+        self.check(capsys, tmp_path, {"dim": 2, "generators": [gen]}, "generators[0].order")
 
 
 def test_every_public_name_resolves():

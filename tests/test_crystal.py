@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,13 @@ from flatspec.exact_linear import (
 )
 from flatspec import example
 
-from conftest import classical_hw_matrix, signed_permutations
+from conftest import (
+    classical_hw_matrix,
+    close_point_group_reference,
+    first_homology_reference,
+    pairwise_condition_reference,
+    signed_permutations,
+)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -251,6 +258,97 @@ class TestPowerSumDifferential:
         assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
 
 
+CANDIDATE_DENOMINATORS = (1, 2, 3, 4, 6, 8)
+
+
+def random_signed_permutation(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return tuple(
+        tuple(rng.choice((1, -1)) if j == perm[i] else 0 for j in range(n))
+        for i in range(n)
+    )
+
+
+def random_candidate(rng) -> GroupDefinition:
+    """A candidate group with n <= 8 and up to three generators.
+
+    Coordinates are cut into blocks, each with a base signed permutation P;
+    a generator acts on each block as +-P^k, so the generators commute,
+    except that with probability 1/4 every generator is an arbitrary signed
+    permutation.  Translations lie in (1/d)Z^n.
+    """
+    n = rng.randint(1, 8)
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(rng.randint(1, n - sum(sizes)))
+    bases = [random_signed_permutation(rng, size) for size in sizes]
+    free = rng.random() < 0.25
+    d = rng.choice(CANDIDATE_DENOMINATORS)
+    gens = []
+    for _ in range(rng.randint(0, 3)):
+        if free:
+            matrix = random_signed_permutation(rng, n)
+        else:
+            matrix = [[0] * n for _ in range(n)]
+            offset = 0
+            for base in bases:
+                block = identity_matrix(len(base))
+                for _ in range(rng.randint(0, 3)):
+                    block = mat_mul(block, base)
+                s = rng.choice((1, -1))
+                for i, row in enumerate(block):
+                    for j, x in enumerate(row):
+                        matrix[offset + i][offset + j] = s * x
+                offset += len(base)
+        translation = tuple(Fraction(rng.randrange(d), d) for _ in range(n))
+        gens.append(AffineGenerator(matrix, translation))
+    return GroupDefinition(dim=n, generators=tuple(gens))
+
+
+def assert_matches_references(defn) -> str:
+    """Compare closure, pairwise check and homology with the matrix route.
+
+    Returns the outcome: the closure error message, "valid" or "invalid".
+    """
+    assert check_pairwise_condition(defn) == pairwise_condition_reference(defn)
+    try:
+        expected = close_point_group_reference(defn)
+    except (GroupStructureError, CosetCapError) as exc:
+        with pytest.raises(type(exc)) as info:
+            close_point_group(defn)
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        return str(exc)
+    got = close_point_group(defn)
+    assert [(el.matrix, el.translation, el.word) for el in got] == expected
+    try:
+        h1 = first_homology_reference(defn)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            first_homology(defn)
+        assert str(info.value) == str(exc)
+        return "invalid"
+    assert first_homology(defn) == h1
+    return "valid"
+
+
+class TestClosureDifferential:
+    """Integer-form closure, pairwise check and homology against Fraction matrices."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_matrix_route(self, rng):
+        assert_matches_references(random_candidate(rng))
+
+    def test_seeded_sweep_reaches_every_outcome(self):
+        rng = random.Random(6)
+        outcomes = Counter(assert_matches_references(random_candidate(rng)) for _ in range(300))
+        assert outcomes["valid"] >= 10 and outcomes["invalid"] >= 10, outcomes
+        assert sum(c for o, c in outcomes.items() if "do not commute" in o) >= 10, outcomes
+        assert sum(c for o, c in outcomes.items() if "direct product" in o) >= 10, outcomes
+        assert sum(c for o, c in outcomes.items() if "exceeds cap" in o) >= 1, outcomes
+
+
 class TestValidation:
     def test_catalog_4d_pair_valid(self):
         for defn in example("4.5"):
@@ -433,6 +531,16 @@ class TestJsonRoundTrip:
                     ],
                 }
             )
+
+    def test_integer_fields_must_be_json_integers(self):
+        gen = {"matrix": [[1, 0], [0, -1]], "translation": ["1/2", "0"]}
+        for dim in (2.9, 2.0, "2", False):
+            with pytest.raises(ValueError, match="field 'dim' must be an integer"):
+                group_from_json({"dim": dim, "generators": [gen]})
+        for order in (2.7, 2.0, "2", True):
+            with pytest.raises(ValueError, match=r"field generators\[0\]\.order must be"):
+                group_from_json({"dim": 2, "generators": [dict(gen, order=order)]})
+        assert group_from_json({"dim": 2, "generators": [dict(gen, order=2)]}).dim == 2
 
 
 def test_generator_dimension_checked():
