@@ -152,6 +152,8 @@ def _resolve_groups(cfg: CliConfig) -> list[tuple[str, GroupDefinition]]:
             entry = corpus.example(catalog_id)
         except KeyError as exc:
             raise CliUsageError(exc.args[0] if exc.args else str(exc))
+        except ValueError as exc:
+            raise CliUsageError(f"bad parameters in {catalog_id!r}: {exc}")
         if isinstance(entry, GroupDefinition):
             if member is not None:
                 raise CliUsageError(f"{catalog_id!r} is a single group; drop {member!r}")

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
 from math import lcm, prod
 from typing import Sequence
 
@@ -23,7 +23,6 @@ from .exact_linear import (
     RatVector,
     as_int_matrix,
     cycles,
-    dot,
     is_signed_permutation,
     signed_perm,
     signed_perm_matrix,
@@ -32,8 +31,6 @@ from .exact_linear import (
 )
 
 COSET_CAP = 1024
-
-HALF = Fraction(1, 2)
 
 
 class GroupStructureError(ValueError):
@@ -48,10 +45,6 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("floating point translations are not accepted; use Fraction")
     return Fraction(x)
-
-
-def _mod1(f: Fraction) -> Fraction:
-    return Fraction(f.numerator % f.denominator, f.denominator)
 
 
 @dataclass(frozen=True)
@@ -69,7 +62,7 @@ class AffineGenerator:
                 "generator matrix must be a signed permutation; other orthogonal "
                 "matrices do not preserve the canonical lattice Z^n"
             )
-        translation = tuple(_mod1(_as_fraction(x)) for x in self.translation)
+        translation = tuple(_as_fraction(x) % 1 for x in self.translation)
         if len(translation) != len(matrix):
             raise ValueError("translation length does not match matrix size")
         true_order = signed_permutation_order(matrix)
@@ -147,14 +140,9 @@ class AbelianGroupType:
             parts.append("Z")
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
-        i = 0
-        while i < len(self.torsion):
-            d = self.torsion[i]
-            count = 1
-            while i + count < len(self.torsion) and self.torsion[i + count] == d:
-                count += 1
+        for d, run in groupby(self.torsion):
+            count = len(list(run))
             parts.append(f"Z{d}" if count == 1 else f"Z{d}^{count}")
-            i += count
         return " + ".join(parts) if parts else "0"
 
 
@@ -177,7 +165,7 @@ class HWMatrix:
             raise ValueError(f"need {self.n - 1} rows of length {self.n}")
         for row in rows:
             for x in row:
-                if x not in (0, HALF):
+                if x not in (0, Fraction(1, 2)):
                     raise ValueError("entries must be 0 or 1/2")
         object.__setattr__(self, "rows", rows)
 
@@ -194,7 +182,12 @@ def _integer_generators(definition: GroupDefinition) -> tuple[int, list[Coset]]:
     """
     gens = definition.generators
     q = lcm(*(x.denominator for g in gens for x in g.translation))
-    return q, [signed_perm(g.matrix) + (tuple(int(x * q) for x in g.translation),) for g in gens]
+    return q, [signed_perm(g.matrix) + (_scaled(g.translation, q),) for g in gens]
+
+
+def _scaled(b: RatVector, q: int) -> IntVector:
+    """q b, for q a multiple of every denominator of b."""
+    return tuple(x.numerator * (q // x.denominator) for x in b)
 
 
 def _coset_product(x: Coset, y: Coset, q: int) -> Coset:
@@ -288,20 +281,27 @@ def check_pairwise_condition(definition: GroupDefinition) -> list[tuple[int, int
     ]
 
 
-def _power_sum_image(matrix: IntMatrix, b: RatVector) -> RatVector:
-    """S b for S = sum_{j=0}^{m-1} B^{-j}, m the order of B.
+def _power_sum_image(matrix: IntMatrix, b: RatVector) -> tuple[int, IntVector, bool]:
+    """(q, q S b, off) for S = sum_{j=0}^{m-1} B^{-j}, m the order of B.
 
-    S vanishes on a cycle of sign -1 and is (m / L_c) u_c u_c^T on a fixed
-    cycle c of length L_c, so S b = sum_c (m / L_c)(u_c . b) u_c.
+    q is the lcm of the denominators of b, so t = q b is integral.  S
+    vanishes on a cycle of sign -1 and is (m / L_c) u_c u_c^T on a fixed
+    cycle c of length L_c, so q S b = sum_c (m / L_c)(u_c . t) u_c.  ``off``
+    is True iff u_c . t is not divisible by q for some fixed cycle c.
     """
-    m = signed_permutation_order(matrix)
-    w = [Fraction(0)] * len(matrix)
-    for c in cycles(matrix):
+    q = lcm(*(x.denominator for x in b))
+    t = _scaled(b, q)
+    walk = cycles(matrix)
+    m = lcm(*(len(c.support) * (1 if c.sign == 1 else 2) for c in walk))
+    w = [0] * len(t)
+    off = False
+    for c in walk:
         if c.sign == 1:
-            x = m // len(c.support) * dot(c.vector, b)
+            ut = sum(c.vector[j] * t[j] for j in c.support)
+            off = off or ut % q != 0
             for j in c.support:
-                w[j] = x * c.vector[j]
-    return tuple(w)
+                w[j] = m // len(c.support) * ut * c.vector[j]
+    return q, tuple(w), off
 
 
 def check_torsion_condition(element: PointGroupElement) -> bool:
@@ -312,14 +312,8 @@ def check_torsion_condition(element: PointGroupElement) -> bool:
     disjoint supports, so S Z^n = sum_c (m / L_c) Z u_c, and S b lies in it
     exactly when u_c . b is an integer for every fixed cycle c.
     """
-    b = element.translation
-    if any(x.denominator != 1 for x in _power_sum_image(element.matrix, b)):
-        return False
-    return any(
-        dot(c.vector, b).denominator != 1
-        for c in cycles(element.matrix)
-        if c.sign == 1
-    )
+    q, w, off = _power_sum_image(element.matrix, element.translation)
+    return off and not any(x % q for x in w)
 
 
 @lru_cache(maxsize=None)
@@ -341,8 +335,8 @@ def validate_bieberbach(definition: GroupDefinition) -> ValidationReport:
 
     lattice_ok = not pair_failures
     for i, g in enumerate(gens):
-        w = _power_sum_image(g.matrix, g.translation)
-        if any(x.denominator != 1 for x in w):
+        q, w, _ = _power_sum_image(g.matrix, g.translation)
+        if any(x % q for x in w):
             word = tuple(1 if k == i else 0 for k in range(len(gens)))
             failures.append((word, "generator-lattice"))
             lattice_ok = False
@@ -403,10 +397,11 @@ def first_homology(definition: GroupDefinition) -> AbelianGroupType:
                 col[image[j]] += sign[j]
                 col[j] -= 1
                 rows.append([0] * r + col)
-        w = _power_sum_image(g.matrix, g.translation)
+        qi, w, _ = _power_sum_image(g.matrix, g.translation)
         row = [0] * r
         row[i] = g.order
-        rows.append(row + [-int(x) for x in w])
+        # require_valid passed the coset of gamma_i, so q_i divides q_i S_i b_i
+        rows.append(row + [-(x // qi) for x in w])
 
     for i in range(r):
         for j in range(i + 1, r):
@@ -502,10 +497,12 @@ def group_from_json(data: dict) -> GroupDefinition:
         raise ValueError("group definition must be a JSON object")
     try:
         dim = _json_int(data["dim"], "'dim'")
-        label = str(data.get("label", ""))
+        label = data.get("label", "")
         raw_gens = data["generators"]
     except KeyError as exc:
         raise ValueError(f"group definition missing field {exc}") from exc
+    if not isinstance(label, str):
+        raise ValueError(f"field 'label' must be a string, got {label!r}")
     if not isinstance(raw_gens, list):
         raise ValueError("field 'generators' must be a list")
     gens = []
@@ -528,11 +525,11 @@ def _json_int(value, name: str) -> int:
     return value
 
 
-_FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
+_FRACTION_RE = re.compile(r"^-?\d+(/\d*[1-9]\d*)?$")
 
 
 def _parse_fraction(s) -> Fraction:
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str) or not _FRACTION_RE.match(s.strip()):
         raise ValueError(f"not a p/q rational: {s!r}")

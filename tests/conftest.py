@@ -14,11 +14,12 @@ from flatspec.crystal import (
     AbelianGroupType,
     CosetCapError,
     GroupStructureError,
-    _power_sum_image,
+    ValidationReport,
     require_valid,
 )
 from flatspec.exact_linear import (
     identity_matrix,
+    in_image_lattice,
     mat_mul,
     mat_sub,
     mat_vec,
@@ -174,6 +175,28 @@ def close_point_group_reference(definition):
     return elements
 
 
+def power_sum_oracle(matrix):
+    """S = sum_{j=0}^{m-1} B^{-j}, summing powers of B^{-1} up to the identity."""
+    ident = identity_matrix(len(matrix))
+    binv = transpose(matrix)
+    total, acc = ident, mat_mul(ident, binv)
+    while acc != ident:
+        total = tuple(
+            tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(total, acc)
+        )
+        acc = mat_mul(acc, binv)
+    return total
+
+
+def torsion_oracle(matrix, b) -> bool:
+    """S b in Z^n but outside S Z^n, decided by the Smith form of S."""
+    s = power_sum_oracle(matrix)
+    w = mat_vec(s, b)
+    if any(x.denominator != 1 for x in w):
+        return False
+    return not in_image_lattice(s, w)
+
+
 def pairwise_condition_reference(definition):
     """Pairs (i, j) violating (B_i^{-1} - I) b_j - (B_j^{-1} - I) b_i in Z^n."""
     failures = []
@@ -206,7 +229,7 @@ def first_homology_reference(definition):
             col = [bmi[k][j] for k in range(n)]
             if any(col):
                 rows.append([0] * r + col)
-        w = _power_sum_image(g.matrix, g.translation)
+        w = mat_vec(power_sum_oracle(g.matrix), g.translation)
         row = [0] * r
         row[i] = g.order
         rows.append(row + [-int(x) for x in w])
@@ -233,6 +256,40 @@ def first_homology_reference(definition):
     rank = sum(1 for d in diag if d != 0)
     return AbelianGroupType(
         free_rank=(r + n) - rank, torsion=tuple(d for d in diag if d > 1)
+    )
+
+
+def validate_bieberbach_reference(definition):
+    """The ValidationReport assembled from the matrix references above.
+
+    Raises CosetCapError, as ``validate_bieberbach`` does, when the closure
+    reference does.
+    """
+    gens = definition.generators
+    pair_failures = pairwise_condition_reference(definition)
+    failures = [((i, j), "pairwise") for i, j in pair_failures]
+    lattice_ok = not pair_failures
+    for i, g in enumerate(gens):
+        if any(x.denominator != 1 for x in mat_vec(power_sum_oracle(g.matrix), g.translation)):
+            failures.append((tuple(int(k == i) for k in range(len(gens))), "generator-lattice"))
+            lattice_ok = False
+    try:
+        elements = close_point_group_reference(definition)
+    except GroupStructureError as exc:
+        elements = []
+        failures.append(((), f"closure: {exc}"))
+    torsion_free = bool(elements) and not pair_failures
+    for matrix, translation, word in elements[1:]:
+        if not torsion_oracle(matrix, translation):
+            failures.append((word, "torsion"))
+            torsion_free = False
+    return ValidationReport(
+        is_group_closed=bool(elements),
+        has_translation_lattice_Zn=lattice_ok,
+        is_torsion_free=torsion_free,
+        holonomy_order=len(elements),
+        holonomy_structure=tuple(g.order for g in gens if g.order > 1),
+        failures=tuple(failures),
     )
 
 

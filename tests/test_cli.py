@@ -334,6 +334,32 @@ class TestJsonFieldErrors:
         gen = {"matrix": [[1, 0], [0, -1]], "translation": ["1/2", "0"], "order": 2.7}
         self.check(capsys, tmp_path, {"dim": 2, "generators": [gen]}, "generators[0].order")
 
+    def test_zero_denominator(self, capsys, tmp_path):
+        gen = {"matrix": [[1, 0], [0, -1]], "translation": ["1/0", "0"]}
+        self.check(capsys, tmp_path, {"dim": 2, "generators": [gen]}, "'1/0'")
+
+    def test_boolean_translation(self, capsys, tmp_path):
+        gen = {"matrix": [[1, 0], [0, -1]], "translation": [True, "0"]}
+        self.check(capsys, tmp_path, {"dim": 2, "generators": [gen]}, "True")
+
+    def test_non_string_label(self, capsys, tmp_path):
+        self.check(capsys, tmp_path, {"dim": 2, "label": 7, "generators": []}, "'label'")
+
+
+class TestCatalogParameterErrors:
+    """Parameters outside a family's range are usage errors, not tracebacks."""
+
+    def test_out_of_range_parameters(self, capsys):
+        for catalog_id in ("5.9(k=-1)", "4.1(n=3,k=1)", "4.1(n=4,k=9)", "4.2h(n=4,h=0)"):
+            status = main(["betti", "--corpus", catalog_id])
+            captured = capsys.readouterr()
+            assert status == 1, catalog_id
+            assert captured.out == ""
+            assert "Traceback" not in captured.err
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+            assert repr(catalog_id) in lines[0]
+
 
 def test_every_public_name_resolves():
     import flatspec

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,6 @@ from flatspec.exact_linear import (
     mat_mul,
     mat_vec,
     signed_permutation_order,
-    transpose,
 )
 from flatspec import example
 
@@ -39,7 +39,10 @@ from conftest import (
     close_point_group_reference,
     first_homology_reference,
     pairwise_condition_reference,
+    power_sum_oracle,
     signed_permutations,
+    torsion_oracle,
+    validate_bieberbach_reference,
 )
 
 HALF = Fraction(1, 2)
@@ -188,27 +191,6 @@ class TestTorsionCondition:
         assert not check_torsion_condition(els[1])
 
 
-def power_sum_oracle(matrix):
-    """S = sum_{j=0}^{m-1} B^{-j}, summing powers of B^{-1} up to the identity."""
-    ident = identity_matrix(len(matrix))
-    binv = transpose(matrix)
-    total, acc = ident, mat_mul(ident, binv)
-    while acc != ident:
-        total = tuple(
-            tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(total, acc)
-        )
-        acc = mat_mul(acc, binv)
-    return total
-
-
-def torsion_oracle(matrix, b) -> bool:
-    s = power_sum_oracle(matrix)
-    w = mat_vec(s, b)
-    if any(x.denominator != 1 for x in w):
-        return False
-    return not in_image_lattice(s, w)
-
-
 DENOMINATORS = (1, 2, 3, 4, 6, 8, 12)
 
 matrix_and_translation = st.integers(1, 10).flatmap(
@@ -225,17 +207,30 @@ matrix_and_translation = st.integers(1, 10).flatmap(
 )
 
 
+def assert_power_sum_matches(matrix, b):
+    """_power_sum_image and check_torsion_condition against the S matrix."""
+    s = power_sum_oracle(matrix)
+    q, w, off = _power_sum_image(matrix, b)
+    assert q == lcm(*(x.denominator for x in b))
+    assert tuple(Fraction(x, q) for x in w) == mat_vec(s, b)
+    # u_c . q b is divisible by q on every fixed cycle c iff S q b lies in q S Z^n
+    t = tuple(int(x * q) for x in b)
+    qs = tuple(tuple(q * x for x in row) for row in s)
+    assert off == (not in_image_lattice(qs, mat_vec(s, t)))
+    element = PointGroupElement(matrix=matrix, translation=b, word=(1,))
+    expected = torsion_oracle(matrix, b)
+    assert check_torsion_condition(element) == expected
+    return expected
+
+
 class TestPowerSumDifferential:
-    """The cycle route to S b and the torsion check, against the S matrix."""
+    """The cycle route to q S b and the torsion check, against the S matrix."""
 
     @settings(max_examples=150, deadline=None)
     @given(matrix_and_translation)
     def test_image_and_torsion_check_match_matrix_route(self, case):
         matrix, b = case
-        b = tuple(b)
-        assert _power_sum_image(matrix, b) == mat_vec(power_sum_oracle(matrix), b)
-        element = PointGroupElement(matrix=matrix, translation=b, word=(1,))
-        assert check_torsion_condition(element) == torsion_oracle(matrix, b)
+        assert_power_sum_matches(matrix, tuple(b))
 
     def test_seeded_sweep_reaches_both_outcomes(self):
         rng = random.Random(5)
@@ -250,11 +245,7 @@ class TestPowerSumDifferential:
             )
             d = rng.choice(DENOMINATORS)
             b = tuple(Fraction(rng.randrange(d), d) for _ in range(n))
-            element = PointGroupElement(matrix=matrix, translation=b, word=(1,))
-            expected = torsion_oracle(matrix, b)
-            assert check_torsion_condition(element) == expected
-            assert _power_sum_image(matrix, b) == mat_vec(power_sum_oracle(matrix), b)
-            outcomes.append(expected)
+            outcomes.append(assert_power_sum_matches(matrix, b))
         assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
 
 
@@ -307,11 +298,19 @@ def random_candidate(rng) -> GroupDefinition:
 
 
 def assert_matches_references(defn) -> str:
-    """Compare closure, pairwise check and homology with the matrix route.
+    """Compare closure, pairwise check, validation and homology with the matrix route.
 
     Returns the outcome: the closure error message, "valid" or "invalid".
     """
     assert check_pairwise_condition(defn) == pairwise_condition_reference(defn)
+    try:
+        report = validate_bieberbach_reference(defn)
+    except CosetCapError as exc:
+        with pytest.raises(CosetCapError) as info:
+            validate_bieberbach(defn)
+        assert str(info.value) == str(exc)
+    else:
+        assert validate_bieberbach(defn) == report
     try:
         expected = close_point_group_reference(defn)
     except (GroupStructureError, CosetCapError) as exc:
@@ -333,7 +332,7 @@ def assert_matches_references(defn) -> str:
 
 
 class TestClosureDifferential:
-    """Integer-form closure, pairwise check and homology against Fraction matrices."""
+    """Integer-form closure, checks, validation and homology against Fraction matrices."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -347,6 +346,10 @@ class TestClosureDifferential:
         assert sum(c for o, c in outcomes.items() if "do not commute" in o) >= 10, outcomes
         assert sum(c for o, c in outcomes.items() if "direct product" in o) >= 10, outcomes
         assert sum(c for o, c in outcomes.items() if "exceeds cap" in o) >= 1, outcomes
+
+    def test_catalog_matches(self, all_corpus_defs):
+        for label, defn in all_corpus_defs:
+            assert assert_matches_references(defn) == "valid", label
 
 
 class TestValidation:
@@ -541,6 +544,20 @@ class TestJsonRoundTrip:
             with pytest.raises(ValueError, match=r"field generators\[0\]\.order must be"):
                 group_from_json({"dim": 2, "generators": [dict(gen, order=order)]})
         assert group_from_json({"dim": 2, "generators": [dict(gen, order=2)]}).dim == 2
+
+    def test_translation_entries_must_be_rationals(self):
+        gen = {"matrix": [[1, 0], [0, -1]], "translation": ["1/2", "0"]}
+        for bad in (True, False, "1/0", "3/00", 0.5):
+            with pytest.raises(ValueError, match="not a p/q rational: " + repr(bad)):
+                group_from_json({"dim": 2, "generators": [dict(gen, translation=[bad, "0"])]})
+        ok = group_from_json({"dim": 2, "generators": [dict(gen, translation=[1, "3/02"])]})
+        assert ok.generators[0].translation == (0, HALF)
+
+    def test_label_must_be_a_string(self):
+        for label in (7, None, ["a"]):
+            with pytest.raises(ValueError, match="field 'label' must be a string"):
+                group_from_json({"dim": 1, "label": label, "generators": []})
+        assert group_from_json({"dim": 1, "generators": []}).label == ""
 
 
 def test_generator_dimension_checked():
