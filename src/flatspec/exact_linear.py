@@ -59,10 +59,6 @@ def mat_vec(m: IntMatrix, v: Sequence) -> tuple:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
 
 
-def dot(u: Sequence, v: Sequence) -> int | Fraction:
-    return sum(x * y for x, y in zip(u, v))
-
-
 def signed_perm(m: IntMatrix) -> tuple[IntVector, IntVector]:
     """(image, sign) of a signed permutation: column j is sign[j] e_{image[j]}.
 

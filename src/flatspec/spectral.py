@@ -5,8 +5,9 @@ For a valid group the multiplicity of the eigenvalue 4*pi^2*mu on p-forms is
     d_{p,mu} = |F|^{-1} sum_{B in F} trace_p(B) e_{mu,B},
 
 where e_{mu,B} sums e^{2*pi*i v.b} over lattice vectors v of squared norm mu
-fixed by B.  Character sums are held exactly as integer tallies of Q-th roots
-of unity and reduced modulo the Q-th cyclotomic polynomial only at the end.
+fixed by B.  Each e_{mu,B} is an integer tally of q-th roots of unity, the
+phase of v being v.(q b) mod q; a cell adds its weighted tallies into one flat
+list over zeta_Q, Q the lcm of their q, and reduces it once modulo Phi_Q.
 
 Table keys use mu throughout; the eigenvalue itself is 4*pi^2*mu.
 """
@@ -30,7 +31,6 @@ from .crystal import (
 from .exact_linear import (
     IntMatrix,
     cycles,
-    dot,
     signed_perm,
     trace_p,
 )
@@ -239,18 +239,15 @@ def enumerate_fixed_shell(matrix: IntMatrix, mu: int) -> tuple[tuple[int, ...], 
 # ---------------------------------------------------------------------------
 # Character sums and multiplicities
 
-def _translation_modulus(translation) -> int:
-    return lcm(*(x.denominator for x in translation))
-
-
 @lru_cache(maxsize=None)
 def character_sum(element: PointGroupElement, mu: int) -> RootOfUnityTally:
-    """e_{mu,B} = sum of e^(2 pi i v.b) over the fixed shell, as a tally."""
-    q = _translation_modulus(element.translation)
+    """e_{mu,B} = sum of e^(2 pi i v.b) over the fixed shell, as a tally over
+    zeta_q: with q the lcm of the denominators of b and t = q b, v has phase v.t."""
+    q = lcm(*(x.denominator for x in element.translation))
+    t = [(j, x.numerator * (q // x.denominator)) for j, x in enumerate(element.translation) if x]
     counts = [0] * q
     for v in enumerate_fixed_shell(element.matrix, mu):
-        x = dot(v, element.translation) * q
-        counts[int(x) % q] += 1
+        counts[sum(v[j] * tj for j, tj in t) % q] += 1
     return RootOfUnityTally(q, tuple(counts))
 
 
@@ -261,15 +258,20 @@ def multiplicity(defn: GroupDefinition, p: int, mu: int) -> int:
     if not 0 <= p <= defn.dim:
         raise ValueError(f"form degree {p} out of range for dimension {defn.dim}")
     elements = close_point_group(defn)
-    total = tally_zero()
-    for el in elements:
-        w = trace_p(el.matrix, p)
-        if w:
-            total = tally_add(total, tally_scale(character_sum(el, mu), w))
-    value = reduce_tally(total) / len(elements)
+    terms = [(w, character_sum(el, mu)) for el in elements if (w := trace_p(el.matrix, p))]
+    q = lcm(*(t.modulus for _, t in terms))
+    counts = [0] * q
+    for w, t in terms:
+        for k, c in enumerate(t.counts):
+            counts[k * (q // t.modulus)] += w * c
+    cell = f"{defn.label or '<unnamed>'} at p={p}, mu={mu}"
+    try:
+        value = reduce_tally(RootOfUnityTally(q, tuple(counts))) / len(elements)
+    except NonRationalSumError as exc:
+        raise NonRationalSumError(f"{cell}: {exc}") from exc
     if value.denominator != 1 or value < 0:
         raise ArithmeticError(
-            f"multiplicity came out {value}; must be a nonnegative integer"
+            f"{cell}: multiplicity came out {value}; must be a nonnegative integer"
         )
     return int(value)
 
@@ -366,7 +368,7 @@ def projector_oracle(defn: GroupDefinition, p: int, mu: int) -> int:
     j_index = {jj: t for t, jj in enumerate(j_list)}
     shell_index = {v: i for i, v in enumerate(shell)}
 
-    q = lcm(*(_translation_modulus(el.translation) for el in elements))
+    q = lcm(*(x.denominator for el in elements for x in el.translation))
 
     # basis index (v_i, J_t) -> v_i * width + t;
     # columns[c] maps row -> {exponent: signed count}

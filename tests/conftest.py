@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import pytest
 from hypothesis import strategies as st
@@ -12,9 +13,12 @@ from flatspec import HWMatrix, build_hw_group, example
 from flatspec.crystal import (
     COSET_CAP,
     AbelianGroupType,
+    AffineGenerator,
     CosetCapError,
+    GroupDefinition,
     GroupStructureError,
     ValidationReport,
+    close_point_group,
     require_valid,
 )
 from flatspec.exact_linear import (
@@ -24,7 +28,16 @@ from flatspec.exact_linear import (
     mat_sub,
     mat_vec,
     smith_normal_form,
+    trace_p,
     transpose,
+)
+from flatspec.spectral import (
+    RootOfUnityTally,
+    enumerate_shell,
+    reduce_tally,
+    tally_add,
+    tally_scale,
+    tally_zero,
 )
 
 HALF = Fraction(1, 2)
@@ -291,6 +304,89 @@ def validate_bieberbach_reference(definition):
         holonomy_structure=tuple(g.order for g in gens if g.order > 1),
         failures=tuple(failures),
     )
+
+
+CANDIDATE_DENOMINATORS = (1, 2, 3, 4, 6, 8)
+
+
+def random_signed_permutation(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return tuple(
+        tuple(rng.choice((1, -1)) if j == perm[i] else 0 for j in range(n))
+        for i in range(n)
+    )
+
+
+def random_candidate(rng, max_dim=8) -> GroupDefinition:
+    """A candidate group with n <= max_dim and up to three generators.
+
+    Coordinates are cut into blocks, each with a base signed permutation P;
+    a generator acts on each block as +-P^k, so the generators commute,
+    except that with probability 1/4 every generator is an arbitrary signed
+    permutation.  Translations lie in (1/d)Z^n.
+    """
+    n = rng.randint(1, max_dim)
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(rng.randint(1, n - sum(sizes)))
+    bases = [random_signed_permutation(rng, size) for size in sizes]
+    free = rng.random() < 0.25
+    d = rng.choice(CANDIDATE_DENOMINATORS)
+    gens = []
+    for _ in range(rng.randint(0, 3)):
+        if free:
+            matrix = random_signed_permutation(rng, n)
+        else:
+            matrix = [[0] * n for _ in range(n)]
+            offset = 0
+            for base in bases:
+                block = identity_matrix(len(base))
+                for _ in range(rng.randint(0, 3)):
+                    block = mat_mul(block, base)
+                s = rng.choice((1, -1))
+                for i, row in enumerate(block):
+                    for j, x in enumerate(row):
+                        matrix[offset + i][offset + j] = s * x
+                offset += len(base)
+        translation = tuple(Fraction(rng.randrange(d), d) for _ in range(n))
+        gens.append(AffineGenerator(matrix, translation))
+    return GroupDefinition(dim=n, generators=tuple(gens))
+
+
+@lru_cache(maxsize=None)
+def character_sum_reference(element, mu):
+    """e_{mu,B} as a tally, by a Fraction dot over the full norm shell.
+
+    The fixed vectors are found by testing B v = v on every shell vector, so
+    this is independent of the fixed-lattice enumeration and of the integer
+    phases that ``character_sum`` uses.
+    """
+    b = element.translation
+    q = lcm(*(x.denominator for x in b))
+    counts = [0] * q
+    for v in enumerate_shell(len(b), mu).vectors:
+        if mat_vec(element.matrix, v) == v:
+            x = sum(vj * bj for vj, bj in zip(v, b)) * q
+            counts[int(x) % q] += 1
+    return RootOfUnityTally(q, tuple(counts))
+
+
+def multiplicity_reference(definition, p, mu) -> int:
+    """d_{p,mu} by adding weighted reference tallies one at a time.
+
+    Each ``tally_add`` rescales both sides to the lcm of their moduli, so
+    this is independent of the single flat tally that ``multiplicity`` uses.
+    """
+    elements = close_point_group(definition)
+    total = tally_zero()
+    for el in elements:
+        w = trace_p(el.matrix, p)
+        if w:
+            total = tally_add(total, tally_scale(character_sum_reference(el, mu), w))
+    value = reduce_tally(total) / len(elements)
+    assert value.denominator == 1 and value >= 0, value
+    return int(value)
 
 
 def classical_hw_matrix() -> HWMatrix:

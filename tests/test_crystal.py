@@ -28,7 +28,6 @@ from flatspec.crystal import (
 from flatspec.exact_linear import (
     identity_matrix,
     in_image_lattice,
-    mat_mul,
     mat_vec,
     signed_permutation_order,
 )
@@ -40,6 +39,7 @@ from conftest import (
     first_homology_reference,
     pairwise_condition_reference,
     power_sum_oracle,
+    random_candidate,
     signed_permutations,
     torsion_oracle,
     validate_bieberbach_reference,
@@ -247,54 +247,6 @@ class TestPowerSumDifferential:
             b = tuple(Fraction(rng.randrange(d), d) for _ in range(n))
             outcomes.append(assert_power_sum_matches(matrix, b))
         assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
-
-
-CANDIDATE_DENOMINATORS = (1, 2, 3, 4, 6, 8)
-
-
-def random_signed_permutation(rng, n):
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return tuple(
-        tuple(rng.choice((1, -1)) if j == perm[i] else 0 for j in range(n))
-        for i in range(n)
-    )
-
-
-def random_candidate(rng) -> GroupDefinition:
-    """A candidate group with n <= 8 and up to three generators.
-
-    Coordinates are cut into blocks, each with a base signed permutation P;
-    a generator acts on each block as +-P^k, so the generators commute,
-    except that with probability 1/4 every generator is an arbitrary signed
-    permutation.  Translations lie in (1/d)Z^n.
-    """
-    n = rng.randint(1, 8)
-    sizes = []
-    while sum(sizes) < n:
-        sizes.append(rng.randint(1, n - sum(sizes)))
-    bases = [random_signed_permutation(rng, size) for size in sizes]
-    free = rng.random() < 0.25
-    d = rng.choice(CANDIDATE_DENOMINATORS)
-    gens = []
-    for _ in range(rng.randint(0, 3)):
-        if free:
-            matrix = random_signed_permutation(rng, n)
-        else:
-            matrix = [[0] * n for _ in range(n)]
-            offset = 0
-            for base in bases:
-                block = identity_matrix(len(base))
-                for _ in range(rng.randint(0, 3)):
-                    block = mat_mul(block, base)
-                s = rng.choice((1, -1))
-                for i, row in enumerate(block):
-                    for j, x in enumerate(row):
-                        matrix[offset + i][offset + j] = s * x
-                offset += len(base)
-        translation = tuple(Fraction(rng.randrange(d), d) for _ in range(n))
-        gens.append(AffineGenerator(matrix, translation))
-    return GroupDefinition(dim=n, generators=tuple(gens))
 
 
 def assert_matches_references(defn) -> str:

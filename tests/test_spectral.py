@@ -1,9 +1,19 @@
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flatspec.crystal import AffineGenerator, GroupDefinition, close_point_group
+from flatspec import spectral
+from flatspec.crystal import (
+    AffineGenerator,
+    CosetCapError,
+    GroupDefinition,
+    close_point_group,
+    validate_bieberbach,
+)
 from flatspec.exact_linear import signed_permutation_order, trace_p
 from flatspec.krawtchouk import diagonal_trace
 from flatspec.spectral import (
@@ -26,9 +36,15 @@ from flatspec.spectral import (
     tally_scale,
     tally_zero,
 )
-from flatspec import HWMatrix, example
+from flatspec import HWMatrix, corpus_ids, example
 
-from conftest import classical_hw_matrix, diagonal_fixed_count
+from conftest import (
+    character_sum_reference,
+    classical_hw_matrix,
+    diagonal_fixed_count,
+    multiplicity_reference,
+    random_candidate,
+)
 
 HALF = Fraction(1, 2)
 
@@ -204,6 +220,84 @@ class TestMultiplicity:
     def test_p_out_of_range(self):
         with pytest.raises(ValueError):
             multiplicity(torus(2), 3, 0)
+
+    def test_arithmetic_errors_name_the_cell(self, monkeypatch):
+        probe = GroupDefinition(dim=2, generators=(), label="probe")
+        irrational = RootOfUnityTally(4, (0, 1, 0, 0))  # zeta_4 alone
+        monkeypatch.setattr(spectral, "character_sum", lambda el, mu: irrational)
+        with pytest.raises(NonRationalSumError, match=r"^probe at p=1, mu=3: tally reduces"):
+            multiplicity(probe, 1, 3)
+        negative = RootOfUnityTally(1, (-1,))
+        monkeypatch.setattr(spectral, "character_sum", lambda el, mu: negative)
+        with pytest.raises(ArithmeticError, match=r"^probe at p=0, mu=2: multiplicity came out -1;"):
+            multiplicity(probe, 0, 2)
+
+
+def random_valid_group(rng) -> GroupDefinition:
+    """The first random candidate with n <= 6 that is torsion-free and not a torus."""
+    for _ in range(10_000):
+        defn = random_candidate(rng, max_dim=6)
+        try:
+            if defn.generators and validate_bieberbach(defn).is_torsion_free:
+                if len(close_point_group(defn)) > 1:
+                    return defn
+        except CosetCapError:
+            pass
+    raise AssertionError("no torsion-free candidate drawn")
+
+
+def assert_matches_spectral_references(defn, mu_max=6):
+    """Same tallies (modulus and counts) per element and same d_{p,mu} per cell."""
+    elements = close_point_group(defn)
+    for mu in range(mu_max + 1):
+        for el in elements:
+            assert character_sum(el, mu) == character_sum_reference(el, mu), (el, mu)
+        for p in range(defn.dim + 1):
+            assert multiplicity(defn, p, mu) == multiplicity_reference(defn, p, mu), (p, mu)
+
+
+class TestIntegerPhaseDifferential:
+    """Integer phases and the flat tally against Fraction dots over the full shell."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_random_torsion_free_groups(self, seed):
+        assert_matches_spectral_references(random_valid_group(random.Random(seed)))
+
+    def test_seeded_sweep_reaches_non_diagonal_holonomy(self):
+        rng = random.Random(9)
+        groups = [random_valid_group(rng) for _ in range(40)]
+        for defn in groups:
+            assert_matches_spectral_references(defn)
+        elements = [el for defn in groups for el in close_point_group(defn)]
+        off_diagonal = [
+            el for el in elements
+            if any(x and i != j for i, row in enumerate(el.matrix) for j, x in enumerate(row))
+        ]
+        assert len(off_diagonal) >= 10
+        assert sum(any(x.denominator > 2 for x in el.translation) for el in elements) >= 10
+
+    def test_flat_tally_over_coprime_moduli(self):
+        # Z2 x Z3 on disjoint blocks, both shifting the shared fixed coordinate 1.
+        # At p = 1 the order-6 elements have trace 0, so the cell adds tallies
+        # over zeta_2 and zeta_3 only, and the flat tally must be over zeta_6.
+        cycle = (
+            (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 0, 1), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0)
+        )
+        defn = GroupDefinition(5, (
+            AffineGenerator(diag(-1, 1, 1, 1, 1), (0, HALF, 0, 0, 0)),
+            AffineGenerator(cycle, (0, Fraction(1, 3), 0, 0, 0)),
+        ), label="z2xz3")
+        elements = close_point_group(defn)
+        moduli = {character_sum(el, 1).modulus for el in elements if trace_p(el.matrix, 1)}
+        assert moduli == {1, 2, 3}
+        assert_matches_spectral_references(defn)
+
+    def test_parameter_free_catalog(self):
+        for key, params, _, _ in corpus_ids():
+            if not params:
+                for defn in example(key):
+                    assert_matches_spectral_references(defn)
 
 
 def assert_krawtchouk_traces(defn):
