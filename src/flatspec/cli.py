@@ -69,7 +69,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="flatspec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_group_source(p, multiple=True):
+    def add_group_source(p):
         p.add_argument("--corpus", action="append", default=[], metavar="ID",
                        help="catalog id, e.g. 5.1, 5.1a or 4.1(n=4,k=1)")
         p.add_argument("--input", action="append", default=[], metavar="PATH",

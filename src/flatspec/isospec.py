@@ -25,8 +25,9 @@ from .spectral import (
     betti_row,
     character_sum,
     multiplicity,
-    tallies_equal,
-    tally_scale,
+    require_cutoff,
+    sums_to_zero,
+    weighted_sum,
 )
 
 DEFAULT_MU_MAX = 10
@@ -101,6 +102,7 @@ def compare_spectra(
     The witness for an unequal p is the smallest mu where the multiplicities
     differ, so witnesses are deterministic.
     """
+    require_cutoff(mu_max)
     require_valid(first)
     require_valid(second)
     if first.dim != second.dim:
@@ -192,9 +194,9 @@ def check_pairing_criterion(
         wa = trace_p(a.matrix, p)
         wb = trace_p(b.matrix, p)
         for mu in range(mu_max + 1):
-            ta = tally_scale(character_sum(a, mu), wa)
-            tb = tally_scale(character_sum(b, mu), wb)
-            if not tallies_equal(ta, tb):
+            if not sums_to_zero(
+                weighted_sum([(wa, character_sum(a, mu)), (-wb, character_sum(b, mu))])
+            ):
                 return False
     return True
 
@@ -212,6 +214,7 @@ def duality_check(defn: GroupDefinition, mu_max: int = DEFAULT_MU_MAX) -> Dualit
     Holds for orientable groups (trace_p = det * trace_{n-p}); for
     non-orientable groups the first violating (p, mu) is reported.
     """
+    require_cutoff(mu_max)
     require_valid(defn)
     n = defn.dim
     orientable = is_orientable(defn)

@@ -17,30 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import isqrt, lcm
 
 from .crystal import (
     GroupDefinition,
-    HWMatrix,
     PointGroupElement,
-    build_hw_group,
     close_point_group,
     require_valid,
 )
-from .exact_linear import (
-    IntMatrix,
-    cycles,
-    signed_perm,
-    trace_p,
-)
-from .krawtchouk import krawtchouk
+from .exact_linear import IntMatrix, cycles, trace_p
 
 SHELL_NORM_CAP = 10**4
 SHELL_DIM_CAP = 12
-PROJECTOR_BASIS_CAP = 20000
-
-HALF = Fraction(1, 2)
 
 
 class EnumerationGuardError(ValueError):
@@ -68,32 +56,6 @@ class RootOfUnityTally:
             raise ValueError("counts length must equal the modulus")
 
 
-def tally_zero(modulus: int = 1) -> RootOfUnityTally:
-    return RootOfUnityTally(modulus, (0,) * modulus)
-
-
-def tally_rescale(t: RootOfUnityTally, modulus: int) -> RootOfUnityTally:
-    """Re-express over zeta_modulus; requires t.modulus | modulus."""
-    if modulus % t.modulus != 0:
-        raise ValueError("new modulus must be a multiple of the old one")
-    step = modulus // t.modulus
-    counts = [0] * modulus
-    for k, c in enumerate(t.counts):
-        counts[k * step] = c
-    return RootOfUnityTally(modulus, tuple(counts))
-
-
-def tally_add(a: RootOfUnityTally, b: RootOfUnityTally) -> RootOfUnityTally:
-    q = lcm(a.modulus, b.modulus)
-    ar = tally_rescale(a, q)
-    br = tally_rescale(b, q)
-    return RootOfUnityTally(q, tuple(x + y for x, y in zip(ar.counts, br.counts)))
-
-
-def tally_scale(t: RootOfUnityTally, weight: int) -> RootOfUnityTally:
-    return RootOfUnityTally(t.modulus, tuple(weight * c for c in t.counts))
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(q: int) -> tuple[int, ...]:
     """Coefficients of Phi_q, ascending, computed by dividing x^q - 1 by the
@@ -103,18 +65,13 @@ def cyclotomic_polynomial(q: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (q - 1) + [1]
     for d in range(1, q):
         if q % d == 0:
-            poly = _poly_exact_div(poly, list(cyclotomic_polynomial(d)))
+            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
+            if any(rem):
+                raise ArithmeticError("expected exact polynomial division")
     return tuple(poly)
 
 
-def _poly_exact_div(num: list[int], den: list[int]) -> list[int]:
-    quot, rem = _poly_divmod(num, den)
-    if any(rem):
-        raise ArithmeticError("expected exact polynomial division")
-    return quot
-
-
-def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+def _poly_divmod(num, den) -> tuple[list[int], list[int]]:
     # den is monic, so quotient and remainder stay integral
     num = list(num)
     dd = len(den) - 1
@@ -128,16 +85,11 @@ def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
         quot[i - dd] = c
         for k, dcoef in enumerate(den):
             num[i - dd + k] -= c * dcoef
-    rem = num[:dd]
-    while len(rem) > 1 and rem and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
+    return quot, num[:dd]
 
 
 def _residue(counts, modulus: int) -> list[int]:
-    poly = list(counts)
-    _, rem = _poly_divmod(poly, list(cyclotomic_polynomial(modulus)))
-    return rem
+    return _poly_divmod(counts, cyclotomic_polynomial(modulus))[1]
 
 
 def reduce_tally(t: RootOfUnityTally) -> Fraction:
@@ -152,29 +104,30 @@ def reduce_tally(t: RootOfUnityTally) -> Fraction:
         raise NonRationalSumError(
             f"tally reduces to non-constant residue {rem}; upstream bug"
         )
-    return Fraction(rem[0] if rem else 0)
+    return Fraction(rem[0])
 
 
-def tallies_equal(a: RootOfUnityTally, b: RootOfUnityTally) -> bool:
-    """Equality as algebraic numbers (count vectors may differ)."""
-    q = lcm(a.modulus, b.modulus)
-    ar = tally_rescale(a, q)
-    br = tally_rescale(b, q)
-    diff = [x - y for x, y in zip(ar.counts, br.counts)]
-    return not any(_residue(diff, q))
+def weighted_sum(terms) -> RootOfUnityTally:
+    """sum_i w_i t_i over pairs (w_i, t_i), as one flat tally over zeta_Q, Q
+    the lcm of the moduli of the t_i."""
+    terms = list(terms)
+    q = lcm(*(t.modulus for _, t in terms))
+    counts = [0] * q
+    for w, t in terms:
+        step = q // t.modulus
+        for k, c in enumerate(t.counts):
+            counts[k * step] += w * c
+    return RootOfUnityTally(q, tuple(counts))
+
+
+def sums_to_zero(t: RootOfUnityTally) -> bool:
+    """Whether the tally is 0 as an algebraic number, i.e. its residue modulo
+    the cyclotomic polynomial vanishes (its counts need not all be 0)."""
+    return not any(_residue(t.counts, t.modulus))
 
 
 # ---------------------------------------------------------------------------
 # Lattice shells
-
-@dataclass(frozen=True)
-class Shell:
-    """All v in Z^n with squared norm mu, in lexicographic order."""
-
-    n: int
-    mu: int
-    vectors: tuple[tuple[int, ...], ...]
-
 
 def _weighted_norm_solutions(weights: tuple[int, ...], target: int):
     """Integer tuples c with sum_i weights[i] * c_i^2 = target, lex order."""
@@ -188,18 +141,6 @@ def _weighted_norm_solutions(weights: tuple[int, ...], target: int):
         for tail in _weighted_norm_solutions(rest, target - w * c * c):
             out.append((c,) + tail)
     return out
-
-
-@lru_cache(maxsize=None)
-def enumerate_shell(n: int, mu: int) -> Shell:
-    """Full norm shell of Z^n, enumerated by exact recursive descent."""
-    if mu < 0:
-        raise ValueError("squared norm must be nonnegative")
-    if mu > SHELL_NORM_CAP:
-        raise EnumerationGuardError(f"norm {mu} exceeds guard {SHELL_NORM_CAP}")
-    if n > SHELL_DIM_CAP:
-        raise EnumerationGuardError(f"dimension {n} exceeds guard {SHELL_DIM_CAP}")
-    return Shell(n=n, mu=mu, vectors=tuple(_weighted_norm_solutions((1,) * n, mu)))
 
 
 @lru_cache(maxsize=None)
@@ -258,57 +199,17 @@ def multiplicity(defn: GroupDefinition, p: int, mu: int) -> int:
     if not 0 <= p <= defn.dim:
         raise ValueError(f"form degree {p} out of range for dimension {defn.dim}")
     elements = close_point_group(defn)
-    terms = [(w, character_sum(el, mu)) for el in elements if (w := trace_p(el.matrix, p))]
-    q = lcm(*(t.modulus for _, t in terms))
-    counts = [0] * q
-    for w, t in terms:
-        for k, c in enumerate(t.counts):
-            counts[k * (q // t.modulus)] += w * c
+    total = weighted_sum(
+        (w, character_sum(el, mu)) for el in elements if (w := trace_p(el.matrix, p))
+    )
     cell = f"{defn.label or '<unnamed>'} at p={p}, mu={mu}"
     try:
-        value = reduce_tally(RootOfUnityTally(q, tuple(counts))) / len(elements)
+        value = reduce_tally(total) / len(elements)
     except NonRationalSumError as exc:
         raise NonRationalSumError(f"{cell}: {exc}") from exc
     if value.denominator != 1 or value < 0:
         raise ArithmeticError(
             f"{cell}: multiplicity came out {value}; must be a nonnegative integer"
-        )
-    return int(value)
-
-
-def multiplicity_hw(a: HWMatrix, p: int, mu: int) -> int:
-    """Multiplicity for the diagonal 2-torsion family, by the combinatorial
-    rewrite: every phase is +-1, indexed by odd coordinate supersets of the
-    support of v."""
-    defn = build_hw_group(a)
-    require_valid(defn)
-    n = a.n
-    if not 0 <= p <= n:
-        raise ValueError(f"form degree {p} out of range for dimension {n}")
-    elements = close_point_group(defn)
-    translation_by_fixed = {}
-    for el in elements:
-        fixed = frozenset(i for i in range(n) if el.matrix[i][i] == 1)
-        translation_by_fixed[fixed] = el.translation
-
-    total = 0
-    for v in enumerate_shell(n, mu).vectors:
-        support = [j for j in range(n) if v[j] != 0]
-        odd_support = [j for j in range(n) if v[j] % 2]
-        rest = [j for j in range(n) if v[j] == 0]
-        for size in range(len(rest) + 1):
-            if (len(support) + size) % 2 == 0:
-                continue
-            for extra in combinations(rest, size):
-                fixed = frozenset(support) | frozenset(extra)
-                b = translation_by_fixed[fixed]
-                flips = sum(1 for j in odd_support if b[j] == HALF)
-                term = krawtchouk(p, len(fixed), n)
-                total += -term if flips % 2 else term
-    value = Fraction((-1) ** p * total, len(elements))
-    if value.denominator != 1 or value < 0:
-        raise ArithmeticError(
-            f"multiplicity came out {value}; must be a nonnegative integer"
         )
     return int(value)
 
@@ -332,112 +233,18 @@ class MultiplicityTable:
         return dict(self.entries)
 
 
+def require_cutoff(mu_max: int) -> None:
+    """Refuse a cutoff that the fixed-shell guard would stop part way."""
+    if mu_max > SHELL_NORM_CAP:
+        raise EnumerationGuardError(f"cutoff {mu_max} exceeds guard {SHELL_NORM_CAP}")
+
+
 def multiplicity_table(
     defn: GroupDefinition, p_set, mu_max: int
 ) -> MultiplicityTable:
+    require_cutoff(mu_max)
     entries = []
     for p in sorted(p_set):
         for mu in range(mu_max + 1):
             entries.append(((p, mu), multiplicity(defn, p, mu)))
     return MultiplicityTable(entries=tuple(entries))
-
-
-# ---------------------------------------------------------------------------
-# Independent projector oracle
-
-def projector_oracle(defn: GroupDefinition, p: int, mu: int) -> int:
-    """Trace of the group-averaging projector on the (f_v dx_J) eigenbasis.
-
-    Builds sum_gamma gamma^* as an explicit monomial matrix over root-of-unity
-    tallies, verifies idempotency of the average exactly, and returns its
-    trace.  Independent of the character-sum route.
-    """
-    require_valid(defn)
-    n = defn.dim
-    if not 0 <= p <= n:
-        raise ValueError(f"form degree {p} out of range for dimension {n}")
-    elements = close_point_group(defn)
-    shell = enumerate_shell(n, mu).vectors
-    j_list = list(combinations(range(n), p))
-    size = len(shell) * len(j_list)
-    if size > PROJECTOR_BASIS_CAP:
-        raise EnumerationGuardError(
-            f"projector basis size {size} exceeds guard {PROJECTOR_BASIS_CAP}"
-        )
-    width = len(j_list)
-    j_index = {jj: t for t, jj in enumerate(j_list)}
-    shell_index = {v: i for i, v in enumerate(shell)}
-
-    q = lcm(*(x.denominator for el in elements for x in el.translation))
-
-    # basis index (v_i, J_t) -> v_i * width + t;
-    # columns[c] maps row -> {exponent: signed count}
-    columns: list[dict[int, dict[int, int]]] = [dict() for _ in range(size)]
-    for el in elements:
-        image, sign = signed_perm(el.matrix)
-        # gamma^* dx_i = sign[j] dx_j for the j with image[j] = i
-        target = [0] * n
-        for j, i in enumerate(image):
-            target[i] = j
-        j_images = []
-        for jj in j_list:
-            raw = tuple(target[t] for t in jj)
-            eps = _sort_parity(raw)
-            for j in raw:
-                eps *= sign[j]
-            j_images.append((j_index[tuple(sorted(raw))], eps))
-        scaled = [int(x * q) for x in el.translation]  # q * b, integral
-        for vi, v in enumerate(shell):
-            v2 = tuple(s * v[i] for s, i in zip(sign, image))  # B^{-1} v
-            base_row = shell_index[v2] * width
-            phase = sum(a * b for a, b in zip(v2, scaled)) % q
-            base_col = vi * width
-            for t, (j2i, eps) in enumerate(j_images):
-                cell = columns[base_col + t].setdefault(base_row + j2i, {})
-                cell[phase] = cell.get(phase, 0) + eps
-
-    card = len(elements)
-    # idempotency of the average: T^2 must equal |F| T as algebraic numbers
-    for col in range(size):
-        acc: dict[int, dict[int, int]] = {}
-        for mid, t1 in columns[col].items():
-            for row, t2 in columns[mid].items():
-                bucket = acc.setdefault(row, {})
-                for e1, c1 in t1.items():
-                    for e2, c2 in t2.items():
-                        k = (e1 + e2) % q
-                        bucket[k] = bucket.get(k, 0) + c1 * c2
-        for row in acc.keys() | columns[col].keys():
-            left = {e: c for e, c in acc.get(row, {}).items() if c}
-            right = {
-                e: card * c for e, c in columns[col].get(row, {}).items() if c
-            }
-            if left == right:
-                continue
-            # bucket vectors differ; compare as algebraic numbers
-            diff = [0] * q
-            for e, c in left.items():
-                diff[e] += c
-            for e, c in right.items():
-                diff[e] -= c
-            if any(_residue(diff, q)):
-                raise ArithmeticError("projector is not idempotent; internal error")
-
-    trace = [0] * q
-    for col in range(size):
-        for e, c in columns[col].get(col, {}).items():
-            trace[e] += c
-    value = reduce_tally(RootOfUnityTally(q, tuple(trace))) / card
-    if value.denominator != 1 or value < 0:
-        raise ArithmeticError(f"projector trace came out {value}; internal error")
-    return int(value)
-
-
-def _sort_parity(seq: tuple[int, ...]) -> int:
-    inversions = sum(
-        1
-        for a in range(len(seq))
-        for b in range(a + 1, len(seq))
-        if seq[a] > seq[b]
-    )
-    return -1 if inversions % 2 else 1

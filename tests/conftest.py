@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import strategies as st
@@ -31,14 +31,8 @@ from flatspec.exact_linear import (
     trace_p,
     transpose,
 )
-from flatspec.spectral import (
-    RootOfUnityTally,
-    enumerate_shell,
-    reduce_tally,
-    tally_add,
-    tally_scale,
-    tally_zero,
-)
+from flatspec.oracles import enumerate_shell
+from flatspec.spectral import RootOfUnityTally, character_sum, reduce_tally
 
 HALF = Fraction(1, 2)
 
@@ -354,6 +348,66 @@ def random_candidate(rng, max_dim=8) -> GroupDefinition:
     return GroupDefinition(dim=n, generators=tuple(gens))
 
 
+def tally_zero(modulus: int = 1) -> RootOfUnityTally:
+    return RootOfUnityTally(modulus, (0,) * modulus)
+
+
+def tally_rescale(t: RootOfUnityTally, modulus: int) -> RootOfUnityTally:
+    """Re-express over zeta_modulus; requires t.modulus | modulus."""
+    if modulus % t.modulus != 0:
+        raise ValueError("new modulus must be a multiple of the old one")
+    step = modulus // t.modulus
+    counts = [0] * modulus
+    for k, c in enumerate(t.counts):
+        counts[k * step] = c
+    return RootOfUnityTally(modulus, tuple(counts))
+
+
+def tally_add(a: RootOfUnityTally, b: RootOfUnityTally) -> RootOfUnityTally:
+    q = lcm(a.modulus, b.modulus)
+    ar = tally_rescale(a, q)
+    br = tally_rescale(b, q)
+    return RootOfUnityTally(q, tuple(x + y for x, y in zip(ar.counts, br.counts)))
+
+
+def tally_scale(t: RootOfUnityTally, weight: int) -> RootOfUnityTally:
+    return RootOfUnityTally(t.modulus, tuple(weight * c for c in t.counts))
+
+
+def _mobius(n: int) -> int:
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+@lru_cache(maxsize=None)
+def _ramanujan_sums(q: int) -> tuple[int, ...]:
+    """c_q(a) = sum_{d | gcd(a, q)} mu(q / d) d, the field trace of zeta_q^a."""
+    return tuple(
+        sum(_mobius(q // d) * d for d in range(1, q + 1) if gcd(a, q) % d == 0)
+        for a in range(q)
+    )
+
+
+def tallies_equal(a: RootOfUnityTally, b: RootOfUnityTally) -> bool:
+    """Equality as algebraic numbers, without cyclotomic division.
+
+    x = a - b over zeta_Q is 0 exactly when Tr(x conj(x)), the sum of
+    |sigma(x)|^2 over the embeddings sigma, is 0; it equals
+    sum_{k,l} x_k x_l c_Q(k - l).
+    """
+    diff = tally_add(a, tally_scale(b, -1))
+    q, x = diff.modulus, diff.counts
+    ram = _ramanujan_sums(q)
+    return sum(xk * xl * ram[(k - l) % q] for k, xk in enumerate(x) for l, xl in enumerate(x)) == 0
+
+
 @lru_cache(maxsize=None)
 def character_sum_reference(element, mu):
     """e_{mu,B} as a tally, by a Fraction dot over the full norm shell.
@@ -365,7 +419,7 @@ def character_sum_reference(element, mu):
     b = element.translation
     q = lcm(*(x.denominator for x in b))
     counts = [0] * q
-    for v in enumerate_shell(len(b), mu).vectors:
+    for v in enumerate_shell(len(b), mu):
         if mat_vec(element.matrix, v) == v:
             x = sum(vj * bj for vj, bj in zip(v, b)) * q
             counts[int(x) % q] += 1
@@ -387,6 +441,20 @@ def multiplicity_reference(definition, p, mu) -> int:
     value = reduce_tally(total) / len(elements)
     assert value.denominator == 1 and value >= 0, value
     return int(value)
+
+
+def pairing_criterion_reference(first, second, pairing, p, mu_max) -> bool:
+    """``check_pairing_criterion`` by scaling each side's tally by its trace and
+    comparing the two across moduli, one pair at a time."""
+    assert len(pairing.pairs) == len(close_point_group(first))
+    for a, b in pairing.pairs:
+        wa, wb = trace_p(a.matrix, p), trace_p(b.matrix, p)
+        for mu in range(mu_max + 1):
+            ta = tally_scale(character_sum(a, mu), wa)
+            tb = tally_scale(character_sum(b, mu), wb)
+            if not tallies_equal(ta, tb):
+                return False
+    return True
 
 
 def classical_hw_matrix() -> HWMatrix:

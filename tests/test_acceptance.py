@@ -32,19 +32,22 @@ from flatspec.isospec import (
     is_orientable,
     kunneth_betti,
 )
-from flatspec.krawtchouk import diagonal_trace, krawtchouk, krawtchouk_subset_oracle
-from flatspec.spectral import (
+from flatspec.oracles import (
     PROJECTOR_BASIS_CAP,
+    diagonal_trace,
+    enumerate_shell,
+    krawtchouk,
+    krawtchouk_subset_oracle,
+    multiplicity_hw,
+    projector_oracle,
+)
+from flatspec.spectral import (
     betti,
     betti_row,
     character_sum,
-    enumerate_shell,
     multiplicity,
-    multiplicity_hw,
-    projector_oracle,
     reduce_tally,
-    tally_add,
-    tally_zero,
+    weighted_sum,
 )
 from flatspec import AffineGenerator, GroupDefinition, example
 
@@ -59,11 +62,11 @@ def note(line: str) -> None:
 
 
 def order_four_aggregate(defn, mu):
-    total = tally_zero()
-    for el in close_point_group(defn):
-        if signed_permutation_order(el.matrix) == 4:
-            total = tally_add(total, character_sum(el, mu))
-    return reduce_tally(total)
+    return reduce_tally(weighted_sum(
+        (1, character_sum(el, mu))
+        for el in close_point_group(defn)
+        if signed_permutation_order(el.matrix) == 4
+    ))
 
 
 def test_criterion_01_reflection_family():
@@ -303,7 +306,7 @@ def test_criterion_11_property_suite():
     for label, defn in groups:
         n = defn.dim
         for mu in range(7):
-            shell_size = len(enumerate_shell(n, mu).vectors)
+            shell_size = len(enumerate_shell(n, mu))
             for p in range(n + 1):
                 if shell_size * comb(n, p) > PROJECTOR_BASIS_CAP:
                     continue

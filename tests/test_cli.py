@@ -1,4 +1,5 @@
 import json
+import time
 
 from flatspec.cli import main
 from flatspec.crystal import group_to_json
@@ -277,6 +278,22 @@ class TestLimitErrors:
         )
         assert_one_line_error(status, text, prefix="error: limit: ")
         assert "rank 14" in text
+
+    def test_oversized_cutoff_refused_before_any_work(self, capsys):
+        # the norm guard of the shells alone trips only once mu reaches 10,001
+        for argv in (
+            ("spectrum", "--corpus", "4.5a", "--p", "0", "--mu-max", "20000"),
+            ("compare", "--corpus", "4.5", "--mu-max", "20000"),
+        ):
+            start = time.perf_counter()
+            status = main(list(argv))
+            elapsed = time.perf_counter() - start
+            captured = capsys.readouterr()
+            assert status == 1 and elapsed < 1, (argv, elapsed)
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                "error: limit: cutoff 20000 exceeds guard 10000"
+            ]
 
     def test_coset_cap(self, capsys, tmp_path):
         # cycles of lengths 3, 4, 5, 7 and 11: order 4620 > 1024 cosets

@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from flatspec import isospec, spectral
 from flatspec.crystal import GroupDefinition
 from flatspec.isospec import (
     HolonomyPairing,
@@ -13,8 +14,16 @@ from flatspec.isospec import (
     kunneth_betti,
     pairing_from_words,
 )
-from flatspec.spectral import betti_row, multiplicity
-from flatspec import close_point_group, example
+from flatspec.spectral import (
+    SHELL_NORM_CAP,
+    EnumerationGuardError,
+    betti_row,
+    multiplicity,
+    multiplicity_table,
+)
+from flatspec import close_point_group, corpus_ids, example
+
+from conftest import pairing_criterion_reference
 
 
 def torus(n):
@@ -115,6 +124,47 @@ class TestPairings:
         _, h = example("5.8")  # holonomy Z4: different matrices
         with pytest.raises(ValueError):
             identity_pairing(g, h)
+
+    def test_matches_pairwise_reference(self):
+        # one flat weighted sum per pair and mu, against scaling each side's
+        # tally and comparing the two across moduli
+        cases = []
+        for key, params, is_pair, _ in corpus_ids():
+            if is_pair and not params:
+                g, gp = example(key)
+                try:
+                    cases.append((g, gp, identity_pairing(g, gp)))
+                except ValueError:
+                    pass
+        g, gp = example("5.1")
+        cases.append((g, gp, pairing_from_words(g, gp, {(2, 0): (0, 1), (0, 1): (2, 0)})))
+        verdicts = []
+        for first, second, pairing in cases:
+            for p in range(first.dim + 1):
+                expected = pairing_criterion_reference(first, second, pairing, p, 8)
+                assert check_pairing_criterion(first, second, pairing, p, 8) == expected, (
+                    first.label, p,
+                )
+                verdicts.append(expected)
+        assert len(cases) >= 2 and True in verdicts and False in verdicts
+
+
+class TestCutoffGuard:
+    def test_oversized_cutoff_refused_before_any_cell(self, monkeypatch):
+        def no_cells(*args):
+            raise AssertionError("multiplicity was called")
+
+        monkeypatch.setattr(spectral, "multiplicity", no_cells)
+        monkeypatch.setattr(isospec, "multiplicity", no_cells)
+        g, gp = example("4.5")
+        over = SHELL_NORM_CAP + 1
+        for refused in (
+            lambda: multiplicity_table(g, (0,), over),
+            lambda: compare_spectra(g, gp, mu_max=over),
+            lambda: duality_check(g, mu_max=over),
+        ):
+            with pytest.raises(EnumerationGuardError, match="cutoff 10001 exceeds guard"):
+                refused()
 
 
 class TestDuality:

@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from flatspec.exact_linear import trace_p
-from flatspec.krawtchouk import diagonal_trace, krawtchouk, krawtchouk_subset_oracle
+from flatspec.oracles import diagonal_trace, krawtchouk, krawtchouk_subset_oracle
 
 
 def test_known_zero():

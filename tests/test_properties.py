@@ -22,13 +22,8 @@ from flatspec.exact_linear import (
     trace_p,
     transpose,
 )
-from flatspec.krawtchouk import diagonal_trace
-from flatspec.spectral import (
-    PROJECTOR_BASIS_CAP,
-    betti,
-    multiplicity,
-    projector_oracle,
-)
+from flatspec.oracles import PROJECTOR_BASIS_CAP, diagonal_trace, projector_oracle
+from flatspec.spectral import betti, multiplicity
 
 from conftest import diagonal_fixed_count
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatspec import spectral
+from flatspec import oracles, spectral
 from flatspec.crystal import (
     AffineGenerator,
     CosetCapError,
@@ -15,7 +15,7 @@ from flatspec.crystal import (
     validate_bieberbach,
 )
 from flatspec.exact_linear import signed_permutation_order, trace_p
-from flatspec.krawtchouk import diagonal_trace
+from flatspec.oracles import diagonal_trace, enumerate_shell, multiplicity_hw, projector_oracle
 from flatspec.spectral import (
     EnumerationGuardError,
     NonRationalSumError,
@@ -25,16 +25,11 @@ from flatspec.spectral import (
     character_sum,
     cyclotomic_polynomial,
     enumerate_fixed_shell,
-    enumerate_shell,
     multiplicity,
-    multiplicity_hw,
     multiplicity_table,
-    projector_oracle,
     reduce_tally,
-    tallies_equal,
-    tally_add,
-    tally_scale,
-    tally_zero,
+    sums_to_zero,
+    weighted_sum,
 )
 from flatspec import HWMatrix, corpus_ids, example
 
@@ -44,6 +39,7 @@ from conftest import (
     diagonal_fixed_count,
     multiplicity_reference,
     random_candidate,
+    tallies_equal,
 )
 
 HALF = Fraction(1, 2)
@@ -61,18 +57,18 @@ def torus(n):
 class TestShells:
     def test_unit_shell(self):
         shell = enumerate_shell(6, 1)
-        assert len(shell.vectors) == 12
-        assert all(sum(x * x for x in v) == 1 for v in shell.vectors)
+        assert len(shell) == 12
+        assert all(sum(x * x for x in v) == 1 for v in shell)
 
     def test_norm_two_in_dim_four(self):
         # 4 choose 2 coordinate pairs, 4 sign patterns each
-        assert len(enumerate_shell(4, 2).vectors) == 24
+        assert len(enumerate_shell(4, 2)) == 24
 
     def test_zero_shell(self):
-        assert enumerate_shell(5, 0).vectors == ((0, 0, 0, 0, 0),)
+        assert enumerate_shell(5, 0) == ((0, 0, 0, 0, 0),)
 
     def test_sorted_and_negation_closed(self):
-        vectors = enumerate_shell(3, 9).vectors
+        vectors = enumerate_shell(3, 9)
         assert list(vectors) == sorted(vectors)
         as_set = set(vectors)
         assert all(tuple(-x for x in v) in as_set for v in vectors)
@@ -110,7 +106,7 @@ class TestFixedShells:
 
         for mu in range(5):
             fixed = enumerate_fixed_shell(identity_matrix(4), mu)
-            assert set(fixed) == set(enumerate_shell(4, mu).vectors)
+            assert set(fixed) == set(enumerate_shell(4, mu))
 
     def test_cycle_lattice(self):
         # plain 3-cycle: fixed lattice is the diagonal, norm 3k^2
@@ -142,19 +138,23 @@ class TestTallies:
             assert reduce_tally(RootOfUnityTally(q, (1,) * q)) == 0
 
     def test_equality_across_moduli(self):
-        a = RootOfUnityTally(2, (1, 0))
-        b = RootOfUnityTally(4, (1, 0, 0, 0))
-        assert tallies_equal(a, b)
-        # zeta_3 + zeta_3^2 = -1
-        c = RootOfUnityTally(3, (0, 1, 1))
-        d = RootOfUnityTally(1, (-1,))
-        assert tallies_equal(c, d)
-        assert not tallies_equal(c, RootOfUnityTally(1, (1,)))
+        # the engine's zero test and the conftest reference agree
+        zeta3_sum = RootOfUnityTally(3, (0, 1, 1))  # zeta_3 + zeta_3^2 = -1
+        cases = [
+            (RootOfUnityTally(2, (1, 0)), RootOfUnityTally(4, (1, 0, 0, 0)), True),
+            (zeta3_sum, RootOfUnityTally(1, (-1,)), True),
+            (zeta3_sum, RootOfUnityTally(1, (1,)), False),
+            (RootOfUnityTally(4, (0, 1, 0, 0)), RootOfUnityTally(1, (0,)), False),
+        ]
+        for x, y, equal in cases:
+            assert sums_to_zero(weighted_sum([(1, x), (-1, y)])) is equal, (x, y)
+            assert tallies_equal(x, y) is equal, (x, y)
 
     def test_add_and_scale(self):
-        t = tally_add(tally_zero(), RootOfUnityTally(2, (3, 1)))
-        t = tally_scale(t, -2)
+        t = weighted_sum([(1, RootOfUnityTally(1, (0,))), (-2, RootOfUnityTally(2, (3, 1)))])
+        assert t == RootOfUnityTally(2, (-6, -2))
         assert reduce_tally(t) == -4
+        assert weighted_sum([]) == RootOfUnityTally(1, (0,))
 
     def test_cyclotomic_polynomials(self):
         assert cyclotomic_polynomial(1) == (-1, 1)
@@ -176,16 +176,17 @@ class TestCharacterSum:
         identity = close_point_group(g)[0]
         for mu in (0, 1, 4):
             t = character_sum(identity, mu)
-            assert reduce_tally(t) == len(enumerate_shell(6, mu).vectors)
+            assert reduce_tally(t) == len(enumerate_shell(6, mu))
 
     def test_8d_catalog_order_four_aggregates(self):
         g, gp = example("5.6")
         totals = []
         for defn in (g, gp):
-            total = tally_zero()
-            for el in close_point_group(defn):
-                if signed_permutation_order(el.matrix) == 4:
-                    total = tally_add(total, character_sum(el, 1))
+            total = weighted_sum(
+                (1, character_sum(el, 1))
+                for el in close_point_group(defn)
+                if signed_permutation_order(el.matrix) == 4
+            )
             totals.append(reduce_tally(total))
         assert totals == [0, 8]
 
@@ -202,7 +203,7 @@ class TestMultiplicity:
         t3 = torus(3)
         for p in range(4):
             for mu in range(4):
-                expected = comb(3, p) * len(enumerate_shell(3, mu).vectors)
+                expected = comb(3, p) * len(enumerate_shell(3, mu))
                 assert multiplicity(t3, p, mu) == expected
 
     def test_shifted_family(self):
@@ -390,6 +391,25 @@ class TestProjectorOracle:
     def test_guard(self):
         with pytest.raises(EnumerationGuardError):
             projector_oracle(torus(12), 6, 2)
+
+    def test_a_flipped_sign_breaks_the_representation_check(self, monkeypatch):
+        # Flip dx_0 -> -dx_1 under the generator of 5.8b: an entry off the
+        # diagonal, so the trace stays right and only the check can see it.
+        _, g = example("5.8")
+        assert projector_oracle(g, 1, 1) == multiplicity(g, 1, 1)
+        original = oracles._sort_parity
+        calls = []
+
+        def flip_first_moved(seq):
+            # at p = 1 each element's calls run over J = (0,), ..., (n-1,)
+            moved = seq != (len(calls) % g.dim,)
+            calls.append(moved)
+            return -original(seq) if moved and calls.count(True) == 1 else original(seq)
+
+        monkeypatch.setattr(oracles, "_sort_parity", flip_first_moved)
+        with pytest.raises(ArithmeticError, match="fails on element"):
+            projector_oracle(g, 1, 1)
+        assert calls.count(True) > 1
 
 
 class TestMultiplicityTable:
