@@ -3,7 +3,8 @@
 Commands: validate, betti, homology, multiplicity, spectrum, compare, corpus.
 Groups come either from the built-in catalog (``--corpus 5.1``, members
 addressable as ``5.1a``/``5.1b``) or from JSON files (``--input path``).
-Exit codes: 0 success, 1 usage error or resource limit, 2 validation failure.
+Exit codes: 0 success, 1 any FlatspecError (usage, limit or internal),
+2 validation failure.
 """
 
 from __future__ import annotations
@@ -12,29 +13,20 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import corpus
 from .crystal import (
-    CosetCapError,
     GroupDefinition,
     first_homology,
     group_from_json,
     validate_bieberbach,
 )
+from .exact_linear import FlatspecError, UsageError
 from .isospec import compare_spectra
-from .spectral import (
-    EnumerationGuardError,
-    betti_row,
-    multiplicity,
-    multiplicity_table,
-)
+from .spectral import betti_row, form_degrees, multiplicity, multiplicity_table
 
 OK, USAGE_ERROR, VALIDATION_ERROR = 0, 1, 2
-
-
-class CliUsageError(Exception):
-    pass
 
 
 @dataclass
@@ -44,7 +36,7 @@ class CliConfig:
     input_paths: list[str] = field(default_factory=list)
     p: Optional[int] = None
     mu: Optional[int] = None
-    p_set: Optional[list[int]] = None
+    p_set: Optional[Sequence[int]] = None
     mu_max: int = 10
     fmt: str = "table"
 
@@ -54,15 +46,22 @@ class _Parser(argparse.ArgumentParser):
     # validation failures, so remap.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise CliUsageError(message)
+        raise UsageError(message)
 
 
-def _parse_p_spec(spec: str) -> list[int]:
-    spec = spec.strip()
+def form_degree_spec(spec: str) -> Sequence[int]:
+    """``a..b`` as a lazy range, so a huge one costs nothing, or ``a,b,...``.
+
+    argparse reports the ValueError of a malformed spec as a usage error.
+    """
     if ".." in spec:
         lo, _, hi = spec.partition("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(chunk) for chunk in spec.split(",") if chunk.strip() != ""]
+        degrees = range(int(lo), int(hi) + 1)
+    else:
+        degrees = [int(chunk) for chunk in spec.split(",") if chunk.strip()]
+    if not degrees:
+        raise argparse.ArgumentTypeError(f"form-degree spec {spec!r} is empty")
+    return degrees
 
 
 def build_parser() -> _Parser:
@@ -71,8 +70,9 @@ def build_parser() -> _Parser:
 
     def add_group_source(p):
         p.add_argument("--corpus", action="append", default=[], metavar="ID",
-                       help="catalog id, e.g. 5.1, 5.1a or 4.1(n=4,k=1)")
+                       dest="corpus_ids", help="catalog id, e.g. 5.1, 5.1a or 4.1(n=4,k=1)")
         p.add_argument("--input", action="append", default=[], metavar="PATH",
+                       dest="input_paths",
                        help="path to a group-definition JSON file")
 
     def add_format(p):
@@ -100,88 +100,46 @@ def build_parser() -> _Parser:
     p = sub.add_parser("spectrum", help="multiplicity table for p in a set, mu <= cutoff")
     add_group_source(p)
     add_format(p)
-    p.add_argument("--p", dest="p_spec", default=None, metavar="SPEC",
+    p.add_argument("--p", dest="p_set", type=form_degree_spec, metavar="SPEC",
                    help="form degrees, e.g. 0..6 or 1,3,5 (default: all)")
     p.add_argument("--mu-max", type=int, default=10)
 
     p = sub.add_parser("compare", help="per-p spectral comparison of two groups")
     add_group_source(p)
     add_format(p)
-    p.add_argument("--p", dest="p_spec", default=None, metavar="SPEC")
+    p.add_argument("--p", dest="p_set", type=form_degree_spec, metavar="SPEC")
     p.add_argument("--mu-max", type=int, default=10)
 
     return parser
 
 
 def _config_from_args(args) -> CliConfig:
-    cfg = CliConfig(command=args.command, fmt=getattr(args, "fmt", "table"))
-    cfg.corpus_ids = list(getattr(args, "corpus", []))
-    cfg.input_paths = list(getattr(args, "input", []))
-    cfg.p = getattr(args, "p", None)
-    cfg.mu = getattr(args, "mu", None)
-    cfg.mu_max = getattr(args, "mu_max", 10)
+    cfg = CliConfig(**vars(args))  # each dest is a CliConfig field
     if cfg.mu is not None and cfg.mu < 0:
-        raise CliUsageError(f"--mu {cfg.mu} must be nonnegative")
+        raise UsageError(f"--mu {cfg.mu} must be nonnegative")
     if cfg.mu_max < 0:
-        raise CliUsageError(f"--mu-max {cfg.mu_max} must be nonnegative")
-    spec = getattr(args, "p_spec", None)
-    if spec is not None:
-        try:
-            cfg.p_set = _parse_p_spec(spec)
-        except ValueError:
-            raise CliUsageError(f"cannot parse form-degree spec {spec!r}")
-        if not cfg.p_set:
-            raise CliUsageError(f"form-degree spec {spec!r} is empty")
+        raise UsageError(f"--mu-max {cfg.mu_max} must be nonnegative")
     return cfg
 
 
 def _resolve_groups(cfg: CliConfig) -> list[tuple[str, GroupDefinition]]:
     groups: list[tuple[str, GroupDefinition]] = []
-    for raw in cfg.corpus_ids:
-        member = None
-        catalog_id = raw.strip()
-        if catalog_id and catalog_id[-1] in "ab" and not catalog_id.endswith(")"):
-            base = catalog_id[:-1]
-            try:
-                if corpus.is_pair_id(base.split("(")[0]):
-                    member = catalog_id[-1]
-                    catalog_id = base
-            except KeyError:
-                pass
-        try:
-            entry = corpus.example(catalog_id)
-        except KeyError as exc:
-            raise CliUsageError(exc.args[0] if exc.args else str(exc))
-        except ValueError as exc:
-            raise CliUsageError(f"bad parameters in {catalog_id!r}: {exc}")
-        if isinstance(entry, GroupDefinition):
-            if member is not None:
-                raise CliUsageError(f"{catalog_id!r} is a single group; drop {member!r}")
-            groups.append((entry.label or catalog_id, entry))
-        else:
-            pair = dict(zip("ab", entry))
-            if member is None:
-                for tag in "ab":
-                    g = pair[tag]
-                    groups.append((g.label or f"{catalog_id}{tag}", g))
-            else:
-                g = pair[member]
-                groups.append((g.label or f"{catalog_id}{member}", g))
+    for catalog_id in cfg.corpus_ids:
+        entry = corpus.example(catalog_id)
+        for g in entry if isinstance(entry, tuple) else (entry,):
+            groups.append((g.label, g))
     for path in cfg.input_paths:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except OSError as exc:
-            raise CliUsageError(f"cannot read {path}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise CliUsageError(f"malformed JSON in {path}: {exc}")
-        try:
-            defn = group_from_json(data)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise CliUsageError(f"bad group definition in {path}: {exc}")
+        except (OSError, ValueError, RecursionError) as exc:
+            # ValueError covers malformed JSON, non-UTF-8 bytes and integers
+            # too long to convert; RecursionError, nesting too deep to decode
+            raise UsageError(f"cannot read {path}: {exc}") from exc
+        defn = group_from_json(data)
         groups.append((defn.label or path, defn))
     if not groups:
-        raise CliUsageError("no groups given; use --corpus or --input")
+        raise UsageError("no groups given; use --corpus or --input")
     return groups
 
 
@@ -222,11 +180,9 @@ def run(cfg: CliConfig) -> tuple[int, str]:
             return _run_spectrum(cfg, groups)
         if cfg.command == "compare":
             return _run_compare(cfg, groups)
-        raise CliUsageError(f"unknown command {cfg.command!r}")
-    except CliUsageError as exc:
-        return USAGE_ERROR, f"error: {exc}"
-    except (EnumerationGuardError, CosetCapError) as exc:
-        return USAGE_ERROR, f"error: limit: {exc}"
+        raise UsageError(f"unknown command {cfg.command!r}")
+    except FlatspecError as exc:
+        return USAGE_ERROR, f"error: {exc.prefix}{exc}"
 
 
 def _run_corpus(cfg: CliConfig) -> tuple[int, str]:
@@ -309,11 +265,7 @@ def _run_homology(cfg: CliConfig, groups) -> tuple[int, str]:
 
 
 def _run_multiplicity(cfg: CliConfig, groups) -> tuple[int, str]:
-    results = []
-    for label, defn in groups:
-        if not 0 <= cfg.p <= defn.dim:
-            raise CliUsageError(f"--p {cfg.p} out of range for {label} (dim {defn.dim})")
-        results.append((label, multiplicity(defn, cfg.p, cfg.mu)))
+    results = [(label, multiplicity(defn, cfg.p, cfg.mu)) for label, defn in groups]
     if cfg.fmt == "json":
         return OK, _dump_json(
             [
@@ -330,10 +282,7 @@ def _run_spectrum(cfg: CliConfig, groups) -> tuple[int, str]:
     blocks = []
     payload = []
     for label, defn in groups:
-        ps = cfg.p_set if cfg.p_set is not None else list(range(defn.dim + 1))
-        for p in ps:
-            if not 0 <= p <= defn.dim:
-                raise CliUsageError(f"form degree {p} out of range for {label}")
+        ps = form_degrees(defn.dim, cfg.p_set)
         table = multiplicity_table(defn, ps, cfg.mu_max).as_dict()
         payload.append(
             {
@@ -341,13 +290,13 @@ def _run_spectrum(cfg: CliConfig, groups) -> tuple[int, str]:
                 "mu_max": cfg.mu_max,
                 "entries": {
                     str(p): {str(mu): table[(p, mu)] for mu in range(cfg.mu_max + 1)}
-                    for p in sorted(set(ps))
+                    for p in ps
                 },
             }
         )
         header = "p\\mu " + " ".join(f"{mu:>5}" for mu in range(cfg.mu_max + 1))
         lines = [f"{label}  (eigenvalue = 4*pi^2*mu)", header]
-        for p in sorted(set(ps)):
+        for p in ps:
             lines.append(
                 f"{p:>4} "
                 + " ".join(f"{table[(p, mu)]:>5}" for mu in range(cfg.mu_max + 1))
@@ -360,13 +309,8 @@ def _run_spectrum(cfg: CliConfig, groups) -> tuple[int, str]:
 
 def _run_compare(cfg: CliConfig, groups) -> tuple[int, str]:
     if len(groups) != 2:
-        raise CliUsageError("compare needs exactly two groups")
+        raise UsageError("compare needs exactly two groups")
     (label1, g1), (label2, g2) = groups
-    if g1.dim != g2.dim:
-        raise CliUsageError("compare needs groups of equal dimension")
-    for p in cfg.p_set or ():
-        if not 0 <= p <= g1.dim:
-            raise CliUsageError(f"form degree {p} out of range for dimension {g1.dim}")
     report = compare_spectra(g1, g2, p_set=cfg.p_set, mu_max=cfg.mu_max)
     if cfg.fmt == "json":
         payload = report.to_json_dict()
@@ -392,12 +336,10 @@ def _run_compare(cfg: CliConfig, groups) -> tuple[int, str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
-    except CliUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        cfg = _config_from_args(build_parser().parse_args(argv))
+    except FlatspecError as exc:
+        print(f"error: {exc.prefix}{exc}", file=sys.stderr)
         return USAGE_ERROR
     status, text = run(cfg)
     if text:

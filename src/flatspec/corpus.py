@@ -2,7 +2,7 @@
 
 Catalog ids are short numeric keys ("4.1", "5.6", ...).  Parametrized entries
 take key=value suffixes, e.g. ``4.1(n=4,k=1)``.  Pair entries return two
-group definitions; the CLI addresses the members as ``<id>a`` and ``<id>b``.
+group definitions, and ``<id>a`` and ``<id>b`` address the members.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Callable, Union
 
 from .crystal import AffineGenerator, GroupDefinition, extend_with_characters
-from .exact_linear import signed_perm, signed_perm_matrix
+from .exact_linear import UsageError, signed_perm, signed_perm_matrix
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -220,7 +220,7 @@ _REGISTRY: dict[str, tuple[Callable, tuple[str, ...], bool, str]] = {
             "5.1 pair times a k-torus; Betti numbers strictly ordered"),
 }
 
-_ID_RE = re.compile(r"^([0-9.]+h?)(?:\(([^()]*)\))?$")
+_ID_RE = re.compile(r"^([0-9.]+h?)(?:\(([^()]*)\))?([ab]?)$")
 
 
 def corpus_ids() -> list[tuple[str, tuple[str, ...], bool, str]]:
@@ -231,39 +231,43 @@ def corpus_ids() -> list[tuple[str, tuple[str, ...], bool, str]]:
     ]
 
 
-def is_pair_id(base_id: str) -> bool:
-    if base_id not in _REGISTRY:
-        raise KeyError(f"unknown catalog id: {base_id!r}")
-    return _REGISTRY[base_id][2]
-
-
 def example(catalog_id: str) -> CorpusEntry:
-    """Resolve a catalog id, e.g. ``"4.5"`` or ``"4.1(n=4,k=1)"``.
+    """Resolve a catalog id, e.g. ``"4.5"``, ``"5.1a"`` or ``"4.1(n=4,k=1)"``.
 
-    Returns a single GroupDefinition or a (GroupDefinition, GroupDefinition)
-    pair depending on the entry.
+    Returns a single GroupDefinition, or the (GroupDefinition,
+    GroupDefinition) of a pair entry; a pair id with the suffix ``a`` or
+    ``b`` returns that member alone.  Raises UsageError for an id or
+    parameters the catalog does not accept.
     """
     match = _ID_RE.match(catalog_id.strip())
     if not match:
-        raise KeyError(f"malformed catalog id: {catalog_id!r}")
-    base, raw_params = match.group(1), match.group(2)
+        raise UsageError(f"malformed catalog id: {catalog_id!r}")
+    base, raw_params, member = match.groups()
     if base not in _REGISTRY:
-        raise KeyError(f"unknown catalog id: {base!r}")
-    builder, param_names, _is_pair, _desc = _REGISTRY[base]
+        raise UsageError(f"unknown catalog id: {base!r}")
+    builder, param_names, is_pair, _desc = _REGISTRY[base]
+    if member and not is_pair:
+        raise UsageError(f"{catalog_id!r} is a single group; drop {member!r}")
     params: dict[str, int] = {}
     if raw_params:
         for chunk in raw_params.split(","):
             if "=" not in chunk:
-                raise KeyError(f"malformed parameter {chunk!r} in {catalog_id!r}")
+                raise UsageError(f"malformed parameter {chunk!r} in {catalog_id!r}")
             key, _, value = chunk.partition("=")
             key = key.strip()
             if key not in param_names:
-                raise KeyError(f"unknown parameter {key!r} for catalog id {base!r}")
+                raise UsageError(f"unknown parameter {key!r} for catalog id {base!r}")
+            if key in params:
+                raise UsageError(f"repeated parameter {key!r} in {catalog_id!r}")
             try:
                 params[key] = int(value)
             except ValueError:
-                raise KeyError(f"non-integer parameter value in {catalog_id!r}")
+                raise UsageError(f"non-integer parameter value in {catalog_id!r}")
     missing = [p for p in param_names if p not in params]
     if missing:
-        raise KeyError(f"catalog id {base!r} needs parameters {missing}")
-    return builder(**params)
+        raise UsageError(f"catalog id {base!r} needs parameters {missing}")
+    try:
+        entry = builder(**params)
+    except ValueError as exc:
+        raise UsageError(f"bad parameters in {catalog_id!r}: {exc}") from exc
+    return entry["ab".index(member)] if member else entry

@@ -20,7 +20,9 @@ from typing import Sequence
 from .exact_linear import (
     IntMatrix,
     IntVector,
+    LimitError,
     RatVector,
+    UsageError,
     as_int_matrix,
     cycles,
     is_signed_permutation,
@@ -33,11 +35,11 @@ from .exact_linear import (
 COSET_CAP = 1024
 
 
-class GroupStructureError(ValueError):
+class GroupStructureError(UsageError):
     """The generators do not satisfy the direct-product point-group hypothesis."""
 
 
-class CosetCapError(ValueError):
+class CosetCapError(LimitError):
     """The point group would exceed the coset cap."""
 
 
@@ -64,10 +66,10 @@ class AffineGenerator:
             )
         translation = tuple(_as_fraction(x) % 1 for x in self.translation)
         if len(translation) != len(matrix):
-            raise ValueError("translation length does not match matrix size")
+            raise UsageError("translation length does not match matrix size")
         true_order = signed_permutation_order(matrix)
         if self.order and self.order != true_order:
-            raise ValueError(
+            raise UsageError(
                 f"declared order {self.order} wrong: matrix has order {true_order}"
             )
         object.__setattr__(self, "matrix", matrix)
@@ -90,10 +92,10 @@ class GroupDefinition:
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
         if self.dim < 1:
-            raise ValueError("dimension must be positive")
+            raise UsageError("dimension must be positive")
         for g in self.generators:
             if g.dim != self.dim:
-                raise ValueError("generator size does not match group dimension")
+                raise UsageError("generator size does not match group dimension")
 
 
 @dataclass(frozen=True)
@@ -367,7 +369,7 @@ def validate_bieberbach(definition: GroupDefinition) -> ValidationReport:
 def require_valid(definition: GroupDefinition) -> ValidationReport:
     report = validate_bieberbach(definition)
     if not report.is_torsion_free:
-        raise ValueError(
+        raise UsageError(
             f"group definition {definition.label or '<unnamed>'} fails validation: "
             + "; ".join(f"{cond} at {word}" for word, cond in report.failures)
         )
@@ -494,25 +496,25 @@ def group_to_json(definition: GroupDefinition) -> dict:
 
 def group_from_json(data: dict) -> GroupDefinition:
     if not isinstance(data, dict):
-        raise ValueError("group definition must be a JSON object")
-    try:
-        dim = _json_int(data["dim"], "'dim'")
-        label = data.get("label", "")
-        raw_gens = data["generators"]
-    except KeyError as exc:
-        raise ValueError(f"group definition missing field {exc}") from exc
+        raise UsageError("group definition must be a JSON object")
+    for key in ("dim", "generators"):
+        if key not in data:
+            raise UsageError(f"group definition missing field {key!r}")
+    dim = _json_int(data["dim"], "'dim'")
+    label = data.get("label", "")
+    raw_gens = data["generators"]
     if not isinstance(label, str):
-        raise ValueError(f"field 'label' must be a string, got {label!r}")
+        raise UsageError(f"field 'label' must be a string, got {label!r}")
     if not isinstance(raw_gens, list):
-        raise ValueError("field 'generators' must be a list")
+        raise UsageError("field 'generators' must be a list")
     gens = []
     for i, raw in enumerate(raw_gens):
         if not isinstance(raw, dict):
-            raise ValueError(f"generators[{i}] must be an object")
+            raise UsageError(f"generators[{i}] must be an object")
         for key in ("matrix", "translation"):
             if not isinstance(raw.get(key), list):
-                raise ValueError(f"generators[{i}] needs a list field {key!r}")
-        matrix = as_int_matrix(raw["matrix"])
+                raise UsageError(f"generators[{i}] needs a list field {key!r}")
+        matrix = as_int_matrix(raw["matrix"], f"generators[{i}].matrix")
         translation = tuple(_parse_fraction(s) for s in raw["translation"])
         order = _json_int(raw.get("order", 0), f"generators[{i}].order")
         gens.append(AffineGenerator(matrix=matrix, translation=translation, order=order))
@@ -521,7 +523,7 @@ def group_from_json(data: dict) -> GroupDefinition:
 
 def _json_int(value, name: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"field {name} must be an integer, got {value!r}")
+        raise UsageError(f"field {name} must be an integer, got {value!r}")
     return value
 
 
@@ -532,5 +534,8 @@ def _parse_fraction(s) -> Fraction:
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str) or not _FRACTION_RE.match(s.strip()):
-        raise ValueError(f"not a p/q rational: {s!r}")
-    return Fraction(s)
+        raise UsageError(f"not a p/q rational: {s!r}")
+    try:
+        return Fraction(s)
+    except ValueError as exc:  # more digits than int() converts
+        raise UsageError(f"not a p/q rational: {exc}") from exc

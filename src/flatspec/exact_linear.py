@@ -2,7 +2,8 @@
 
 Matrices are tuples of row tuples of Python ints; vectors are plain tuples.
 Rational vectors use ``fractions.Fraction``.  Every operation in this module
-is exact: no floating point anywhere.
+is exact: no floating point anywhere.  The error taxonomy lives here too,
+since every other module imports this one.
 """
 
 from __future__ import annotations
@@ -17,17 +18,41 @@ IntVector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
 
 
-def as_int_matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
+class FlatspecError(Exception):
+    """An error reported as the one line ``error: {prefix}{message}``."""
+
+    prefix = ""
+
+
+class UsageError(FlatspecError, ValueError):
+    """The input is malformed or out of range."""
+
+
+class LimitError(FlatspecError, ValueError):
+    """The work would exceed a resource guard."""
+
+    prefix = "limit: "
+
+
+class InternalError(FlatspecError, ArithmeticError):
+    """An exactness check failed: a bug, not a bad input."""
+
+    prefix = "internal: "
+
+
+def as_int_matrix(rows: Sequence[Sequence[int]], name: str = "matrix") -> IntMatrix:
     """Freeze ``rows`` into an IntMatrix, checking shape and integrality."""
-    frozen = tuple(tuple(entry for entry in row) for row in rows)
+    if not all(isinstance(row, (list, tuple)) for row in rows):
+        raise UsageError(f"{name} must be a list of rows")
+    frozen = tuple(tuple(row) for row in rows)
     if frozen:
         width = len(frozen[0])
         for row in frozen:
             if len(row) != width:
-                raise ValueError("matrix rows have unequal lengths")
+                raise UsageError(f"{name} rows have unequal lengths")
             for entry in row:
                 if not isinstance(entry, int) or isinstance(entry, bool):
-                    raise ValueError(f"non-integer matrix entry: {entry!r}")
+                    raise UsageError(f"non-integer entry in {name}: {entry!r}")
     return frozen
 
 
@@ -152,7 +177,7 @@ def trace_p(m: IntMatrix, p: int) -> int:
     """
     n = len(m)
     if not 0 <= p <= n:
-        raise ValueError(f"exterior power {p} out of range for dimension {n}")
+        raise UsageError(f"exterior power {p} out of range for dimension {n}")
     poly = [1] + [0] * n
     for c in cycles(m):
         length = len(c.support)

@@ -20,10 +20,11 @@ from .crystal import (
     extend_with_characters,
     require_valid,
 )
-from .exact_linear import det, trace_p
+from .exact_linear import InternalError, UsageError, det, trace_p
 from .spectral import (
     betti_row,
     character_sum,
+    form_degrees,
     multiplicity,
     require_cutoff,
     sums_to_zero,
@@ -106,13 +107,9 @@ def compare_spectra(
     require_valid(first)
     require_valid(second)
     if first.dim != second.dim:
-        raise ValueError("cannot compare groups of different dimensions")
-    ps = sorted(set(p_set)) if p_set is not None else list(range(first.dim + 1))
-    for p in ps:
-        if not 0 <= p <= first.dim:
-            raise ValueError(f"form degree {p} out of range")
+        raise UsageError("cannot compare groups of different dimensions")
     verdicts = []
-    for p in ps:
+    for p in form_degrees(first.dim, p_set):
         witness = None
         for mu in range(mu_max + 1):
             d1 = multiplicity(first, p, mu)
@@ -235,9 +232,8 @@ def kunneth_betti(defn: GroupDefinition, k: int, h: int) -> int:
     """
     require_valid(defn)
     if k < 0:
-        raise ValueError("torus factor count must be nonnegative")
-    if not 0 <= h <= defn.dim + k:
-        raise ValueError(f"degree {h} out of range for dimension {defn.dim + k}")
+        raise UsageError("torus factor count must be nonnegative")
+    form_degrees(defn.dim + k, (h,))
     row = betti_row(defn)
     value = sum(
         row[i] * comb(k, h - i) for i in range(len(row)) if 0 <= h - i <= k
@@ -245,7 +241,7 @@ def kunneth_betti(defn: GroupDefinition, k: int, h: int) -> int:
     extended = extend_with_characters(defn, [], trivial_count=k)
     direct = multiplicity(extended, h, 0)
     if direct != value:
-        raise ArithmeticError(
+        raise InternalError(
             f"Kunneth value {value} disagrees with direct Betti {direct}"
         )
     return value

@@ -25,17 +25,24 @@ from .crystal import (
     close_point_group,
     require_valid,
 )
-from .exact_linear import IntMatrix, cycles, trace_p
+from .exact_linear import (
+    IntMatrix,
+    InternalError,
+    LimitError,
+    UsageError,
+    cycles,
+    trace_p,
+)
 
 SHELL_NORM_CAP = 10**4
 SHELL_DIM_CAP = 12
 
 
-class EnumerationGuardError(ValueError):
+class EnumerationGuardError(LimitError):
     """A lattice enumeration would exceed its configured guard."""
 
 
-class NonRationalSumError(ArithmeticError):
+class NonRationalSumError(InternalError):
     """A tally expected to be rational reduced to a non-constant residue."""
 
 
@@ -67,7 +74,7 @@ def cyclotomic_polynomial(q: int) -> tuple[int, ...]:
         if q % d == 0:
             poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
             if any(rem):
-                raise ArithmeticError("expected exact polynomial division")
+                raise InternalError("expected exact polynomial division")
     return tuple(poly)
 
 
@@ -154,7 +161,7 @@ def enumerate_fixed_shell(matrix: IntMatrix, mu: int) -> tuple[tuple[int, ...], 
     """
     n = len(matrix)
     if mu < 0:
-        raise ValueError("squared norm must be nonnegative")
+        raise UsageError("squared norm must be nonnegative")
     if mu > SHELL_NORM_CAP:
         raise EnumerationGuardError(f"norm {mu} exceeds guard {SHELL_NORM_CAP}")
     if mu == 0:
@@ -196,8 +203,7 @@ def character_sum(element: PointGroupElement, mu: int) -> RootOfUnityTally:
 def multiplicity(defn: GroupDefinition, p: int, mu: int) -> int:
     """Exact d_{p,mu}: multiplicity of eigenvalue 4 pi^2 mu on p-forms."""
     require_valid(defn)
-    if not 0 <= p <= defn.dim:
-        raise ValueError(f"form degree {p} out of range for dimension {defn.dim}")
+    form_degrees(defn.dim, (p,))
     elements = close_point_group(defn)
     total = weighted_sum(
         (w, character_sum(el, mu)) for el in elements if (w := trace_p(el.matrix, p))
@@ -208,7 +214,7 @@ def multiplicity(defn: GroupDefinition, p: int, mu: int) -> int:
     except NonRationalSumError as exc:
         raise NonRationalSumError(f"{cell}: {exc}") from exc
     if value.denominator != 1 or value < 0:
-        raise ArithmeticError(
+        raise InternalError(
             f"{cell}: multiplicity came out {value}; must be a nonnegative integer"
         )
     return int(value)
@@ -233,6 +239,19 @@ class MultiplicityTable:
         return dict(self.entries)
 
 
+def form_degrees(dim: int, p_set=None) -> list[int]:
+    """The distinct degrees of ``p_set`` in order, all of 0..dim when None.
+    Each is checked as it is drawn, so a huge range fails before it is stored."""
+    if p_set is None:
+        return list(range(dim + 1))
+    seen = set()
+    for p in p_set:
+        if not 0 <= p <= dim:
+            raise UsageError(f"form degree {p} out of range for dimension {dim}")
+        seen.add(p)
+    return sorted(seen)
+
+
 def require_cutoff(mu_max: int) -> None:
     """Refuse a cutoff that the fixed-shell guard would stop part way."""
     if mu_max > SHELL_NORM_CAP:
@@ -244,7 +263,7 @@ def multiplicity_table(
 ) -> MultiplicityTable:
     require_cutoff(mu_max)
     entries = []
-    for p in sorted(p_set):
+    for p in form_degrees(defn.dim, p_set):
         for mu in range(mu_max + 1):
             entries.append(((p, mu), multiplicity(defn, p, mu)))
     return MultiplicityTable(entries=tuple(entries))

@@ -1,8 +1,18 @@
+import contextlib
+import io
 import json
 import time
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import example as pinned
+from hypothesis import strategies as st
+
+from flatspec import spectral
 from flatspec.cli import main
-from flatspec.crystal import group_to_json
+from flatspec.crystal import CosetCapError, GroupStructureError, group_to_json
+from flatspec.exact_linear import FlatspecError, InternalError, LimitError, UsageError
+from flatspec.spectral import EnumerationGuardError, NonRationalSumError, RootOfUnityTally
 from flatspec import example
 
 
@@ -362,6 +372,14 @@ class TestJsonFieldErrors:
     def test_non_string_label(self, capsys, tmp_path):
         self.check(capsys, tmp_path, {"dim": 2, "label": 7, "generators": []}, "'label'")
 
+    def test_translation_too_long_to_convert(self, capsys, tmp_path):
+        gen = {"matrix": [[1, 0], [0, -1]], "translation": ["1/" + "7" * 5000, "0"]}
+        self.check(capsys, tmp_path, {"dim": 2, "generators": [gen]}, "not a p/q rational")
+
+    def test_matrix_row_not_a_list(self, capsys, tmp_path):
+        gen = {"matrix": [1, 2], "translation": ["1/2", "0"]}
+        self.check(capsys, tmp_path, {"dim": 2, "generators": [gen]}, "generators[0].matrix")
+
 
 class TestCatalogParameterErrors:
     """Parameters outside a family's range are usage errors, not tracebacks."""
@@ -377,9 +395,220 @@ class TestCatalogParameterErrors:
             assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
             assert repr(catalog_id) in lines[0]
 
+    def test_repeated_parameter(self, capsys):
+        status, text = run_cli_all(capsys, "betti", "--corpus", "4.1(n=4,k=1,k=3)")
+        assert_one_line_error(status, text)
+        assert "repeated parameter 'k'" in text
+
+
+class TestTracebackInputs:
+    """Inputs that once escaped as a Python traceback; each is one error line."""
+
+    def check_file(self, capsys, tmp_path, content: bytes):
+        path = tmp_path / "g.json"
+        path.write_bytes(content)
+        status, text = run_cli_all(capsys, "betti", "--input", str(path))
+        assert_one_line_error(status, text)
+        assert f"cannot read {path}: " in text
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        self.check_file(capsys, tmp_path, b"[" * 100_000)
+
+    def test_integer_too_long_to_convert(self, capsys, tmp_path):
+        self.check_file(capsys, tmp_path, b'{"dim": ' + b"7" * 5000 + b', "generators": []}')
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        self.check_file(capsys, tmp_path, b'{"label": "\xff\xfe"}')
+
+    def test_huge_degree_range(self, capsys):
+        start = time.perf_counter()
+        status, text = run_cli_all(
+            capsys, "spectrum", "--corpus", "4.5a", "--p", "1..99999999999"
+        )
+        assert time.perf_counter() - start < 1
+        assert_one_line_error(status, text)
+        assert "form degree 5 out of range for dimension 4" in text
+
+
+class TestErrorClasses:
+    def test_library_errors_sit_in_the_taxonomy(self):
+        assert issubclass(GroupStructureError, UsageError)
+        assert issubclass(CosetCapError, LimitError)
+        assert issubclass(EnumerationGuardError, LimitError)
+        assert issubclass(NonRationalSumError, InternalError)
+        for cls, base, prefix in (
+            (UsageError, ValueError, ""),
+            (LimitError, ValueError, "limit: "),
+            (InternalError, ArithmeticError, "internal: "),
+        ):
+            assert issubclass(cls, FlatspecError) and issubclass(cls, base)
+            assert cls.prefix == prefix
+
+    def test_internal_error_is_one_line(self, capsys, monkeypatch):
+        irrational = RootOfUnityTally(4, (0, 1, 0, 0))  # zeta_4 alone
+        monkeypatch.setattr(spectral, "character_sum", lambda el, mu: irrational)
+        spectral.multiplicity.cache_clear()
+        try:
+            status = main(["multiplicity", "--corpus", "5.1a", "--p", "1", "--mu", "3"])
+        finally:
+            spectral.multiplicity.cache_clear()
+        captured = capsys.readouterr()
+        assert status == 1 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("error: internal: 5.1a at p=1, mu=3: tally reduces")
+
 
 def test_every_public_name_resolves():
     import flatspec
 
     for name in flatspec.__all__:
         assert getattr(flatspec, name) is not None, name
+
+
+# ---------------------------------------------------------------------------
+# A fuzzed boundary: whatever the argv and the JSON file, the CLI answers with
+# exit 0, 1 or 2, and exit 1 is one ``error:`` line on stderr.
+
+DOC = "@doc"  # stands for the path of the generated JSON file
+HUGE = st.sampled_from([10**30, -(10**30), 2**63])
+JUNK = st.sampled_from([None, True, False, 2.5, "x", [], {}, [[1]], [[[0]]]])
+FRACTIONS = st.sampled_from(["0", "1/2", "1/4", "3/4", "1/3", "-1/2", 0, 1, -1, 10**30])
+
+
+def mostly(common, rare, tenths=8):
+    """Draw from ``common`` in about ``tenths`` of ten examples, else from ``rare``."""
+    return st.sampled_from(range(10)).flatmap(lambda k: common if k < tenths else rare)
+
+
+CUTOFFS = mostly(st.sampled_from(["0", "1", "2", "3", "4"]),
+                 st.sampled_from(["10001", str(10**20), "-1"]), tenths=7)
+# catalog entries and their parameter names; the last two ids are not in it
+FAMILIES = {"4.1": "nk", "4.2": "nkj", "4.2h": "nh", "5.9": "k",
+            "4.3": "", "4.5": "", "5.1": "", "5.6": "", "9.9": "", "x(": ""}
+
+
+@st.composite
+def catalog_ids(draw):
+    """Catalog ids, members and parameters, with repeats, unknown names and
+    out-of-range or non-integer values mixed in."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(
+            ["4.3", "4.5", "4.5b", "5.1", "5.1a", "5.5b", "5.7a", "5.8", "4.1(n=4,k=1)",
+             "4.1(n=6,k=3)", "4.1(n=40,k=1)", "4.2(n=4,k=3,j=2)", "4.2h(n=6,h=2)", "5.9(k=1)a"]
+        ))
+    base = draw(st.sampled_from(sorted(FAMILIES)))
+    names = list(FAMILIES[base])
+    if draw(mostly(st.just(False), st.just(True))):
+        names.append(draw(st.sampled_from("nkjq")))
+    values = mostly(st.sampled_from("12345678"),
+                    st.sampled_from(["-1", "0", "40", "x", ""]), tenths=7)
+    params = ",".join(f"{name}={draw(values)}" for name in names)
+    member = draw(mostly(st.just(""), st.sampled_from("abc"), tenths=6))
+    return base + (f"({params})" if params else "") + member
+
+
+degree_specs = mostly(
+    st.sampled_from(["0", "1", "0..2", "1,3", "2..4", "0..9"]),
+    st.sampled_from(["3..1", "1..99999999999", "-99999999999..0", "", ",", "x", "0..",
+                     "99999999999", str(10**20)]),
+)
+degrees = mostly(st.sampled_from(["0", "1", "2", "3"]),
+                 st.sampled_from(["-1", "9", str(10**20), "x"]))
+OPTIONS = {
+    "multiplicity": (("--p", degrees), ("--mu", CUTOFFS)),
+    "spectrum": (("--p", degree_specs), ("--mu-max", CUTOFFS)),
+    "compare": (("--p", degree_specs), ("--mu-max", CUTOFFS)),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """Mostly argv the parser accepts, so that the library sees the inputs."""
+    command = draw(mostly(
+        st.sampled_from(["validate", "betti", "homology", "multiplicity", "spectrum", "compare"]),
+        st.sampled_from(["corpus", "corpus", "bogus"]),
+        tenths=9,
+    ))
+    argv = [command]
+    if command != "corpus":
+        for _ in range(draw(mostly(st.just(1), st.sampled_from([0, 2]), tenths=7))):
+            argv += draw(mostly(st.builds(lambda i: ["--corpus", i], catalog_ids()),
+                                st.just(["--input", DOC]), tenths=6))
+    for flag, values in OPTIONS.get(command, ()):
+        if draw(mostly(st.just(True), st.just(False), tenths=9)):
+            argv += [flag, draw(values)]
+    if draw(st.booleans()):
+        argv += ["--format", draw(mostly(st.sampled_from(["table", "json"]), st.just("xml"), 9))]
+    if draw(mostly(st.just(False), st.just(True), tenths=9)):
+        argv.append(draw(st.sampled_from(["--mu", "--bogus", "extra"])))
+    return argv
+
+
+@st.composite
+def group_documents(draw):
+    """A group definition of dimension at most 6 with some fields broken."""
+    n = draw(st.integers(1, 6))
+    gens = []
+    for _ in range(draw(st.integers(0, 2))):
+        perm = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+        gen = {
+            "matrix": [[signs[j] if perm[j] == i else 0 for j in range(n)] for i in range(n)],
+            "translation": draw(st.lists(FRACTIONS, min_size=n, max_size=n)),
+        }
+        if draw(st.booleans()):
+            gen["order"] = draw(st.integers(-1, 12) | HUGE | JUNK)
+        gens.append(gen)
+    doc = {"dim": n, "generators": gens}
+    # break one field: wrong types, huge or negative integers, empty or
+    # non-square matrices, mismatched dimensions, nested lists
+    breakage = draw(st.sampled_from(["none", "dim", "matrix", "row", "translation", "gens"]))
+    if breakage == "dim":
+        doc["dim"] = draw(st.integers(-1, 6) | JUNK)
+    elif breakage == "gens":
+        doc["generators"] = draw(JUNK)
+    elif gens and breakage == "matrix":
+        gens[0]["matrix"] = draw(JUNK | st.lists(
+            st.lists(st.integers(-2, 2) | HUGE | JUNK, max_size=4), max_size=4))
+    elif gens and breakage == "row":
+        gens[0]["matrix"][0] = draw(JUNK | HUGE | st.lists(st.integers(-1, 1), max_size=7))
+    elif gens and breakage == "translation":
+        gens[0]["translation"] = draw(JUNK | st.lists(FRACTIONS | JUNK | st.just("1/0"), max_size=7))
+    return doc
+
+
+documents = mostly(
+    group_documents().map(lambda doc: json.dumps(doc).encode()),
+    JUNK.map(lambda doc: json.dumps(doc).encode())
+    | st.sampled_from([b"[" * 100_000, b'{"dim": ' + b"7" * 5000 + b"}", b"\xff\xfe", b"{not"]),
+)
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=cli_argv(), doc=documents)
+@pinned(argv=["betti", "--input", DOC], doc=b"[" * 100_000)
+@pinned(argv=["betti", "--input", DOC], doc=b'{"dim": ' + b"7" * 5000 + b"}")
+@pinned(argv=["betti", "--input", DOC], doc=b"\xff\xfe")
+@pinned(argv=["spectrum", "--corpus", "4.5a", "--p", "1..99999999999"], doc=b"{}")
+@pinned(argv=["validate", "--input", DOC],
+        doc=b'{"dim": 2, "generators": [{"matrix": [1, 2], "translation": [0, 0]}]}')
+@pinned(argv=["betti", "--corpus", "4.1(n=4,k=1,k=3)"], doc=b"{}")
+def test_cli_boundary(doc_path, argv, doc):
+    doc_path.write_bytes(doc)
+    argv = [str(doc_path) if arg == DOC else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    assert status in (0, 1, 2), argv
+    if status == 1:
+        assert out.getvalue() == "", argv
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, (argv, err.getvalue())
+    else:
+        assert err.getvalue() == "", argv

@@ -26,6 +26,7 @@ from flatspec.crystal import (
     validate_bieberbach,
 )
 from flatspec.exact_linear import (
+    UsageError,
     identity_matrix,
     in_image_lattice,
     mat_vec,
@@ -434,12 +435,28 @@ class TestCorpus:
             assert validate_bieberbach(defn).is_torsion_free, label
 
     def test_unknown_id(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(UsageError):
             example("9.9")
 
     def test_missing_parameters(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(UsageError):
             example("4.1")
+
+    def test_member_suffix_returns_one_group(self):
+        first, second = example("5.1")
+        assert example("5.1a") == first
+        assert example("5.1b") == second
+        assert example("5.9(k=1)b").label == "5.9(k=1)b"
+        with pytest.raises(UsageError, match="is a single group"):
+            example("4.1(n=4,k=1)a")
+
+    def test_repeated_parameter_refused(self):
+        with pytest.raises(UsageError, match="repeated parameter 'k'"):
+            example("4.1(n=4,k=1,k=3)")
+
+    def test_builder_range_errors_name_the_id(self):
+        with pytest.raises(UsageError, match=r"^bad parameters in '4.1\(n=5,k=1\)': "):
+            example("4.1(n=5,k=1)")
 
     def test_bad_parameter_values(self):
         with pytest.raises(ValueError):

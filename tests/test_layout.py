@@ -1,4 +1,5 @@
-"""Module boundaries: the engine never imports the cross-check oracles."""
+"""Module boundaries: the engine never imports the cross-check oracles, and
+the CLI maps library errors in one place."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,25 @@ def test_every_oracle_is_public():
     }
     assert public == ORACLES
     assert ORACLES <= set(flatspec.__all__)
+
+
+def test_cli_maps_errors_in_one_place():
+    """Every except in cli.py names only FlatspecError, but the one that wraps
+    the file read."""
+    handlers = []
+    for node in ast.walk(ast.parse((SRC / "cli.py").read_text())):
+        if not isinstance(node, ast.Try):
+            continue
+        opens = any(
+            isinstance(call, ast.Call) and ast.unparse(call.func) == "open"
+            for stmt in node.body for call in ast.walk(stmt)
+        )
+        for handler in node.handlers:
+            types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            names = tuple(sorted(ast.unparse(t) for t in types if t is not None))
+            handlers.append((names, opens))
+    assert sorted(handlers) == [
+        (("FlatspecError",), False),
+        (("FlatspecError",), False),
+        (("OSError", "RecursionError", "ValueError"), True),
+    ]
