@@ -11,8 +11,8 @@ import re
 from fractions import Fraction
 from typing import Callable, Union
 
-from .crystal import AffineGenerator, GroupDefinition, extend_with_characters
-from .exact_linear import UsageError, signed_perm, signed_perm_matrix
+from .crystal import DIM_CAP, AffineGenerator, GroupDefinition, extend_with_characters
+from .exact_linear import LimitError, UsageError, signed_perm, signed_perm_matrix
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -263,11 +263,17 @@ def example(catalog_id: str) -> CorpusEntry:
                 params[key] = int(value)
             except ValueError:
                 raise UsageError(f"non-integer parameter value in {catalog_id!r}")
+    # no family parameter exceeds the dimension it builds: refuse before building
+    for key, value in params.items():
+        if value > DIM_CAP:
+            raise LimitError(f"parameter {key}={value} exceeds the dimension cap {DIM_CAP}")
     missing = [p for p in param_names if p not in params]
     if missing:
         raise UsageError(f"catalog id {base!r} needs parameters {missing}")
     try:
         entry = builder(**params)
+    except LimitError:
+        raise
     except ValueError as exc:
         raise UsageError(f"bad parameters in {catalog_id!r}: {exc}") from exc
     return entry["ab".index(member)] if member else entry

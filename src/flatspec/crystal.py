@@ -18,6 +18,7 @@ from math import lcm, prod
 from typing import Sequence
 
 from .exact_linear import (
+    Cycle,
     IntMatrix,
     IntVector,
     LimitError,
@@ -33,6 +34,7 @@ from .exact_linear import (
 )
 
 COSET_CAP = 1024
+DIM_CAP = 64
 
 
 class GroupStructureError(UsageError):
@@ -93,6 +95,8 @@ class GroupDefinition:
         object.__setattr__(self, "generators", tuple(self.generators))
         if self.dim < 1:
             raise UsageError("dimension must be positive")
+        if self.dim > DIM_CAP:
+            raise LimitError(f"dimension {self.dim} exceeds cap {DIM_CAP}")
         for g in self.generators:
             if g.dim != self.dim:
                 raise UsageError("generator size does not match group dimension")
@@ -283,27 +287,34 @@ def check_pairwise_condition(definition: GroupDefinition) -> list[tuple[int, int
     ]
 
 
-def _power_sum_image(matrix: IntMatrix, b: RatVector) -> tuple[int, IntVector, bool]:
-    """(q, q S b, off) for S = sum_{j=0}^{m-1} B^{-j}, m the order of B.
+def fixed_cycle_phases(walk: Sequence[Cycle], b: RatVector) -> tuple[int, list[tuple[Cycle, int]]]:
+    """(q, [(c, u_c . q b)]) over the cycles c of sign +1 in ``walk``, q the lcm
+    of the denominators of b.
 
-    q is the lcm of the denominators of b, so t = q b is integral.  S
-    vanishes on a cycle of sign -1 and is (m / L_c) u_c u_c^T on a fixed
-    cycle c of length L_c, so q S b = sum_c (m / L_c)(u_c . t) u_c.  ``off``
-    is True iff u_c . t is not divisible by q for some fixed cycle c.
+    A vector fixed by B is v = sum_c k_c u_c with k_c = v[c.support[0]], so
+    v . b = sum_c k_c (u_c . b): only these phases reach a character sum.
     """
     q = lcm(*(x.denominator for x in b))
     t = _scaled(b, q)
+    return q, [(c, sum(c.vector[j] * t[j] for j in c.support)) for c in walk if c.sign == 1]
+
+
+def _power_sum_image(matrix: IntMatrix, b: RatVector) -> tuple[int, IntVector, bool]:
+    """(q, q S b, off) for S = sum_{j=0}^{m-1} B^{-j}, m the order of B.
+
+    q is the lcm of the denominators of b.  S vanishes on a cycle of sign -1
+    and is (m / L_c) u_c u_c^T on a fixed cycle c of length L_c, so
+    q S b = sum_c (m / L_c)(u_c . q b) u_c.  ``off`` is True iff u_c . q b is
+    not divisible by q for some fixed cycle c.
+    """
     walk = cycles(matrix)
+    q, phases = fixed_cycle_phases(walk, b)
     m = lcm(*(len(c.support) * (1 if c.sign == 1 else 2) for c in walk))
-    w = [0] * len(t)
-    off = False
-    for c in walk:
-        if c.sign == 1:
-            ut = sum(c.vector[j] * t[j] for j in c.support)
-            off = off or ut % q != 0
-            for j in c.support:
-                w[j] = m // len(c.support) * ut * c.vector[j]
-    return q, tuple(w), off
+    w = [0] * len(b)
+    for c, ut in phases:
+        for j in c.support:
+            w[j] = m // len(c.support) * ut * c.vector[j]
+    return q, tuple(w), any(ut % q for _, ut in phases)
 
 
 def check_torsion_condition(element: PointGroupElement) -> bool:
@@ -418,11 +429,9 @@ def first_homology(definition: GroupDefinition) -> AbelianGroupType:
 
     if not rows:
         return AbelianGroupType(free_rank=r + n, torsion=())
-    snf = smith_normal_form(tuple(tuple(row) for row in rows))
-    diag = snf.diagonal()
+    diag = smith_normal_form(rows)
     rank = sum(1 for d in diag if d != 0)
-    torsion = tuple(d for d in diag if d > 1)
-    return AbelianGroupType(free_rank=(r + n) - rank, torsion=torsion)
+    return AbelianGroupType(free_rank=(r + n) - rank, torsion=tuple(d for d in diag if d > 1))
 
 
 def build_hw_group(a: HWMatrix) -> GroupDefinition:

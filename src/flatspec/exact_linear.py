@@ -1,14 +1,14 @@
-"""Exact integer and rational linear algebra over the canonical lattice Z^n.
+"""Signed permutations, their cycles, and integer lattices in Z^n.
 
 Matrices are tuples of row tuples of Python ints; vectors are plain tuples.
-Rational vectors use ``fractions.Fraction``.  Every operation in this module
-is exact: no floating point anywhere.  The error taxonomy lives here too,
-since every other module imports this one.
+Rational vectors use ``fractions.Fraction``.  Lattice work goes through two
+routines: one Hermite basis and one invariant-factor Smith form.  Every
+operation is exact.  The error taxonomy lives here too, since every other
+module imports this one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from typing import NamedTuple, Sequence
@@ -54,34 +54,6 @@ def as_int_matrix(rows: Sequence[Sequence[int]], name: str = "matrix") -> IntMat
                 if not isinstance(entry, int) or isinstance(entry, bool):
                     raise UsageError(f"non-integer entry in {name}: {entry!r}")
     return frozen
-
-
-def identity_matrix(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def transpose(m: IntMatrix) -> IntMatrix:
-    return tuple(zip(*m)) if m else ()
-
-
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if len(a[0]) != len(b):
-        raise ValueError("incompatible shapes for matrix product")
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
-def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_vec(m: IntMatrix, v: Sequence) -> tuple:
-    """Apply ``m`` to a vector of ints or Fractions."""
-    if m and len(m[0]) != len(v):
-        raise ValueError("incompatible shapes for matrix-vector product")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
 
 
 def signed_perm(m: IntMatrix) -> tuple[IntVector, IntVector]:
@@ -187,117 +159,42 @@ def trace_p(m: IntMatrix, p: int) -> int:
     return poly[p]
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """Unimodular u, v and diagonal d with u * m * v = d, d_1 | d_2 | ..."""
-
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
-
-    def diagonal(self) -> tuple[int, ...]:
-        k = min(len(self.d), len(self.d[0]) if self.d else 0)
-        return tuple(self.d[i][i] for i in range(k))
-
-    def rank(self) -> int:
-        return sum(1 for x in self.diagonal() if x != 0)
-
-
-def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with transformation matrices.
-
-    Deterministic: pivots are chosen as the smallest nonzero |entry|,
-    ties broken by position.
+def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
+    """Invariant factors d_1 | d_2 | ... of ``m``, min(rows, cols) of them,
+    nonnegative, zeros last (Cohen, *A Course in Computational Algebraic
+    Number Theory*, 2.4.14), with no transformation matrices.  The pivot is
+    the smallest nonzero |entry| left; remainders shrink it until its row and
+    column are clear, and a row it does not divide is added into its row.
     """
     a = [list(row) for row in m]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul_row(i, j, q):
-        # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def addmul_col(i, j, q):
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(nrows, ncols):
-        # locate smallest nonzero |entry| in the trailing block
-        pivot = None
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        if pivot[0] != t:
-            swap_rows(t, pivot[0])
-        if pivot[1] != t:
-            swap_cols(t, pivot[1])
-        if a[t][t] < 0:
-            negate_row(t)
-
-        # clear the rest of row t and column t; remainders shrink |pivot|
+    nrows, ncols = len(a), len(a[0]) if a else 0
+    k = min(nrows, ncols)
+    for t in range(k):
         while True:
-            dirty = False
+            block = [
+                (abs(a[i][j]), i, j) for i in range(t, nrows) for j in range(t, ncols) if a[i][j]
+            ]
+            if not block:
+                return tuple(abs(a[i][i]) for i in range(t)) + (0,) * (k - t)
+            _, i0, j0 = min(block)
+            a[t], a[i0] = a[i0], a[t]
+            for row in a:
+                row[t], row[j0] = row[j0], row[t]
+            p = a[t][t]
             for i in range(t + 1, nrows):
-                if a[i][t] != 0:
-                    addmul_row(i, t, a[i][t] // a[t][t])
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        if a[t][t] < 0:
-                            negate_row(t)
-                        dirty = True
+                if q := a[i][t] // p:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
             for j in range(t + 1, ncols):
-                if a[t][j] != 0:
-                    addmul_col(j, t, a[t][j] // a[t][t])
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
+                if q := a[t][j] // p:
+                    for row in a:
+                        row[j] -= q * row[t]
+            if any(a[i][t] for i in range(t + 1, nrows)) or any(a[t][t + 1:]):
+                continue
+            bad = [i for i in range(t + 1, nrows) if any(x % p for x in a[i][t + 1:])]
+            if not bad:
                 break
-
-        # enforce d_t | trailing entries
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if a[i][j] % a[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            addmul_row(t, offender, -1)
-            continue  # redo elimination at the same t
-        t += 1
-
-    d = tuple(tuple(row) for row in a)
-    return SmithDecomposition(
-        u=tuple(tuple(row) for row in u), d=d, v=tuple(tuple(row) for row in v)
-    )
+            a[t] = [x + y for x, y in zip(a[t], a[bad[0]])]
+    return tuple(abs(a[i][i]) for i in range(k))
 
 
 def hermite_row_basis(vectors: Sequence[IntVector]) -> tuple[IntVector, ...]:
@@ -348,38 +245,24 @@ def hermite_row_basis(vectors: Sequence[IntVector]) -> tuple[IntVector, ...]:
 def integer_kernel(m: IntMatrix) -> tuple[IntVector, ...]:
     """Hermite-reduced primitive basis of {v in Z^cols : m v = 0}.
 
-    The basis extends to a basis of Z^cols (it consists of columns of a
-    unimodular matrix), so membership in its span over Z is membership in
-    the kernel sublattice.
+    Row operations on (m^T | I) keep each row of the form (m v, v).  The
+    Hermite rows are in echelon form, so those whose m^T part vanishes span
+    exactly the kernel, and their I parts are already Hermite-reduced.
     """
     if not m:
         return ()
-    snf = smith_normal_form(m)
-    rank = snf.rank()
-    ncols = len(m[0])
-    vt = transpose(snf.v)
-    return hermite_row_basis(vt[rank:ncols])
+    nrows, ncols = len(m), len(m[0])
+    rows = [col + tuple(int(i == j) for i in range(ncols)) for j, col in enumerate(zip(*m))]
+    return tuple(row[nrows:] for row in hermite_row_basis(rows) if not any(row[:nrows]))
 
 
 def in_image_lattice(s: IntMatrix, w: Sequence) -> bool:
-    """Decide w in s * Z^n exactly, via the Smith form of s.
+    """Decide w in s * Z^n exactly: a lattice has one Hermite basis, so w lies
+    in the column lattice of s iff adding it leaves that basis unchanged.
 
     ``w`` must have integer entries (callers check membership in Z^n first).
     """
-    wi = []
-    for x in w:
-        f = Fraction(x)
-        if f.denominator != 1:
-            raise ValueError(f"in_image_lattice needs an integer vector, got {x}")
-        wi.append(f.numerator)
-    snf = smith_normal_form(s)
-    y = mat_vec(snf.u, wi)
-    diag = snf.diagonal()
-    for i, yi in enumerate(y):
-        di = diag[i] if i < len(diag) else 0
-        if di == 0:
-            if yi != 0:
-                return False
-        elif yi % di != 0:
-            return False
-    return True
+    if any(Fraction(x).denominator != 1 for x in w):
+        raise ValueError(f"in_image_lattice needs an integer vector, got {w}")
+    cols = list(zip(*s))
+    return hermite_row_basis(cols) == hermite_row_basis(cols + [tuple(map(int, w))])

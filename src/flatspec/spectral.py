@@ -5,9 +5,9 @@ For a valid group the multiplicity of the eigenvalue 4*pi^2*mu on p-forms is
     d_{p,mu} = |F|^{-1} sum_{B in F} trace_p(B) e_{mu,B},
 
 where e_{mu,B} sums e^{2*pi*i v.b} over lattice vectors v of squared norm mu
-fixed by B.  Each e_{mu,B} is an integer tally of q-th roots of unity, the
-phase of v being v.(q b) mod q; a cell adds its weighted tallies into one flat
-list over zeta_Q, Q the lcm of their q, and reduces it once modulo Phi_Q.
+fixed by B.  Each e_{mu,B} is an integer tally of q-th roots of unity, q the
+lcm of the denominators of the phases u_c . b of B's fixed cycles; a cell adds
+its weighted tallies into one flat list over zeta_Q, Q the lcm of their q.
 
 Table keys use mu throughout; the eigenvalue itself is 4*pi^2*mu.
 """
@@ -17,12 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .crystal import (
     GroupDefinition,
     PointGroupElement,
     close_point_group,
+    fixed_cycle_phases,
     require_valid,
 )
 from .exact_linear import (
@@ -190,12 +191,14 @@ def enumerate_fixed_shell(matrix: IntMatrix, mu: int) -> tuple[tuple[int, ...], 
 @lru_cache(maxsize=None)
 def character_sum(element: PointGroupElement, mu: int) -> RootOfUnityTally:
     """e_{mu,B} = sum of e^(2 pi i v.b) over the fixed shell, as a tally over
-    zeta_q: with q the lcm of the denominators of b and t = q b, v has phase v.t."""
-    q = lcm(*(x.denominator for x in element.translation))
-    t = [(j, x.numerator * (q // x.denominator)) for j, x in enumerate(element.translation) if x]
+    zeta_q: q is the lcm of the denominators of the fixed-cycle phases u_c . b,
+    and v = sum_c k_c u_c has phase sum_c k_c q (u_c . b)."""
+    r, fixed = fixed_cycle_phases(cycles(element.matrix), element.translation)
+    q = lcm(*(r // gcd(a, r) for _, a in fixed))
+    phases = [(c.support[0], a * q // r) for c, a in fixed if a % r]
     counts = [0] * q
     for v in enumerate_fixed_shell(element.matrix, mu):
-        counts[sum(v[j] * tj for j, tj in t) % q] += 1
+        counts[sum(v[j] * a for j, a in phases) % q] += 1
     return RootOfUnityTally(q, tuple(counts))
 
 

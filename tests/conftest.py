@@ -21,20 +21,40 @@ from flatspec.crystal import (
     close_point_group,
     require_valid,
 )
-from flatspec.exact_linear import (
-    identity_matrix,
-    in_image_lattice,
-    mat_mul,
-    mat_sub,
-    mat_vec,
-    smith_normal_form,
-    trace_p,
-    transpose,
-)
+from flatspec.exact_linear import in_image_lattice, smith_normal_form, trace_p
 from flatspec.oracles import enumerate_shell
 from flatspec.spectral import RootOfUnityTally, character_sum, reduce_tally
 
 HALF = Fraction(1, 2)
+
+
+# Generic matrix arithmetic for the references below; the library itself works
+# on signed permutations as (image, sign) and never multiplies matrices.
+
+def identity_matrix(n: int):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def transpose(m):
+    return tuple(zip(*m)) if m else ()
+
+
+def mat_mul(a, b):
+    if len(a[0]) != len(b):
+        raise ValueError("incompatible shapes for matrix product")
+    bt = transpose(b)
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_vec(m, v) -> tuple:
+    """Apply ``m`` to a vector of ints or Fractions."""
+    if m and len(m[0]) != len(v):
+        raise ValueError("incompatible shapes for matrix-vector product")
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
 
 
 def det_oracle(matrix) -> int:
@@ -259,7 +279,7 @@ def first_homology_reference(definition):
 
     if not rows:
         return AbelianGroupType(free_rank=r + n, torsion=())
-    diag = smith_normal_form(tuple(tuple(row) for row in rows)).diagonal()
+    diag = smith_normal_form(rows)
     rank = sum(1 for d in diag if d != 0)
     return AbelianGroupType(
         free_rank=(r + n) - rank, torsion=tuple(d for d in diag if d > 1)

@@ -14,16 +14,7 @@ from flatspec.crystal import (
     first_homology,
     validate_bieberbach,
 )
-from flatspec.exact_linear import (
-    identity_matrix,
-    integer_kernel,
-    mat_mul,
-    mat_sub,
-    mat_vec,
-    signed_permutation_order,
-    trace_p,
-    transpose,
-)
+from flatspec.exact_linear import integer_kernel, signed_permutation_order, trace_p
 from flatspec.isospec import (
     compare_spectra,
     duality_check,
@@ -51,7 +42,16 @@ from flatspec.spectral import (
 )
 from flatspec import AffineGenerator, GroupDefinition, example
 
-from conftest import classical_hw_matrix, corpus_defs, diagonal_fixed_count
+from conftest import (
+    classical_hw_matrix,
+    corpus_defs,
+    diagonal_fixed_count,
+    identity_matrix,
+    mat_mul,
+    mat_sub,
+    mat_vec,
+    transpose,
+)
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)

@@ -321,6 +321,25 @@ class TestLimitErrors:
         assert_one_line_error(status, text, prefix="error: limit: ")
         assert "4620" in text
 
+    def test_dimension_cap_refused_before_any_work(self, capsys, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"dim": 100000, "generators": []}))
+        for argv, message in (
+            (("validate", "--input", str(path)), "dimension 100000 exceeds cap 64"),
+            (("betti", "--corpus", "4.1(n=2000,k=1)"), "parameter n=2000 exceeds the dimension"),
+            (("betti", "--corpus", "5.9(k=59)a"), "dimension 65 exceeds cap 64"),
+        ):
+            start = time.perf_counter()
+            status, text = run_cli_all(capsys, *argv)
+            assert time.perf_counter() - start < 1, argv
+            assert_one_line_error(status, text, prefix="error: limit: ")
+            assert message in text
+
+    def test_dimension_cap_admits_every_family_at_64(self, capsys):
+        for catalog_id in ("4.1(n=64,k=63)", "4.2h(n=64,h=32)", "5.9(k=58)b"):
+            status, out = run_cli(capsys, "betti", "--corpus", catalog_id)
+            assert status == 0 and len(out.split(":")[1].split()) == 65, catalog_id
+
     def test_forty_dimensional_betti_row(self, capsys):
         from math import comb
 
@@ -430,6 +449,18 @@ class TestTracebackInputs:
         assert "form degree 5 out of range for dimension 4" in text
 
 
+class TestTallyModulus:
+    def test_negated_coordinate_denominator_is_not_a_modulus(self, capsys, tmp_path):
+        # b_2 = 1/100003 sits on the negated coordinate, so no fixed vector sees it
+        gen = {"matrix": [[1, 0], [0, -1]], "translation": ["1/2", "1/100003"]}
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"dim": 2, "generators": [gen]}))
+        start = time.perf_counter()
+        status, out = run_cli(capsys, "multiplicity", "--input", str(path), "--p", "0", "--mu", "1")
+        assert time.perf_counter() - start < 1
+        assert status == 0 and out.endswith("d_(p=0, mu=1) = 1")
+
+
 class TestErrorClasses:
     def test_library_errors_sit_in_the_taxonomy(self):
         assert issubclass(GroupStructureError, UsageError)
@@ -502,7 +533,7 @@ def catalog_ids(draw):
     if draw(mostly(st.just(False), st.just(True))):
         names.append(draw(st.sampled_from("nkjq")))
     values = mostly(st.sampled_from("12345678"),
-                    st.sampled_from(["-1", "0", "40", "x", ""]), tenths=7)
+                    st.sampled_from(["-1", "0", "40", "2000", str(10**9), "x", ""]), tenths=7)
     params = ",".join(f"{name}={draw(values)}" for name in names)
     member = draw(mostly(st.just(""), st.sampled_from("abc"), tenths=6))
     return base + (f"({params})" if params else "") + member
@@ -599,6 +630,7 @@ def doc_path(tmp_path_factory):
 @pinned(argv=["validate", "--input", DOC],
         doc=b'{"dim": 2, "generators": [{"matrix": [1, 2], "translation": [0, 0]}]}')
 @pinned(argv=["betti", "--corpus", "4.1(n=4,k=1,k=3)"], doc=b"{}")
+@pinned(argv=["validate", "--input", DOC], doc=b'{"dim": 100000, "generators": []}')
 def test_cli_boundary(doc_path, argv, doc):
     doc_path.write_bytes(doc)
     argv = [str(doc_path) if arg == DOC else arg for arg in argv]

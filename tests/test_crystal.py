@@ -25,19 +25,15 @@ from flatspec.crystal import (
     group_to_json,
     validate_bieberbach,
 )
-from flatspec.exact_linear import (
-    UsageError,
-    identity_matrix,
-    in_image_lattice,
-    mat_vec,
-    signed_permutation_order,
-)
+from flatspec.exact_linear import UsageError, in_image_lattice, signed_permutation_order
 from flatspec import example
 
 from conftest import (
     classical_hw_matrix,
     close_point_group_reference,
     first_homology_reference,
+    identity_matrix,
+    mat_vec,
     pairwise_condition_reference,
     power_sum_oracle,
     random_candidate,

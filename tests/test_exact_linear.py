@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -8,21 +10,25 @@ from flatspec.exact_linear import (
     cycles,
     det,
     hermite_row_basis,
-    identity_matrix,
     in_image_lattice,
     integer_kernel,
     is_signed_permutation,
-    mat_mul,
-    mat_sub,
-    mat_vec,
     signed_permutation_order,
     smith_normal_form,
     trace_p,
-    transpose,
 )
 from flatspec import example
 
-from conftest import char_poly, det_oracle, signed_permutations
+from conftest import (
+    char_poly,
+    det_oracle,
+    identity_matrix,
+    mat_mul,
+    mat_sub,
+    mat_vec,
+    signed_permutations,
+    transpose,
+)
 
 J = ((0, 1), (-1, 0))
 
@@ -245,37 +251,47 @@ class TestIntegerKernel:
         for v in basis:
             assert all(x == 0 for x in mat_vec(m, v))
         if basis:
-            snf = smith_normal_form(basis)
-            assert all(d == 1 for d in snf.diagonal())
+            assert all(d == 1 for d in smith_normal_form(basis))
+
+
+rectangular_matrices = st.tuples(st.integers(1, 6), st.integers(1, 4)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.integers(-4, 4), min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0],
+        max_size=shape[0],
+    ).map(lambda rows: tuple(tuple(r) for r in rows))
+)
 
 
 class TestSmithNormalForm:
     def test_coprime_diagonal(self):
-        snf = smith_normal_form(diag(2, 3))
-        assert snf.diagonal() == (1, 6)
+        assert smith_normal_form(diag(2, 3)) == (1, 6)
 
     def test_zero_matrix(self):
-        snf = smith_normal_form(((0, 0), (0, 0)))
-        assert snf.diagonal() == (0, 0)
+        assert smith_normal_form(((0, 0), (0, 0))) == (0, 0)
 
     def test_scalar_matrix(self):
-        snf = smith_normal_form(diag(2, 2))
-        assert snf.diagonal() == (2, 2)
+        assert smith_normal_form(diag(2, 2)) == (2, 2)
 
-    @settings(max_examples=80, deadline=None)
-    @given(small_matrices)
-    def test_recomposition_chain_unimodularity(self, m):
-        snf = smith_normal_form(m)
-        assert mat_mul(mat_mul(snf.u, m), snf.v) == snf.d
-        diagonal = snf.diagonal()
-        for a, b in zip(diagonal, diagonal[1:]):
+    def test_rectangular_zeros_last(self):
+        assert smith_normal_form(((0, 4), (0, 6), (0, 0))) == (2, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rectangular_matrices)
+    def test_chain_and_minor_gcds(self, m):
+        """d_1 ... d_k is the gcd of the k x k minors (Cohen, 2.4.14)."""
+        factors = smith_normal_form(m)
+        assert len(factors) == min(len(m), len(m[0]))
+        for a, b in zip(factors, factors[1:]):
             assert a >= 0
-            if a != 0:
-                assert b % a == 0
-            else:
-                assert b == 0
-        assert det_oracle(snf.u) in (1, -1)
-        assert det_oracle(snf.v) in (1, -1)
+            assert b % a == 0 if a else b == 0
+        for k in range(1, len(factors) + 1):
+            minors = [
+                det_oracle(tuple(tuple(m[i][j] for j in cols) for i in rows))
+                for rows in combinations(range(len(m)), k)
+                for cols in combinations(range(len(m[0])), k)
+            ]
+            assert prod(factors[:k]) == gcd(*minors), k
 
 
 class TestHermiteRowBasis:

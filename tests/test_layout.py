@@ -1,12 +1,15 @@
-"""Module boundaries: the engine never imports the cross-check oracles, and
-the CLI maps library errors in one place."""
+"""Module boundaries: the engine never imports the cross-check oracles, the
+CLI maps library errors in one place, and every name the benchmark traces
+exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import flatspec
 
 SRC = Path(flatspec.__file__).parent
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 ENGINE = {"crystal", "exact_linear", "spectral", "isospec", "corpus", "cli"}
 ORACLES = {
     "enumerate_shell",
@@ -69,3 +72,25 @@ def test_cli_maps_errors_in_one_place():
         (("FlatspecError",), False),
         (("OSError", "RecursionError", "ValueError"), True),
     ]
+
+
+def spans_constant(name):
+    """The literal value of a module-level constant of bench/spans.py."""
+    for node in ast.parse(SPANS.read_text()).body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} not found in {SPANS}")
+
+
+def resolve(qualname):
+    module, _, name = qualname.rpartition(".")
+    return getattr(importlib.import_module(f"flatspec.{module}"), name, None)
+
+
+def test_every_traced_name_resolves():
+    """A traced name that no longer resolves drops its metrics from a traced
+    benchmark run, and a cache that goes drops its hit ratio."""
+    for qualname in spans_constant("TRACED"):
+        assert callable(resolve(qualname)), qualname
+    for qualname in spans_constant("HIT_RATIO"):
+        assert hasattr(resolve(qualname), "cache_info"), qualname

@@ -13,19 +13,18 @@ from flatspec.crystal import (
     first_homology,
     validate_bieberbach,
 )
-from flatspec.exact_linear import (
-    identity_matrix,
-    integer_kernel,
-    mat_mul,
-    mat_sub,
-    mat_vec,
-    trace_p,
-    transpose,
-)
+from flatspec.exact_linear import integer_kernel, trace_p
 from flatspec.oracles import PROJECTOR_BASIS_CAP, diagonal_trace, projector_oracle
 from flatspec.spectral import betti, multiplicity
 
-from conftest import diagonal_fixed_count
+from conftest import (
+    diagonal_fixed_count,
+    identity_matrix,
+    mat_mul,
+    mat_sub,
+    mat_vec,
+    transpose,
+)
 
 HALF = Fraction(1, 2)
 

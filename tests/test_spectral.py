@@ -37,6 +37,7 @@ from conftest import (
     character_sum_reference,
     classical_hw_matrix,
     diagonal_fixed_count,
+    identity_matrix,
     multiplicity_reference,
     random_candidate,
     tallies_equal,
@@ -102,8 +103,6 @@ class TestFixedShells:
         assert enumerate_fixed_shell(m, 0) == ((0, 0, 0, 0),)
 
     def test_identity_matches_full_shell(self):
-        from flatspec.exact_linear import identity_matrix
-
         for mu in range(5):
             fixed = enumerate_fixed_shell(identity_matrix(4), mu)
             assert set(fixed) == set(enumerate_shell(4, mu))
@@ -248,11 +247,13 @@ def random_valid_group(rng) -> GroupDefinition:
 
 
 def assert_matches_spectral_references(defn, mu_max=6):
-    """Same tallies (modulus and counts) per element and same d_{p,mu} per cell."""
+    """Equal tallies per element, as algebraic numbers (the engine's modulus
+    counts only fixed-cycle phases), and the same d_{p,mu} per cell."""
     elements = close_point_group(defn)
     for mu in range(mu_max + 1):
         for el in elements:
-            assert character_sum(el, mu) == character_sum_reference(el, mu), (el, mu)
+            engine, reference = character_sum(el, mu), character_sum_reference(el, mu)
+            assert tallies_equal(engine, reference), (el, mu)
         for p in range(defn.dim + 1):
             assert multiplicity(defn, p, mu) == multiplicity_reference(defn, p, mu), (p, mu)
 
@@ -264,6 +265,16 @@ class TestIntegerPhaseDifferential:
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_random_torsion_free_groups(self, seed):
         assert_matches_spectral_references(random_valid_group(random.Random(seed)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_tally_modulus_divides_the_element_order(self, seed):
+        # gamma^m = L_{S b} lies in Z^n, and S b has (m / L_c)(u_c . b) on
+        # each fixed cycle c, so each phase denominator divides m
+        for el in close_point_group(random_valid_group(random.Random(seed))):
+            order = signed_permutation_order(el.matrix)
+            for mu in range(4):
+                assert order % character_sum(el, mu).modulus == 0, (el, mu)
 
     def test_seeded_sweep_reaches_non_diagonal_holonomy(self):
         rng = random.Random(9)
