@@ -8,7 +8,9 @@ group definitions, and ``<id>a`` and ``<id>b`` address the members.
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Union
 
 from .crystal import DIM_CAP, AffineGenerator, GroupDefinition, extend_with_characters
@@ -136,27 +138,13 @@ SIGN_CHAR = (-1, 1)
 TRIVIAL_CHAR = (1, 1)
 
 
-def _pair_7d() -> tuple[GroupDefinition, GroupDefinition]:
-    g, gp = _pair_6d_z4z2()
-    return (
-        _relabel(extend_with_characters(g, [SIGN_CHAR]), "5.5a"),
-        _relabel(extend_with_characters(gp, [SIGN_CHAR]), "5.5b"),
-    )
-
-
-def _pair_8d_parity() -> tuple[GroupDefinition, GroupDefinition]:
-    g, gp = _pair_6d_z4z2()
-    return (
-        _relabel(extend_with_characters(g, [SIGN_CHAR, SIGN_CHAR]), "5.6a"),
-        _relabel(extend_with_characters(gp, [SIGN_CHAR, TRIVIAL_CHAR]), "5.6b"),
-    )
-
-
-def _pair_8d_mixed() -> tuple[GroupDefinition, GroupDefinition]:
-    g, gp = _pair_6d_z4z2()
-    return (
-        _relabel(extend_with_characters(g, [SIGN_CHAR, SIGN_CHAR]), "5.7a"),
-        _relabel(extend_with_characters(gp, [TRIVIAL_CHAR, TRIVIAL_CHAR]), "5.7b"),
+def _extended_6d(name: str, chars_a, chars_b, trivial_count: int = 0
+                 ) -> tuple[GroupDefinition, GroupDefinition]:
+    """The 5.1 pair with one coordinate per character row and ``trivial_count``
+    torus factors appended, as ``{name}a`` and ``{name}b``."""
+    return tuple(
+        replace(extend_with_characters(g, chars, trivial_count), label=name + member)
+        for g, chars, member in zip(_pair_6d_z4z2(), (chars_a, chars_b), "ab")
     )
 
 
@@ -183,15 +171,7 @@ def _pair_4d_holonomies() -> tuple[GroupDefinition, GroupDefinition]:
 def _pair_torus_products(k: int) -> tuple[GroupDefinition, GroupDefinition]:
     if k < 0:
         raise ValueError("torus factor count must be nonnegative")
-    g, gp = _pair_6d_z4z2()
-    return (
-        _relabel(extend_with_characters(g, [], trivial_count=k), f"5.9(k={k})a"),
-        _relabel(extend_with_characters(gp, [], trivial_count=k), f"5.9(k={k})b"),
-    )
-
-
-def _relabel(defn: GroupDefinition, label: str) -> GroupDefinition:
-    return GroupDefinition(dim=defn.dim, generators=defn.generators, label=label)
+    return _extended_6d(f"5.9(k={k})", [], [], trivial_count=k)
 
 
 _REGISTRY: dict[str, tuple[Callable, tuple[str, ...], bool, str]] = {
@@ -208,12 +188,12 @@ _REGISTRY: dict[str, tuple[Callable, tuple[str, ...], bool, str]] = {
             "4d pair with holonomy Z2^2, isospectral on all p-forms"),
     "5.1": (_pair_6d_z4z2, (), True,
             "6d pair with holonomy Z4xZ2, isospectral only on 0- and 6-forms"),
-    "5.5": (_pair_7d, (), True,
+    "5.5": (partial(_extended_6d, "5.5", [SIGN_CHAR], [SIGN_CHAR]), (), True,
             "7d non-orientable pair from 5.1 plus one sign character"),
-    "5.6": (_pair_8d_parity, (), True,
-            "8d pair isospectral exactly for p odd"),
-    "5.7": (_pair_8d_mixed, (), True,
-            "8d pair isospectral exactly on 2- and 6-forms"),
+    "5.6": (partial(_extended_6d, "5.6", [SIGN_CHAR, SIGN_CHAR], [SIGN_CHAR, TRIVIAL_CHAR]),
+            (), True, "8d pair isospectral exactly for p odd"),
+    "5.7": (partial(_extended_6d, "5.7", [SIGN_CHAR, SIGN_CHAR], [TRIVIAL_CHAR, TRIVIAL_CHAR]),
+            (), True, "8d pair isospectral exactly on 2- and 6-forms"),
     "5.8": (_pair_4d_holonomies, (), True,
             "4d pair with holonomies Z2^2 and Z4, isospectral for p odd"),
     "5.9": (_pair_torus_products, ("k",), True,

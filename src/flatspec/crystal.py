@@ -10,7 +10,7 @@ first homology, and provides the constructors used by the built-in corpus.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, product
@@ -89,7 +89,8 @@ class GroupDefinition:
 
     dim: int
     generators: tuple[AffineGenerator, ...]
-    label: str = ""
+    # a name for output only: equality, hashing and so every cache key ignore it
+    label: str = field(default="", compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))

@@ -1,7 +1,9 @@
 import contextlib
+import importlib.util
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -459,6 +461,31 @@ class TestTallyModulus:
         status, out = run_cli(capsys, "multiplicity", "--input", str(path), "--p", "0", "--mu", "1")
         assert time.perf_counter() - start < 1
         assert status == 0 and out.endswith("d_(p=0, mu=1) = 1")
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_workloads():
+    """bench/workloads.py, loaded by path: the benchmark's CLI menu and digest."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_stdout_matches_the_benchmark_digests(capsys):
+    """Every exit-0 command of the benchmark's cli-cold menu prints the bytes
+    recorded in bench/expected.json."""
+    workloads = bench_workloads()
+    expected = json.loads((BENCH / "expected.json").read_text())["cli-cold"]
+    changed = []
+    for entry in workloads.CLI_MENU:
+        if entry["exit"] == 0:
+            status = main(list(entry["argv"]))
+            if (status, workloads.digest(capsys.readouterr().out)) != (0, expected[entry["key"]]):
+                changed.append(entry["key"])
+    assert changed == []
 
 
 class TestErrorClasses:

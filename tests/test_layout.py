@@ -1,12 +1,14 @@
 """Module boundaries: the engine never imports the cross-check oracles, the
-CLI maps library errors in one place, and every name the benchmark traces
-exists."""
+CLI maps library errors in one place and dispatches every subcommand it
+parses, and every name the benchmark traces exists."""
 
+import argparse
 import ast
 import importlib
 from pathlib import Path
 
 import flatspec
+from flatspec import cli
 
 SRC = Path(flatspec.__file__).parent
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -72,6 +74,17 @@ def test_cli_maps_errors_in_one_place():
         (("FlatspecError",), False),
         (("OSError", "RecursionError", "ValueError"), True),
     ]
+
+
+def test_every_subcommand_is_dispatched_or_answered_first():
+    """run answers corpus and validate itself and dispatches every other
+    subcommand the parser accepts through its command table."""
+    subparsers = [
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert len(subparsers) == 1
+    assert set(subparsers[0].choices) == set(cli.COMMANDS) | {"corpus", "validate"}
 
 
 def spans_constant(name):

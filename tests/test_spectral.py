@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -14,7 +15,7 @@ from flatspec.crystal import (
     close_point_group,
     validate_bieberbach,
 )
-from flatspec.exact_linear import signed_permutation_order, trace_p
+from flatspec.exact_linear import UsageError, signed_permutation_order, trace_p
 from flatspec.oracles import diagonal_trace, enumerate_shell, multiplicity_hw, projector_oracle
 from flatspec.spectral import (
     EnumerationGuardError,
@@ -231,6 +232,21 @@ class TestMultiplicity:
         monkeypatch.setattr(spectral, "character_sum", lambda el, mu: negative)
         with pytest.raises(ArithmeticError, match=r"^probe at p=0, mu=2: multiplicity came out -1;"):
             multiplicity(probe, 0, 2)
+
+    def test_relabeled_group_shares_cache_entries(self):
+        g = example("5.1a")
+        value = multiplicity(g, 2, 3)
+        before = multiplicity.cache_info()
+        assert multiplicity(replace(g, label="x"), 2, 3) == value
+        after = multiplicity.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    def test_errors_name_the_callers_label_after_a_cache_hit(self):
+        bad = GroupDefinition(2, (AffineGenerator(diag(-1, -1), (0, 0)),), label="first")
+        with pytest.raises(UsageError, match="^group definition first fails"):
+            multiplicity(bad, 0, 1)
+        with pytest.raises(UsageError, match="^group definition second fails"):
+            multiplicity(replace(bad, label="second"), 0, 1)
 
 
 def random_valid_group(rng) -> GroupDefinition:
