@@ -141,22 +141,27 @@ def det(m: IntMatrix) -> int:
     return prod((-1) ** (len(c.support) + 1) * c.sign for c in cycles(m))
 
 
-def trace_p(m: IntMatrix, p: int) -> int:
-    """Trace of a signed permutation's action on the p-th exterior power.
+def exterior_traces(m: IntMatrix) -> tuple[int, ...]:
+    """(trace_0, ..., trace_n) of a signed permutation on the exterior powers:
+    the coefficients of det(I + tB), from one cycle walk; a cycle of length L
+    and sign s contributes the factor 1 - s (-t)^L."""
+    poly = [1] + [0] * len(m)
+    top = 0  # the degree of the product so far
+    for c in cycles(m):
+        length = len(c.support)
+        top += length
+        step = -c.sign * (-1) ** length
+        for k in range(top, length - 1, -1):
+            poly[k] += step * poly[k - length]
+    return tuple(poly)
 
-    It is the coefficient of t^p in det(I + tB), and a cycle of length L
-    and sign s contributes the factor 1 - s (-t)^L.
-    """
+
+def trace_p(m: IntMatrix, p: int) -> int:
+    """Trace of a signed permutation's action on the p-th exterior power."""
     n = len(m)
     if not 0 <= p <= n:
         raise UsageError(f"exterior power {p} out of range for dimension {n}")
-    poly = [1] + [0] * n
-    for c in cycles(m):
-        length = len(c.support)
-        step = -c.sign * (-1) ** length
-        for k in range(n, length - 1, -1):
-            poly[k] += step * poly[k - length]
-    return poly[p]
+    return exterior_traces(m)[p]
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:

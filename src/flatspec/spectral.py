@@ -5,9 +5,17 @@ For a valid group the multiplicity of the eigenvalue 4*pi^2*mu on p-forms is
     d_{p,mu} = |F|^{-1} sum_{B in F} trace_p(B) e_{mu,B},
 
 where e_{mu,B} sums e^{2*pi*i v.b} over lattice vectors v of squared norm mu
-fixed by B.  Each e_{mu,B} is an integer tally of q-th roots of unity, q the
-lcm of the denominators of the phases u_c . b of B's fixed cycles; a cell adds
-its weighted tallies into one flat list over zeta_Q, Q the lcm of their q.
+fixed by B.  Those are v = sum_c k_c u_c over the fixed cycles c of B, of
+length L_c and phase a_c = q (u_c . b) mod q, q the lcm of the denominators
+of the u_c . b.  So e_{mu,B}, a tally of q-th roots of unity, is the x^mu
+coefficient of the theta series (Conway & Sloane, *Sphere Packings, Lattices
+and Groups*, ch. 4)
+
+    prod_c sum_{k in Z} zeta_q^(a_c k) x^(L_c k^2),
+
+which depends only on B's signature (q, sorted (L_c, min(a_c, q - a_c))), so
+one series serves each signature; the fixed-shell walk is its test oracle.  A
+cell adds its weighted tallies into one flat list over zeta_Q, Q their lcm.
 
 Table keys use mu throughout; the eigenvalue itself is 4*pi^2*mu.
 """
@@ -18,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
+from operator import add
 
 from .crystal import (
     GroupDefinition,
@@ -32,7 +41,8 @@ from .exact_linear import (
     LimitError,
     UsageError,
     cycles,
-    trace_p,
+    exterior_traces,
+    trace_p,  # noqa: F401  (bench/test_bench.py traces spectral.trace_p)
 )
 
 SHELL_NORM_CAP = 10**4
@@ -40,7 +50,7 @@ SHELL_DIM_CAP = 12
 
 
 class EnumerationGuardError(LimitError):
-    """A lattice enumeration would exceed its configured guard."""
+    """A series build or a lattice enumeration would exceed its guard."""
 
 
 class NonRationalSumError(InternalError):
@@ -186,20 +196,64 @@ def enumerate_fixed_shell(matrix: IntMatrix, mu: int) -> tuple[tuple[int, ...], 
 
 
 # ---------------------------------------------------------------------------
-# Character sums and multiplicities
+# Theta series, character sums and multiplicities
+
+@lru_cache(maxsize=None)
+def _signature(element: PointGroupElement) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """B's signature: a_c and q - a_c give equal counts (send k_c to -k_c)."""
+    r, fixed = fixed_cycle_phases(cycles(element.matrix), element.translation)
+    q = lcm(*(r // gcd(a, r) for _, a in fixed))
+    reduced = ((len(c.support), a * q // r % q) for c, a in fixed)
+    return q, tuple(sorted((length, min(a, q - a)) for length, a in reduced))
+
+
+@lru_cache(maxsize=None)
+def _theta(signature, length: int) -> tuple[tuple[int, ...], ...]:
+    """Counts over zeta_q of x^0 .. x^(length - 1) in the theta series of a
+    signature, one tuple per mu.  The series is held as q lists over mu, one
+    per phase; each factor adds in one shifted slice per nonzero term k.
+    """
+    q, factors = signature
+    series = [[1] + [0] * (length - 1)] + [[0] * length for _ in range(q - 1)]
+    top = 1  # every coefficient from x^top on is 0
+    for weight, a in factors:
+        rows = [(j, row[:top]) for j, row in enumerate(series) if any(row)]
+        series = [[0] * length for _ in range(q)]
+        bound = isqrt((length - 1) // weight)
+        for k in range(-bound, bound + 1):
+            shift = weight * k * k
+            end = min(length, shift + top)
+            for j, row in rows:
+                dest = series[(j + a * k) % q]
+                dest[shift:end] = map(add, dest[shift:end], row)
+        top = min(length, top + weight * bound * bound)
+    return tuple(zip(*series))
+
 
 @lru_cache(maxsize=None)
 def character_sum(element: PointGroupElement, mu: int) -> RootOfUnityTally:
     """e_{mu,B} = sum of e^(2 pi i v.b) over the fixed shell, as a tally over
-    zeta_q: q is the lcm of the denominators of the fixed-cycle phases u_c . b,
-    and v = sum_c k_c u_c has phase sum_c k_c q (u_c . b)."""
-    r, fixed = fixed_cycle_phases(cycles(element.matrix), element.translation)
-    q = lcm(*(r // gcd(a, r) for _, a in fixed))
-    phases = [(c.support[0], a * q // r) for c, a in fixed if a % r]
-    counts = [0] * q
-    for v in enumerate_fixed_shell(element.matrix, mu):
-        counts[sum(v[j] * a for j, a in phases) % q] += 1
-    return RootOfUnityTally(q, tuple(counts))
+    zeta_q: the x^mu coefficient of the theta series of B's signature."""
+    q, factors = signature = _signature(element)
+    if mu < 0:
+        raise UsageError("squared norm must be nonnegative")
+    if mu > SHELL_NORM_CAP:
+        raise EnumerationGuardError(f"norm {mu} exceeds guard {SHELL_NORM_CAP}")
+    if mu and len(factors) > SHELL_DIM_CAP:
+        raise EnumerationGuardError(
+            f"fixed sublattice rank {len(factors)} exceeds guard {SHELL_DIM_CAP}"
+        )
+    return RootOfUnityTally(q, _theta(signature, 1 << mu.bit_length())[mu])
+
+
+@lru_cache(maxsize=None)
+def _class_rows(defn: GroupDefinition) -> tuple:
+    """One (representative, summed exterior-trace row) per signature of F."""
+    classes = {}
+    for el in close_point_group(defn):
+        _, row = classes.setdefault(_signature(el), (el, [0] * (defn.dim + 1)))
+        row[:] = map(add, row, exterior_traces(el.matrix))
+    return tuple((rep, tuple(row)) for rep, row in classes.values())
 
 
 @lru_cache(maxsize=None)
@@ -207,13 +261,12 @@ def multiplicity(defn: GroupDefinition, p: int, mu: int) -> int:
     """Exact d_{p,mu}: multiplicity of eigenvalue 4 pi^2 mu on p-forms."""
     require_valid(defn)
     form_degrees(defn.dim, (p,))
-    elements = close_point_group(defn)
     total = weighted_sum(
-        (w, character_sum(el, mu)) for el in elements if (w := trace_p(el.matrix, p))
+        (row[p], character_sum(rep, mu)) for rep, row in _class_rows(defn) if row[p]
     )
     cell = f"{defn.label or '<unnamed>'} at p={p}, mu={mu}"
     try:
-        value = reduce_tally(total) / len(elements)
+        value = reduce_tally(total) / len(close_point_group(defn))
     except NonRationalSumError as exc:
         raise NonRationalSumError(f"{cell}: {exc}") from exc
     if value.denominator != 1 or value < 0:
@@ -256,7 +309,7 @@ def form_degrees(dim: int, p_set=None) -> list[int]:
 
 
 def require_cutoff(mu_max: int) -> None:
-    """Refuse a cutoff that the fixed-shell guard would stop part way."""
+    """Refuse a cutoff that the norm guard would stop part way."""
     if mu_max > SHELL_NORM_CAP:
         raise EnumerationGuardError(f"cutoff {mu_max} exceeds guard {SHELL_NORM_CAP}")
 

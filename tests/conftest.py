@@ -19,11 +19,17 @@ from flatspec.crystal import (
     GroupStructureError,
     ValidationReport,
     close_point_group,
+    fixed_cycle_phases,
     require_valid,
 )
-from flatspec.exact_linear import in_image_lattice, smith_normal_form, trace_p
+from flatspec.exact_linear import cycles, in_image_lattice, smith_normal_form, trace_p
 from flatspec.oracles import enumerate_shell
-from flatspec.spectral import RootOfUnityTally, character_sum, reduce_tally
+from flatspec.spectral import (
+    RootOfUnityTally,
+    character_sum,
+    enumerate_fixed_shell,
+    reduce_tally,
+)
 
 HALF = Fraction(1, 2)
 
@@ -443,6 +449,21 @@ def character_sum_reference(element, mu):
         if mat_vec(element.matrix, v) == v:
             x = sum(vj * bj for vj, bj in zip(v, b)) * q
             counts[int(x) % q] += 1
+    return RootOfUnityTally(q, tuple(counts))
+
+
+def character_sum_shell(element, mu):
+    """e_{mu,B} counted over the fixed shell ``enumerate_fixed_shell``, over the
+    modulus q that ``character_sum`` uses: the shell oracle of the theta series.
+
+    A fixed v = sum_c k_c u_c has k_c = v[c.support[0]] and phase
+    sum_c k_c q (u_c . b) mod q.
+    """
+    r, fixed = fixed_cycle_phases(cycles(element.matrix), element.translation)
+    q = lcm(*(r // gcd(a, r) for _, a in fixed))
+    counts = [0] * q
+    for v in enumerate_fixed_shell(element.matrix, mu):
+        counts[sum(v[c.support[0]] * a * q // r for c, a in fixed) % q] += 1
     return RootOfUnityTally(q, tuple(counts))
 
 

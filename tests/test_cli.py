@@ -95,6 +95,15 @@ class TestMultiplicityAndSpectrum:
                 assert str(value) in table_out
         assert entries["0"]["0"] == 1
 
+    def test_spectrum_to_the_norm_guard(self, capsys):
+        status = main(
+            ["spectrum", "--corpus", "4.5a", "--p", "0", "--mu-max", "10000", "--format", "json"]
+        )
+        captured = capsys.readouterr()
+        assert status == 0 and captured.err == ""
+        row = json.loads(captured.out)[0]["entries"]["0"]
+        assert len(row) == 10001 and row["10000"] == 4701
+
 
 class TestCompareCommand:
     def test_8d_pair_json_verdicts(self, capsys):

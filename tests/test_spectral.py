@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
@@ -7,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatspec import oracles, spectral
+from flatspec import crystal, exact_linear, oracles, spectral
 from flatspec.crystal import (
     AffineGenerator,
     CosetCapError,
     GroupDefinition,
+    PointGroupElement,
     close_point_group,
+    require_valid,
     validate_bieberbach,
 )
 from flatspec.exact_linear import UsageError, signed_permutation_order, trace_p
@@ -36,6 +39,7 @@ from flatspec import HWMatrix, corpus_ids, example
 
 from conftest import (
     character_sum_reference,
+    character_sum_shell,
     classical_hw_matrix,
     diagonal_fixed_count,
     identity_matrix,
@@ -446,3 +450,130 @@ class TestMultiplicityTable:
         assert set(table) == {(p, mu) for p in (0, 1) for mu in (0, 1, 2)}
         assert table[(0, 0)] == 1
         assert all(v >= 0 for v in table.values())
+
+
+def clear_spectral_caches():
+    for value in vars(spectral).values():
+        if hasattr(value, "cache_clear") and value.__module__ == spectral.__name__:
+            value.cache_clear()
+
+
+def assert_series_match_the_shell(groups):
+    """character_sum against the fixed-shell oracle, count for count, to
+    mu = 24, once per distinct element of the groups.  A fixed lattice of rank
+    above 6 stops at mu = 8: at rank 9 the shells to 24 hold about 5 million
+    vectors."""
+    distinct = {(el.matrix, el.translation): el for g in groups for el in close_point_group(g)}
+    for el in distinct.values():
+        rank = len(spectral._signature(el)[1])
+        for mu in range(25 if rank <= 6 else 9):
+            assert character_sum(el, mu) == character_sum_shell(el, mu), (el, mu)
+
+
+class TestThetaSeries:
+    """The theta series of each signature against the fixed-shell oracle."""
+
+    def test_catalog_groups(self, all_corpus_defs):
+        assert_series_match_the_shell(defn for _, defn in all_corpus_defs)
+        enumerate_fixed_shell.cache_clear()
+
+    def test_seeded_random_groups(self):
+        rng = random.Random(16)
+        assert_series_match_the_shell(random_valid_group(rng) for _ in range(12))
+        enumerate_fixed_shell.cache_clear()
+
+    def test_equal_signatures_give_equal_shell_tallies(self, all_corpus_defs):
+        rng = random.Random(17)
+        groups = [defn for _, defn in all_corpus_defs]
+        groups += [random_valid_group(rng) for _ in range(12)]
+        classes = {}
+        for defn in groups:
+            for el in close_point_group(defn):
+                members = classes.setdefault(spectral._signature(el), {})
+                members[el.matrix, el.translation] = el
+        shared = [list(members.values()) for members in classes.values() if len(members) > 1]
+        assert len(shared) >= 10
+        for els in shared:
+            for mu in range(9):
+                assert len({character_sum_shell(el, mu) for el in els}) == 1, (els, mu)
+        enumerate_fixed_shell.cache_clear()
+
+    def test_opposite_phases_share_a_signature(self):
+        # u . b = 1/3 and 2/3 on the fixed axis: k -> -k swaps the two phases
+        rotation = ((1, 0, 0), (0, 0, -1), (0, 1, 0))
+        first, second = (
+            PointGroupElement(rotation, (Fraction(t, 3), Fraction(0), Fraction(0)), (1,))
+            for t in (1, 2)
+        )
+        assert spectral._signature(first) == spectral._signature(second) == (3, ((1, 1),))
+        for mu in range(10):
+            assert character_sum(first, mu) == character_sum_shell(first, mu)
+            assert character_sum_shell(second, mu) == character_sum(first, mu)
+
+    def test_a_raised_cutoff_matches_a_cold_table(self):
+        g = example("5.6a")
+        clear_spectral_caches()
+        multiplicity_table(g, None, 10)
+        raised = multiplicity_table(g, None, 40)
+        clear_spectral_caches()
+        assert multiplicity_table(g, None, 40) == raised
+
+    def test_betti_row_walks_each_element_at_most_twice(self, monkeypatch):
+        g = example("5.1a")
+        require_valid(g)
+        order = len(close_point_group(g))
+        clear_spectral_caches()
+        walks = []
+        original = exact_linear.cycles
+
+        def counting(m):
+            walks.append(m)
+            return original(m)
+
+        for module in (exact_linear, crystal, spectral):
+            monkeypatch.setattr(module, "cycles", counting)
+        assert betti_row(g) == (1, 2, 3, 4, 3, 2, 1)
+        assert 0 < len(walks) <= 2 * order
+
+
+class TestDeepInputs:
+    """Cutoffs and dimensions where a lattice-shell walk did not finish."""
+
+    def test_norm_at_the_guard(self):
+        g = example("4.5a")
+        require_valid(g)
+        clear_spectral_caches()
+        start = time.perf_counter()
+        assert multiplicity(g, 0, 10000) == 4701
+        assert time.perf_counter() - start < 2
+
+    @pytest.mark.parametrize("key", ["5.6a", "4.3a"])
+    def test_every_degree_to_forty(self, key):
+        g = example(key)
+        require_valid(g)
+        clear_spectral_caches()
+        start = time.perf_counter()
+        table = multiplicity_table(g, None, 40).as_dict()
+        assert time.perf_counter() - start < 1
+        assert tuple(table[(p, 0)] for p in range(g.dim + 1)) == betti_row(g)
+        for mu in range(41):
+            assert sum((-1) ** p * table[(p, mu)] for p in range(g.dim + 1)) == 0
+
+    def test_betti_row_of_a_64d_group_with_1024_elements(self):
+        # generator i shifts coordinate i by 1/2 and negates 10+5i .. 14+5i
+        n = 64
+        gens = []
+        for i in range(10):
+            signs = [-1 if 10 + 5 * i <= j < 15 + 5 * i else 1 for j in range(n)]
+            shift = tuple(HALF if j == i else Fraction(0) for j in range(n))
+            gens.append(AffineGenerator(diag(*signs), shift))
+        g = GroupDefinition(n, tuple(gens), label="z2^10")
+        require_valid(g)
+        assert len(close_point_group(g)) == 1024
+        start = time.perf_counter()
+        row = betti_row(g)
+        assert time.perf_counter() - start < 5
+        # an invariant dx_J meets each negated block in an even number of
+        # coordinates: beta_2 = C(14, 2) + 10 C(5, 2); no dx_J of degree 64
+        # survives, since every generator has determinant -1
+        assert row[:3] == (1, 14, 191) and row[n] == 0
