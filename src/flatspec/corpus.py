@@ -42,14 +42,20 @@ def _unit_translation(n: int, components: dict[int, Fraction]) -> tuple[Fraction
     return tuple(components.get(i + 1, Fraction(0)) for i in range(n))
 
 
+def _half_shifted(n: int, k: int, j: int, label: str) -> GroupDefinition:
+    """Holonomy Z2 generated by C_k = diag(1^k, (-1)^(n-k)) with shift
+    (e_1 + ... + e_j)/2."""
+    c_k = _diag(*([1] * k + [-1] * (n - k)))
+    tr = _unit_translation(n, {i: HALF for i in range(1, j + 1)})
+    return GroupDefinition(dim=n, generators=(AffineGenerator(c_k, tr),), label=label)
+
+
 def _family_reflections(n: int, k: int) -> GroupDefinition:
     if n < 4 or n % 2:
         raise ValueError("dimension must be even and at least 4")
     if not (1 <= k <= n - 1) or k % 2 == 0:
         raise ValueError("k must be odd with 1 <= k <= n-1")
-    c_k = _diag(*([1] * k + [-1] * (n - k)))
-    gen = AffineGenerator(matrix=c_k, translation=_unit_translation(n, {1: HALF}))
-    return GroupDefinition(dim=n, generators=(gen,), label=f"4.1(n={n},k={k})")
+    return _half_shifted(n, k, 1, f"4.1(n={n},k={k})")
 
 
 def _family_reflections_shifted(n: int, k: int, j: int) -> GroupDefinition:
@@ -57,10 +63,7 @@ def _family_reflections_shifted(n: int, k: int, j: int) -> GroupDefinition:
         raise ValueError("dimension must be even and at least 4")
     if k % 2 == 0 or not (1 <= j <= k <= n - 1):
         raise ValueError("need k odd and 1 <= j <= k <= n-1")
-    c_k = _diag(*([1] * k + [-1] * (n - k)))
-    tr = _unit_translation(n, {i: HALF for i in range(1, j + 1)})
-    gen = AffineGenerator(matrix=c_k, translation=tr)
-    return GroupDefinition(dim=n, generators=(gen,), label=f"4.2(n={n},k={k},j={j})")
+    return _half_shifted(n, k, j, f"4.2(n={n},k={k},j={j})")
 
 
 def _family_half_reflections(n: int, h: int) -> GroupDefinition:
@@ -68,20 +71,11 @@ def _family_half_reflections(n: int, h: int) -> GroupDefinition:
         raise ValueError("dimension must be even")
     if not 1 <= h <= n // 2:
         raise ValueError("need 1 <= h <= n/2")
-    c = _diag(*([1] * (n // 2) + [-1] * (n // 2)))
-    tr = _unit_translation(n, {i: HALF for i in range(1, h + 1)})
-    gen = AffineGenerator(matrix=c, translation=tr)
-    return GroupDefinition(dim=n, generators=(gen,), label=f"4.2h(n={n},h={h})")
+    return _half_shifted(n, n // 2, h, f"4.2h(n={n},h={h})")
 
 
 def _pair_9d() -> tuple[GroupDefinition, GroupDefinition]:
-    b = _diag(1, 1, 1, -1, -1, -1, -1, -1, -1)
-    b_prime = _diag(1, 1, 1, 1, 1, 1, -1, -1, -1)
-    tr = _unit_translation(9, {1: HALF})
-    return (
-        GroupDefinition(9, (AffineGenerator(b, tr),), label="4.3a"),
-        GroupDefinition(9, (AffineGenerator(b_prime, tr),), label="4.3b"),
-    )
+    return _half_shifted(9, 3, 1, "4.3a"), _half_shifted(9, 6, 1, "4.3b")
 
 
 def _pair_4d_z22() -> tuple[GroupDefinition, GroupDefinition]:

@@ -183,6 +183,7 @@ def check_pairing_criterion(
 
     True implies the compare_spectra verdict for this p at the same cutoff.
     """
+    require_cutoff(mu_max)
     require_valid(first)
     require_valid(second)
     if len(pairing.pairs) != len(close_point_group(first)):

@@ -21,11 +21,11 @@ from .crystal import (
 from .exact_linear import signed_perm
 from .spectral import (
     SHELL_DIM_CAP,
-    SHELL_NORM_CAP,
     EnumerationGuardError,
     RootOfUnityTally,
     _weighted_norm_solutions,
     reduce_tally,
+    require_series,
 )
 
 PROJECTOR_BASIS_CAP = 20000
@@ -41,10 +41,7 @@ HALF = Fraction(1, 2)
 def enumerate_shell(n: int, mu: int) -> tuple[tuple[int, ...], ...]:
     """All v in Z^n with squared norm mu, in lexicographic order, by exact
     recursive descent."""
-    if mu < 0:
-        raise ValueError("squared norm must be nonnegative")
-    if mu > SHELL_NORM_CAP:
-        raise EnumerationGuardError(f"norm {mu} exceeds guard {SHELL_NORM_CAP}")
+    require_series(mu)
     if n > SHELL_DIM_CAP:
         raise EnumerationGuardError(f"dimension {n} exceeds guard {SHELL_DIM_CAP}")
     return tuple(_weighted_norm_solutions((1,) * n, mu))

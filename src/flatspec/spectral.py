@@ -147,6 +147,20 @@ def sums_to_zero(t: RootOfUnityTally) -> bool:
 # ---------------------------------------------------------------------------
 # Lattice shells
 
+def require_series(mu: int, rank: int = 0) -> None:
+    """Refuse a shell or series of squared norm mu on a fixed lattice of the
+    given rank: mu must lie in 0..SHELL_NORM_CAP and, for mu > 0, the rank
+    may not exceed SHELL_DIM_CAP."""
+    if mu < 0:
+        raise UsageError("squared norm must be nonnegative")
+    if mu > SHELL_NORM_CAP:
+        raise EnumerationGuardError(f"norm {mu} exceeds guard {SHELL_NORM_CAP}")
+    if mu and rank > SHELL_DIM_CAP:
+        raise EnumerationGuardError(
+            f"fixed sublattice rank {rank} exceeds guard {SHELL_DIM_CAP}"
+        )
+
+
 def _weighted_norm_solutions(weights: tuple[int, ...], target: int):
     """Integer tuples c with sum_i weights[i] * c_i^2 = target, lex order."""
     if not weights:
@@ -171,19 +185,10 @@ def enumerate_fixed_shell(matrix: IntMatrix, mu: int) -> tuple[tuple[int, ...], 
     with weights |u_c|^2 = L_c and the search is a weighted norm enumeration.
     """
     n = len(matrix)
-    if mu < 0:
-        raise UsageError("squared norm must be nonnegative")
-    if mu > SHELL_NORM_CAP:
-        raise EnumerationGuardError(f"norm {mu} exceeds guard {SHELL_NORM_CAP}")
+    basis = [c for c in cycles(matrix) if c.sign == 1]
+    require_series(mu, len(basis))
     if mu == 0:
         return ((0,) * n,)
-    basis = [c for c in cycles(matrix) if c.sign == 1]
-    if not basis:
-        return ()
-    if len(basis) > SHELL_DIM_CAP:
-        raise EnumerationGuardError(
-            f"fixed sublattice rank {len(basis)} exceeds guard {SHELL_DIM_CAP}"
-        )
     weights = tuple(len(c.support) for c in basis)
     vectors = []
     for coeffs in _weighted_norm_solutions(weights, mu):
@@ -235,38 +240,33 @@ def character_sum(element: PointGroupElement, mu: int) -> RootOfUnityTally:
     """e_{mu,B} = sum of e^(2 pi i v.b) over the fixed shell, as a tally over
     zeta_q: the x^mu coefficient of the theta series of B's signature."""
     q, factors = signature = _signature(element)
-    if mu < 0:
-        raise UsageError("squared norm must be nonnegative")
-    if mu > SHELL_NORM_CAP:
-        raise EnumerationGuardError(f"norm {mu} exceeds guard {SHELL_NORM_CAP}")
-    if mu and len(factors) > SHELL_DIM_CAP:
-        raise EnumerationGuardError(
-            f"fixed sublattice rank {len(factors)} exceeds guard {SHELL_DIM_CAP}"
-        )
+    require_series(mu, len(factors))
     return RootOfUnityTally(q, _theta(signature, 1 << mu.bit_length())[mu])
 
 
 @lru_cache(maxsize=None)
 def _class_rows(defn: GroupDefinition) -> tuple:
-    """One (representative, summed exterior-trace row) per signature of F."""
+    """The validated group's record: (|F|, one (representative, summed
+    exterior-trace row) per signature of F)."""
+    order = require_valid(defn).holonomy_order
     classes = {}
     for el in close_point_group(defn):
         _, row = classes.setdefault(_signature(el), (el, [0] * (defn.dim + 1)))
         row[:] = map(add, row, exterior_traces(el.matrix))
-    return tuple((rep, tuple(row)) for rep, row in classes.values())
+    return order, tuple((rep, tuple(row)) for rep, row in classes.values())
 
 
 @lru_cache(maxsize=None)
 def multiplicity(defn: GroupDefinition, p: int, mu: int) -> int:
     """Exact d_{p,mu}: multiplicity of eigenvalue 4 pi^2 mu on p-forms."""
-    require_valid(defn)
+    order, classes = _class_rows(defn)
     form_degrees(defn.dim, (p,))
     total = weighted_sum(
-        (row[p], character_sum(rep, mu)) for rep, row in _class_rows(defn) if row[p]
+        (row[p], character_sum(rep, mu)) for rep, row in classes if row[p]
     )
     cell = f"{defn.label or '<unnamed>'} at p={p}, mu={mu}"
     try:
-        value = reduce_tally(total) / len(close_point_group(defn))
+        value = reduce_tally(total) / order
     except NonRationalSumError as exc:
         raise NonRationalSumError(f"{cell}: {exc}") from exc
     if value.denominator != 1 or value < 0:
@@ -309,7 +309,9 @@ def form_degrees(dim: int, p_set=None) -> list[int]:
 
 
 def require_cutoff(mu_max: int) -> None:
-    """Refuse a cutoff that the norm guard would stop part way."""
+    """Refuse a negative cutoff, or one that the norm guard would stop part way."""
+    if mu_max < 0:
+        raise UsageError(f"cutoff {mu_max} must be nonnegative")
     if mu_max > SHELL_NORM_CAP:
         raise EnumerationGuardError(f"cutoff {mu_max} exceeds guard {SHELL_NORM_CAP}")
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import strategies as st
@@ -482,6 +482,23 @@ def multiplicity_reference(definition, p, mu) -> int:
     value = reduce_tally(total) / len(elements)
     assert value.denominator == 1 and value >= 0, value
     return int(value)
+
+
+@lru_cache(maxsize=None)
+def shell_count(n: int, mu: int) -> int:
+    """r_n(mu): the vectors v in Z^n with |v|^2 = mu, counted one coordinate
+    at a time."""
+    if n == 0:
+        return int(mu == 0)
+    bound = isqrt(mu)
+    return sum(shell_count(n - 1, mu - x * x) for x in range(-bound, bound + 1))
+
+
+def signed_shell_count(k: int, mu: int) -> int:
+    """s_k(mu) = sum (-1)^(v_1) over the v in Z^k with |v|^2 = mu, counted one
+    coordinate at a time."""
+    bound = isqrt(mu)
+    return sum((-1) ** x * shell_count(k - 1, mu - x * x) for x in range(-bound, bound + 1))
 
 
 def pairing_criterion_reference(first, second, pairing, p, mu_max) -> bool:

@@ -50,6 +50,8 @@ from conftest import (
     mat_mul,
     mat_sub,
     mat_vec,
+    shell_count,
+    signed_shell_count,
     transpose,
 )
 
@@ -88,6 +90,33 @@ def test_criterion_01_reflection_family():
                 assert b1[q] != b3[q], (n, q)
     note("criterion 1: PASS (d_{0,1}, d_{n,1} closed forms; mid-degree "
          "isospectrality; Betti separation for k=1 vs 3)")
+
+
+def test_reflection_family_over_every_dimension_the_rank_guard_admits():
+    """The abstract's first claim on 4.1(n, k) against 4.1(n, k') for every
+    even n in 4..12 and odd k < k' < n: isospectral on n/2-forms alone up to
+    mu = 2, and not homeomorphic (H_1 has free rank k).  Every cell d_{q,mu}
+    with mu <= 2 matches (C(n,q) r_n(mu) + K_q^n(n-k) s_k(mu)) / 2: the
+    identity contributes the full shell, C_k its fixed Z^k with phase
+    (-1)^(v_1) and trace K_q^n(n-k)."""
+    pairs = cells = 0
+    for n in range(4, 13, 2):
+        ks = range(1, n, 2)
+        defs = {k: example(f"4.1(n={n},k={k})") for k in ks}
+        for k, defn in defs.items():
+            assert first_homology(defn).free_rank == k, (n, k)
+            for q in range(n + 1):
+                for mu in range(3):
+                    expected = (comb(n, q) * shell_count(n, mu)
+                                + krawtchouk(q, n - k, n) * signed_shell_count(k, mu))
+                    assert multiplicity(defn, q, mu) * 2 == expected, (n, k, q, mu)
+                    cells += 1
+        for k1, k2 in combinations(ks, 2):
+            report = compare_spectra(defs[k1], defs[k2], mu_max=2)
+            assert report.equal_p_set() == (n // 2,), (n, k1, k2)
+            pairs += 1
+    assert (pairs, cells) == (35, 600)
+    note("reflection family: PASS (35 pairs to n = 12; 600 closed-form cells)")
 
 
 def test_criterion_02_shifted_family():

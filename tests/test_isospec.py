@@ -4,6 +4,7 @@ import pytest
 
 from flatspec import isospec, spectral
 from flatspec.crystal import GroupDefinition
+from flatspec.exact_linear import UsageError
 from flatspec.isospec import (
     HolonomyPairing,
     check_pairing_criterion,
@@ -165,6 +166,34 @@ class TestCutoffGuard:
         ):
             with pytest.raises(EnumerationGuardError, match="cutoff 10001 exceeds guard"):
                 refused()
+
+    def test_negative_cutoff_refused_before_any_cell(self, monkeypatch):
+        def no_cells(*args):
+            raise AssertionError("a cell was computed")
+
+        g, gp = example("5.1")
+        pairing = pairing_from_words(g, gp, {})
+        for module in (spectral, isospec):
+            monkeypatch.setattr(module, "multiplicity", no_cells)
+            monkeypatch.setattr(module, "character_sum", no_cells)
+        for refused in (
+            lambda: multiplicity_table(g, None, -1),
+            lambda: compare_spectra(g, gp, mu_max=-1),
+            lambda: duality_check(example("5.5a"), mu_max=-1),
+            lambda: check_pairing_criterion(g, gp, pairing, 1, -1),
+        ):
+            with pytest.raises(UsageError, match="^cutoff -1 must be nonnegative$"):
+                refused()
+
+    def test_pairing_criterion_refuses_an_oversized_cutoff_first(self, monkeypatch):
+        def no_sums(*args):
+            raise AssertionError("character_sum was called")
+
+        g, gp = example("5.1")
+        pairing = pairing_from_words(g, gp, {})
+        monkeypatch.setattr(isospec, "character_sum", no_sums)
+        with pytest.raises(EnumerationGuardError, match="cutoff 10001 exceeds guard"):
+            check_pairing_criterion(g, gp, pairing, 1, SHELL_NORM_CAP + 1)
 
 
 class TestDuality:

@@ -107,3 +107,34 @@ def test_every_traced_name_resolves():
         assert callable(resolve(qualname)), qualname
     for qualname in spans_constant("HIT_RATIO"):
         assert hasattr(resolve(qualname), "cache_info"), qualname
+
+
+def raised_messages():
+    """(module, text) of every raise whose exception is built from a string
+    literal under src/flatspec/; each f-string field reads as {}."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+                continue
+            if not node.exc.args:
+                continue
+            arg = node.exc.args[0]
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                yield path.stem, arg.value
+            elif isinstance(arg, ast.JoinedStr):
+                yield path.stem, "".join(
+                    part.value if isinstance(part, ast.Constant) else "{}"
+                    for part in arg.values
+                )
+
+
+def test_each_series_guard_is_raised_from_one_place():
+    """The engine's norm and rank refusals live in one guard in spectral,
+    which the series, the fixed shell and the full shell all call."""
+    raised = list(raised_messages())
+    for text in (
+        "squared norm must be nonnegative",
+        "norm {} exceeds guard {}",
+        "fixed sublattice rank {} exceeds guard {}",
+    ):
+        assert [module for module, t in raised if t == text] == ["spectral"], text

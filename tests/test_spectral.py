@@ -536,6 +536,23 @@ class TestThetaSeries:
         assert 0 < len(walks) <= 2 * order
 
 
+    def test_a_cold_table_validates_and_closes_the_group_once(self, monkeypatch):
+        g = example("5.6a")
+        clear_spectral_caches()
+        calls = []
+        for name in ("require_valid", "close_point_group"):
+            original = getattr(spectral, name)
+
+            def counting(defn, name=name, original=original):
+                calls.append(name)
+                return original(defn)
+
+            monkeypatch.setattr(spectral, name, counting)
+        multiplicity_table(g, None, 40)
+        assert calls.count("require_valid") <= 1
+        assert calls.count("close_point_group") <= 1
+
+
 class TestDeepInputs:
     """Cutoffs and dimensions where a lattice-shell walk did not finish."""
 
