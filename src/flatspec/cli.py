@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from typing import Sequence
 
 from . import corpus
@@ -165,7 +164,8 @@ def _corpus(args) -> str:
 def _validate(args, groups, reports) -> str:
     if args.fmt == "json":
         return _dump_json([
-            {**asdict(report), "label": label, "dim": defn.dim,
+            {**{name: getattr(report, name) for name in report.__slots__},
+             "label": label, "dim": defn.dim,
              "failures": [{"word": list(word), "condition": cond} for word, cond in report.failures]}
             for (label, defn), report in zip(groups, reports)
         ])

@@ -8,7 +8,6 @@ group definitions, and ``<id>a`` and ``<id>b`` address the members.
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Union
@@ -136,10 +135,11 @@ def _extended_6d(name: str, chars_a, chars_b, trivial_count: int = 0
                  ) -> tuple[GroupDefinition, GroupDefinition]:
     """The 5.1 pair with one coordinate per character row and ``trivial_count``
     torus factors appended, as ``{name}a`` and ``{name}b``."""
-    return tuple(
-        replace(extend_with_characters(g, chars, trivial_count), label=name + member)
-        for g, chars, member in zip(_pair_6d_z4z2(), (chars_a, chars_b), "ab")
-    )
+    pair = []
+    for g, chars, member in zip(_pair_6d_z4z2(), (chars_a, chars_b), "ab"):
+        g = extend_with_characters(g, chars, trivial_count)
+        pair.append(GroupDefinition(g.dim, g.generators, label=name + member))
+    return tuple(pair)
 
 
 def _pair_4d_holonomies() -> tuple[GroupDefinition, GroupDefinition]:

@@ -10,7 +10,6 @@ first homology, and provides the constructors used by the built-in corpus.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, product
@@ -23,6 +22,7 @@ from .exact_linear import (
     IntVector,
     LimitError,
     RatVector,
+    Record,
     UsageError,
     as_int_matrix,
     cycles,
@@ -51,15 +51,13 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
-class AffineGenerator:
+class AffineGenerator(Record):
     """One generator B L_b: signed-permutation matrix plus translation mod Z^n."""
 
-    matrix: IntMatrix
-    translation: RatVector
-    order: int = 0  # 0 means "compute"; declared values are verified
+    __slots__ = ("matrix", "translation", "order")
+    _defaults = {"order": 0}  # 0 means "compute"; declared values are verified
 
-    def __post_init__(self):
+    def _check(self):
         matrix = as_int_matrix(self.matrix)
         if not is_signed_permutation(matrix):
             raise GroupStructureError(
@@ -83,16 +81,14 @@ class AffineGenerator:
         return len(self.matrix)
 
 
-@dataclass(frozen=True)
-class GroupDefinition:
+class GroupDefinition(Record):
     """Generators of Gamma = <gamma_1, ..., gamma_r, L_{Z^n}>; empty = torus."""
 
-    dim: int
-    generators: tuple[AffineGenerator, ...]
-    # a name for output only: equality, hashing and so every cache key ignore it
-    label: str = field(default="", compare=False)
+    # label is a name for output only: equality, hashing and so every cache key ignore it
+    __slots__ = ("dim", "generators", "label")
+    _defaults = {"label": ""}
 
-    def __post_init__(self):
+    def _check(self):
         object.__setattr__(self, "generators", tuple(self.generators))
         if self.dim < 1:
             raise UsageError("dimension must be positive")
@@ -103,40 +99,30 @@ class GroupDefinition:
                 raise UsageError("generator size does not match group dimension")
 
 
-@dataclass(frozen=True)
-class PointGroupElement:
+class PointGroupElement(Record):
     """Coset representative B L_b of Lambda\\Gamma, translation reduced to [0,1)^n.
 
     ``word`` is the multi-exponent (l_1, ..., l_r) of gamma_1^{l_1} ... gamma_r^{l_r}.
     """
 
-    matrix: IntMatrix
-    translation: RatVector
-    word: tuple[int, ...]
+    __slots__ = ("matrix", "translation", "word")
 
     @property
     def is_identity(self) -> bool:
         return all(l == 0 for l in self.word)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    is_group_closed: bool
-    has_translation_lattice_Zn: bool
-    is_torsion_free: bool
-    holonomy_order: int
-    holonomy_structure: tuple[int, ...]
-    failures: tuple[tuple[tuple, str], ...]
+class ValidationReport(Record):
+    __slots__ = ("is_group_closed", "has_translation_lattice_Zn", "is_torsion_free",
+                 "holonomy_order", "holonomy_structure", "failures")
 
 
-@dataclass(frozen=True)
-class AbelianGroupType:
+class AbelianGroupType(Record):
     """Finitely generated abelian group: free rank plus invariant factors > 1."""
 
-    free_rank: int
-    torsion: tuple[int, ...]
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
+    def _check(self):
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
@@ -153,18 +139,16 @@ class AbelianGroupType:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class HWMatrix:
+class HWMatrix(Record):
     """Translation parameters of a diagonal 2-torsion family in odd dimension.
 
     Row i holds the translation of the generator fixing coordinate i and
     negating all others; entries are 0 or 1/2.
     """
 
-    n: int
-    rows: tuple[RatVector, ...]
+    __slots__ = ("n", "rows")
 
-    def __post_init__(self):
+    def _check(self):
         if self.n < 3 or self.n % 2 == 0:
             raise ValueError("dimension must be odd and at least 3")
         rows = tuple(tuple(_as_fraction(x) for x in row) for row in self.rows)
@@ -268,11 +252,7 @@ def close_point_group(definition: GroupDefinition) -> tuple[PointGroupElement, .
                     "some gamma_i^{m_i} is not a lattice translation"
                 )
     return tuple(
-        PointGroupElement(
-            matrix=signed_perm_matrix(image, sign),
-            translation=tuple(Fraction(x, q) for x in t),
-            word=word,
-        )
+        PointGroupElement(signed_perm_matrix(image, sign), tuple(Fraction(x, q) for x in t), word)
         for word, (image, sign, t) in built.items()
     )
 

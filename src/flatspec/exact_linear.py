@@ -3,14 +3,16 @@
 Matrices are tuples of row tuples of Python ints; vectors are plain tuples.
 Rational vectors use ``fractions.Fraction``.  Lattice work goes through two
 routines: one Hermite basis and one invariant-factor Smith form.  Every
-operation is exact.  The error taxonomy lives here too, since every other
-module imports this one.
+operation is exact.  The error taxonomy and the ``Record`` base of the
+package's value types live here too, since every other module imports this
+one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
+from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -38,6 +40,59 @@ class InternalError(FlatspecError, ArithmeticError):
     """An exactness check failed: a bug, not a bad input."""
 
     prefix = "internal: "
+
+
+class Record:
+    """An immutable value: a subclass names its fields in ``__slots__`` and
+    their defaults in ``_defaults``.  Equality and the hash read every field
+    but ``label``, a name for output only; the hash is computed on first use
+    and kept, so a record used as a cache key hashes its fields once."""
+
+    __slots__ = ("_hash",)
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*(f for f in cls.__slots__ if f != "label"))
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):  # binding by name costs twice as much
+            bound = {**self._defaults, **dict(zip(names, args)), **kwargs}
+            if (len(args) > len(names) or bound.keys() != set(names)
+                    or not kwargs.keys().isdisjoint(names[:len(args)])):
+                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+            args = [bound[n] for n in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self._check()
+
+    def _check(self) -> None:
+        """Validate the fields; a field may be normalised through object.__setattr__."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self._key(self)))
+            return self._hash
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: the record refuses setattr
+        return type(self), tuple(getattr(self, n) for n in self.__slots__)
 
 
 def as_int_matrix(rows: Sequence[Sequence[int]], name: str = "matrix") -> IntMatrix:

@@ -9,19 +9,18 @@ verified for mu up to the cutoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Optional
 
 from .crystal import (
     GroupDefinition,
-    PointGroupElement,
     close_point_group,
     extend_with_characters,
     require_valid,
 )
-from .exact_linear import InternalError, UsageError, det, trace_p
+from .exact_linear import InternalError, Record, UsageError, trace_p
 from .spectral import (
+    _class_rows,
     betti_row,
     character_sum,
     form_degrees,
@@ -34,21 +33,13 @@ from .spectral import (
 DEFAULT_MU_MAX = 10
 
 
-@dataclass(frozen=True)
-class PVerdict:
-    equal_up_to_cutoff: bool
-    witness: Optional[tuple[int, int, int, int]]  # (p, mu, d, d')
+class PVerdict(Record):
+    __slots__ = ("equal_up_to_cutoff", "witness")  # witness: (p, mu, d, d') or None
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    dim: int
-    mu_max: int
-    p_verdicts: tuple[tuple[int, PVerdict], ...]
-    betti_first: tuple[int, ...]
-    betti_second: tuple[int, ...]
-    orientable_first: bool
-    orientable_second: bool
+class ComparisonReport(Record):
+    __slots__ = ("dim", "mu_max", "p_verdicts", "betti_first", "betti_second",
+                 "orientable_first", "orientable_second")
 
     def verdicts(self) -> dict[int, PVerdict]:
         return dict(self.p_verdicts)
@@ -89,7 +80,10 @@ class ComparisonReport:
 
 
 def is_orientable(defn: GroupDefinition) -> bool:
-    return all(det(el.matrix) == 1 for el in close_point_group(defn))
+    """Whether every B in F has det(B) = trace_n(B) = 1, i.e. the summed top traces
+    of the validated group's classes reach |F|; an invalid group raises."""
+    order, classes = _class_rows(defn)
+    return sum(row[defn.dim] for _, row in classes) == order
 
 
 def compare_spectra(
@@ -129,13 +123,12 @@ def compare_spectra(
     )
 
 
-@dataclass(frozen=True)
-class HolonomyPairing:
+class HolonomyPairing(Record):
     """A bijection between two point groups, identity matched to identity."""
 
-    pairs: tuple[tuple[PointGroupElement, PointGroupElement], ...]
+    __slots__ = ("pairs",)
 
-    def __post_init__(self):
+    def _check(self):
         firsts = [a for a, _ in self.pairs]
         seconds = [b for _, b in self.pairs]
         if len(set(firsts)) != len(firsts) or len(set(seconds)) != len(seconds):
@@ -199,11 +192,8 @@ def check_pairing_criterion(
     return True
 
 
-@dataclass(frozen=True)
-class DualityReport:
-    orientable: bool
-    holds: bool
-    counterexample: Optional[tuple[int, int, int, int]]  # (p, mu, d_p, d_{n-p})
+class DualityReport(Record):
+    __slots__ = ("orientable", "holds", "counterexample")  # (p, mu, d_p, d_{n-p}) or None
 
 
 def duality_check(defn: GroupDefinition, mu_max: int = DEFAULT_MU_MAX) -> DualityReport:

@@ -22,7 +22,6 @@ Table keys use mu throughout; the eigenvalue itself is 4*pi^2*mu.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
@@ -39,6 +38,7 @@ from .exact_linear import (
     IntMatrix,
     InternalError,
     LimitError,
+    Record,
     UsageError,
     cycles,
     exterior_traces,
@@ -60,14 +60,12 @@ class NonRationalSumError(InternalError):
 # ---------------------------------------------------------------------------
 # Exact sums of roots of unity
 
-@dataclass(frozen=True)
-class RootOfUnityTally:
+class RootOfUnityTally(Record):
     """Integer combination sum_k counts[k] * zeta_Q^k, held exactly."""
 
-    modulus: int
-    counts: tuple[int, ...]
+    __slots__ = ("modulus", "counts")
 
-    def __post_init__(self):
+    def _check(self):
         if self.modulus < 1:
             raise ValueError("modulus must be positive")
         if len(self.counts) != self.modulus:
@@ -264,16 +262,14 @@ def multiplicity(defn: GroupDefinition, p: int, mu: int) -> int:
     total = weighted_sum(
         (row[p], character_sum(rep, mu)) for rep, row in classes if row[p]
     )
-    cell = f"{defn.label or '<unnamed>'} at p={p}, mu={mu}"
     try:
-        value = reduce_tally(total) / order
-    except NonRationalSumError as exc:
-        raise NonRationalSumError(f"{cell}: {exc}") from exc
-    if value.denominator != 1 or value < 0:
-        raise InternalError(
-            f"{cell}: multiplicity came out {value}; must be a nonnegative integer"
-        )
-    return int(value)
+        d, r = divmod(reduce_tally(total).numerator, order)
+        if r or d < 0:
+            raise InternalError(f"multiplicity came out {Fraction(d * order + r, order)}; "
+                                "must be a nonnegative integer")
+    except InternalError as exc:  # NonRationalSumError too: name the cell, keep the class
+        raise type(exc)(f"{defn.label or '<unnamed>'} at p={p}, mu={mu}: {exc}") from exc
+    return d
 
 
 def betti(defn: GroupDefinition, p: int) -> int:
@@ -285,11 +281,10 @@ def betti_row(defn: GroupDefinition) -> tuple[int, ...]:
     return tuple(betti(defn, p) for p in range(defn.dim + 1))
 
 
-@dataclass(frozen=True)
-class MultiplicityTable:
+class MultiplicityTable(Record):
     """Map (p, mu) -> d_{p,mu}; the eigenvalue for key mu is 4 pi^2 mu."""
 
-    entries: tuple[tuple[tuple[int, int], int], ...]
+    __slots__ = ("entries",)
 
     def as_dict(self) -> dict[tuple[int, int], int]:
         return dict(self.entries)
@@ -324,4 +319,4 @@ def multiplicity_table(
     for p in form_degrees(defn.dim, p_set):
         for mu in range(mu_max + 1):
             entries.append(((p, mu), multiplicity(defn, p, mu)))
-    return MultiplicityTable(entries=tuple(entries))
+    return MultiplicityTable(tuple(entries))

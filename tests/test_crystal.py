@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -523,6 +525,74 @@ class TestJsonRoundTrip:
             with pytest.raises(ValueError, match="field 'label' must be a string"):
                 group_from_json({"dim": 1, "label": label, "generators": []})
         assert group_from_json({"dim": 1, "generators": []}).label == ""
+
+
+class TestRecord:
+    """The value semantics that every Record subclass shares."""
+
+    def test_equality_and_hash_ignore_the_label(self):
+        g = klein_bottle()
+        relabeled = GroupDefinition(g.dim, g.generators, label="other")
+        assert relabeled == g and hash(relabeled) == hash(g)
+        assert GroupDefinition(2, ()) != g
+
+    def test_equal_records_hash_equal(self):
+        first = AffineGenerator(diag(1, -1), (HALF, 0))
+        second = AffineGenerator(matrix=[[1, 0], [0, -1]], translation=(Fraction(3, 2), 1), order=2)
+        assert first == second and hash(first) == hash(second)
+        assert first != AffineGenerator(diag(1, -1), (0, HALF))
+
+    def test_the_hash_is_computed_once(self, monkeypatch):
+        g = example("5.1a")
+        calls = []
+        original = Fraction.__hash__
+        monkeypatch.setattr(Fraction, "__hash__", lambda x: calls.append(x) or original(x))
+        first = hash(g)
+        assert calls
+        calls.clear()
+        assert hash(g) == first and not calls
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        g = klein_bottle()
+        with pytest.raises(AttributeError):
+            g.dim = 3
+        with pytest.raises(AttributeError):
+            g.label = "other"
+        with pytest.raises(AttributeError):
+            del g.generators
+        assert (g.dim, g.label) == (2, "klein")
+
+    @pytest.mark.parametrize("make", [
+        lambda: example("5.1")[0],
+        lambda: close_point_group(example("5.1a"))[1],
+        lambda: validate_bieberbach(example("5.1a")),
+        lambda: first_homology(example("5.1a")),
+        classical_hw_matrix,
+    ], ids=["group", "element", "report", "homology", "hw-matrix"])
+    def test_copy_deepcopy_and_pickle_give_an_equal_record(self, make):
+        record = make()
+        for clone in (copy.copy(record), copy.deepcopy(record),
+                      pickle.loads(pickle.dumps(record))):
+            assert type(clone) is type(record)
+            assert clone == record and hash(clone) == hash(record)
+            assert repr(clone) == repr(record)
+
+    def test_repr_names_every_field(self):
+        assert repr(first_homology(klein_bottle())) == "AbelianGroupType(free_rank=1, torsion=(2,))"
+
+    def test_a_wrong_field_count_or_name_is_a_type_error(self):
+        el = close_point_group(klein_bottle())[1]
+        with pytest.raises(TypeError):
+            PointGroupElement(el.matrix, el.translation)
+        with pytest.raises(TypeError):
+            PointGroupElement(el.matrix, el.translation, el.word, ())
+        with pytest.raises(TypeError):
+            PointGroupElement(el.matrix, el.translation, words=el.word)
+        with pytest.raises(TypeError):
+            PointGroupElement(el.matrix, el.translation, el.word, matrix=el.matrix)
+        with pytest.raises(TypeError):
+            AffineGenerator(diag(1, -1), (HALF, 0), 2, translation=(0, 0))
+        assert PointGroupElement(el.matrix, el.translation, word=el.word) == el
 
 
 def test_generator_dimension_checked():

@@ -5,6 +5,9 @@ parses, and every name the benchmark traces exists."""
 import argparse
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import flatspec
@@ -85,6 +88,16 @@ def test_every_subcommand_is_dispatched_or_answered_first():
     ]
     assert len(subparsers) == 1
     assert set(subparsers[0].choices) == set(cli.COMMANDS) | {"corpus", "validate"}
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    """dataclasses pulls in inspect, ast, dis and tokenize, which every cold
+    CLI process would pay for; the package's records do without them."""
+    code = "import sys, flatspec.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    assert result.stdout.strip() == "[]"
 
 
 def spans_constant(name):

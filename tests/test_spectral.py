@@ -1,6 +1,5 @@
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -228,6 +227,7 @@ class TestMultiplicity:
 
     def test_arithmetic_errors_name_the_cell(self, monkeypatch):
         probe = GroupDefinition(dim=2, generators=(), label="probe")
+        clear_spectral_caches()  # an earlier test may have cached these 2-torus cells
         irrational = RootOfUnityTally(4, (0, 1, 0, 0))  # zeta_4 alone
         monkeypatch.setattr(spectral, "character_sum", lambda el, mu: irrational)
         with pytest.raises(NonRationalSumError, match=r"^probe at p=1, mu=3: tally reduces"):
@@ -241,7 +241,7 @@ class TestMultiplicity:
         g = example("5.1a")
         value = multiplicity(g, 2, 3)
         before = multiplicity.cache_info()
-        assert multiplicity(replace(g, label="x"), 2, 3) == value
+        assert multiplicity(GroupDefinition(g.dim, g.generators, label="x"), 2, 3) == value
         after = multiplicity.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
@@ -250,7 +250,7 @@ class TestMultiplicity:
         with pytest.raises(UsageError, match="^group definition first fails"):
             multiplicity(bad, 0, 1)
         with pytest.raises(UsageError, match="^group definition second fails"):
-            multiplicity(replace(bad, label="second"), 0, 1)
+            multiplicity(GroupDefinition(bad.dim, bad.generators, label="second"), 0, 1)
 
 
 def random_valid_group(rng) -> GroupDefinition:
@@ -535,6 +535,24 @@ class TestThetaSeries:
         assert betti_row(g) == (1, 2, 3, 4, 3, 2, 1)
         assert 0 < len(walks) <= 2 * order
 
+
+    def test_a_deeper_cold_table_hashes_no_more_fractions(self, monkeypatch):
+        """Records keep their hash, so cache lookups per cell rehash no
+        translation: a deeper table makes no more Fraction hashes."""
+
+        def fraction_hashes(mu_max):
+            clear_spectral_caches()
+            crystal.close_point_group.cache_clear()
+            crystal.validate_bieberbach.cache_clear()
+            g = example("4.5a")
+            calls = []
+            original = Fraction.__hash__
+            with monkeypatch.context() as m:
+                m.setattr(Fraction, "__hash__", lambda x: calls.append(x) or original(x))
+                multiplicity_table(g, None, mu_max)
+            return len(calls)
+
+        assert fraction_hashes(64) == fraction_hashes(8)
 
     def test_a_cold_table_validates_and_closes_the_group_once(self, monkeypatch):
         g = example("5.6a")
