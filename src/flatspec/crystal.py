@@ -204,14 +204,18 @@ def _commutator_term(x: Coset, y: Coset) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def close_point_group(definition: GroupDefinition) -> tuple[PointGroupElement, ...]:
-    """One representative per coset of Lambda\\Gamma, identity first.
+def _cosets(definition: GroupDefinition) -> tuple[int, dict[tuple[int, ...], Coset]]:
+    """Q and the Coset of each word, identity first, by word length then word.
 
-    Elements are ordered by word length then lexicographic word.  Raises
-    GroupStructureError unless the generator matrices pairwise commute, the
-    matrix group is the direct product of the declared cyclic groups, and the
-    word cosets are closed under multiplication (equivalently, gamma_i^{m_i}
-    is a lattice translation for each i).
+    Raises GroupStructureError unless the generator matrices commute, the
+    matrix group is the direct product of the cyclic <B_k>, and the word
+    cosets are closed: given the direct product, exactly when each
+    gamma_k^{m_k} is the identity coset and each pair gamma_i, gamma_j
+    commutes.  If so, w -> gamma^w is a homomorphism from prod_k Z_{m_k} onto
+    the word cosets, which are then a group.  If they are a group, taking the
+    matrix maps it one to one onto the matrix group, so gamma_k^{m_k} and the
+    identity, both over I, are equal, as are gamma_i gamma_j and gamma_j
+    gamma_i, both over B_i B_j.
     """
     orders = [g.order for g in definition.generators]
     total = prod(orders)
@@ -219,6 +223,7 @@ def close_point_group(definition: GroupDefinition) -> tuple[PointGroupElement, .
         raise CosetCapError(f"point group order {total} exceeds cap {COSET_CAP}")
 
     q, gens = _integer_generators(definition)
+    unequal = []  # the pairs that commute as matrices but not as cosets
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             ab = _coset_product(gens[i], gens[j], q)
@@ -227,6 +232,8 @@ def close_point_group(definition: GroupDefinition) -> tuple[PointGroupElement, .
                 raise GroupStructureError(
                     f"generator matrices {i} and {j} do not commute"
                 )
+            if ab != ba:
+                unequal.append(f"gamma_{i} and gamma_{j} do not commute")
 
     n = definition.dim
     words = sorted(product(*map(range, orders)), key=lambda w: (sum(w), w))
@@ -242,18 +249,24 @@ def close_point_group(definition: GroupDefinition) -> tuple[PointGroupElement, .
         raise GroupStructureError(
             "matrix group is not the direct product of the declared cyclic factors"
         )
-    # distinct matrices make the cosets distinct too
-    coset_set = set(built.values())
-    for c in built.values():
-        for g in gens:
-            if _coset_product(c, g, q) not in coset_set:
-                raise GroupStructureError(
-                    "word cosets are not closed under multiplication; "
-                    "some gamma_i^{m_i} is not a lattice translation"
-                )
+    powers = []
+    for k, m in enumerate(orders):
+        last = tuple(m - 1 if i == k else 0 for i in range(len(orders)))
+        if any(_coset_product(built[last], gens[k], q)[2]):
+            powers.append(f"gamma_{k}^{m} is not a lattice translation")
+    if failed := powers + unequal:
+        raise GroupStructureError(f"word cosets are not closed under multiplication; {failed[0]}")
+    return q, built
+
+
+@lru_cache(maxsize=None)
+def close_point_group(definition: GroupDefinition) -> tuple[PointGroupElement, ...]:
+    """One representative per coset of Lambda\\Gamma, ordered and checked as
+    ``_cosets`` orders and checks them."""
+    q, cosets = _cosets(definition)
     return tuple(
         PointGroupElement(signed_perm_matrix(image, sign), tuple(Fraction(x, q) for x in t), word)
-        for word, (image, sign, t) in built.items()
+        for word, (image, sign, t) in cosets.items()
     )
 
 
@@ -280,14 +293,37 @@ def fixed_cycle_phases(walk: Sequence[Cycle], b: RatVector) -> tuple[int, list[t
     return q, [(c, sum(c.vector[j] * t[j] for j in c.support)) for c in walk if c.sign == 1]
 
 
-def _power_sum_image(matrix: IntMatrix, b: RatVector) -> tuple[int, IntVector, bool]:
-    """(q, q S b, off) for S = sum_{j=0}^{m-1} B^{-j}, m the order of B.
+def coset_walk(coset: Coset, q: int) -> tuple[tuple[int, int, int], ...]:
+    """(L_c, s_c, u_c . t mod q) for each cycle c of B, in the order of
+    ``cycles``, by one walk over (image, sign)."""
+    image, sign, t = coset
+    seen = [False] * len(image)
+    out = []
+    for start in range(len(image)):
+        j, u, length, phase = start, 1, 0, 0
+        while not seen[j]:
+            seen[j] = True
+            length += 1
+            phase += u * t[j]
+            u *= sign[j]
+            j = image[j]
+        if length:
+            out.append((length, u, phase % q))
+    return tuple(out)
 
-    q is the lcm of the denominators of b.  S vanishes on a cycle of sign -1
-    and is (m / L_c) u_c u_c^T on a fixed cycle c of length L_c, so
-    q S b = sum_c (m / L_c)(u_c . q b) u_c.  ``off`` is True iff u_c . q b is
-    not divisible by q for some fixed cycle c.
-    """
+
+def _torsion_test(walk, q: int) -> bool:
+    """Whether S b lies in Z^n but outside S Z^n, for S = sum_{j=0}^{m-1} B^{-j}:
+    S is (m / L_c) u_c u_c^T on a fixed cycle c and 0 on the others, and
+    S Z^n = sum_c (m / L_c) Z u_c, the supports being disjoint."""
+    m = lcm(*(length * (1 if sign == 1 else 2) for length, sign, _ in walk))
+    fixed = [(length, a) for length, sign, a in walk if sign == 1]
+    return any(a for _, a in fixed) and not any(m // length * a % q for length, a in fixed)
+
+
+def _power_sum_image(matrix: IntMatrix, b: RatVector) -> tuple[int, IntVector, bool]:
+    """(q, q S b, off) for S as in ``_torsion_test``, q the lcm of the
+    denominators of b and ``off`` whether S b lies outside S Z^n."""
     walk = cycles(matrix)
     q, phases = fixed_cycle_phases(walk, b)
     m = lcm(*(len(c.support) * (1 if c.sign == 1 else 2) for c in walk))
@@ -299,15 +335,19 @@ def _power_sum_image(matrix: IntMatrix, b: RatVector) -> tuple[int, IntVector, b
 
 
 def check_torsion_condition(element: PointGroupElement) -> bool:
-    """True iff S b(I) lies in Z^n but outside S Z^n, for S = sum_j B_I^{-j}.
+    """True iff S b(I) lies in Z^n but outside S Z^n, for S = sum_j B_I^{-j}:
+    then the powers of the element reach a nonzero lattice translation."""
+    q = lcm(*(x.denominator for x in element.translation))
+    coset = signed_perm(element.matrix) + (_scaled(element.translation, q),)
+    return _torsion_test(coset_walk(coset, q), q)
 
-    This is the per-coset form of the torsion-freeness condition: powers of
-    the element reach a nonzero lattice translation.  The fixed cycles have
-    disjoint supports, so S Z^n = sum_c (m / L_c) Z u_c, and S b lies in it
-    exactly when u_c . b is an integer for every fixed cycle c.
-    """
-    q, w, off = _power_sum_image(element.matrix, element.translation)
-    return off and not any(x % q for x in w)
+
+@lru_cache(maxsize=None)
+def _torsion_walks(definition: GroupDefinition) -> tuple[int, dict[tuple[int, ...], tuple]]:
+    """Q and the walk of each coset but the identity, which has no torsion
+    condition; raises as ``_cosets`` does."""
+    q, cosets = _cosets(definition)
+    return q, {word: coset_walk(c, q) for word, c in cosets.items() if any(word)}
 
 
 @lru_cache(maxsize=None)
@@ -318,43 +358,32 @@ def validate_bieberbach(definition: GroupDefinition) -> ValidationReport:
     closed point group; every coset arises from a generator word, and the
     condition only depends on the coset, so this is equivalent to checking
     all index words with repetitions.  The lattice flag follows the separate
-    split: pairwise condition plus S_i b_i in Z^n per generator.
+    split: pairwise condition plus S_i b_i in Z^n per generator, that is,
+    gamma_i^{m_i} a lattice translation, which closure already implies.
     """
     gens = definition.generators
-    failures: list[tuple[tuple, str]] = []
-
     pair_failures = check_pairwise_condition(definition)
-    for i, j in pair_failures:
-        failures.append(((i, j), "pairwise"))
-
-    lattice_ok = not pair_failures
-    for i, g in enumerate(gens):
-        q, w, _ = _power_sum_image(g.matrix, g.translation)
-        if any(x % q for x in w):
-            word = tuple(1 if k == i else 0 for k in range(len(gens)))
-            failures.append((word, "generator-lattice"))
-            lattice_ok = False
-
-    elements: tuple[PointGroupElement, ...] = ()
+    failures: list[tuple[tuple, str]] = [((i, j), "pairwise") for i, j in pair_failures]
     try:
-        elements = close_point_group(definition)
+        q, walks = _torsion_walks(definition)
+        order = len(walks) + 1
     except GroupStructureError as exc:
+        order, walks = 0, {}
+        for i, g in enumerate(gens):
+            qi, w, _ = _power_sum_image(g.matrix, g.translation)
+            if any(x % qi for x in w):
+                failures.append((tuple(int(k == i) for k in range(len(gens))), "generator-lattice"))
         failures.append(((), f"closure: {exc}"))
-    closed = bool(elements)
-
-    torsion_free = closed and not pair_failures
-    for el in elements[1:]:
-        if not check_torsion_condition(el):
-            failures.append((el.word, "torsion"))
-            torsion_free = False
+    lattice_ok = not any(cond in ("pairwise", "generator-lattice") for _, cond in failures)
+    torsion = [(word, "torsion") for word, walk in walks.items() if not _torsion_test(walk, q)]
 
     return ValidationReport(
-        is_group_closed=closed,
+        is_group_closed=order > 0,
         has_translation_lattice_Zn=lattice_ok,
-        is_torsion_free=torsion_free,
-        holonomy_order=len(elements),
+        is_torsion_free=order > 0 and not pair_failures and not torsion,
+        holonomy_order=order,
         holonomy_structure=tuple(g.order for g in gens if g.order > 1),
-        failures=tuple(failures),
+        failures=tuple(failures + torsion),
     )
 
 

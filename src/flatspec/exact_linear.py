@@ -196,16 +196,15 @@ def det(m: IntMatrix) -> int:
     return prod((-1) ** (len(c.support) + 1) * c.sign for c in cycles(m))
 
 
-def exterior_traces(m: IntMatrix) -> tuple[int, ...]:
-    """(trace_0, ..., trace_n) of a signed permutation on the exterior powers:
-    the coefficients of det(I + tB), from one cycle walk; a cycle of length L
-    and sign s contributes the factor 1 - s (-t)^L."""
-    poly = [1] + [0] * len(m)
+def exterior_traces(n: int, cycle_type) -> tuple[int, ...]:
+    """(trace_0, ..., trace_n) of a signed permutation of Z^n on the exterior
+    powers, from the (L_c, s_c) of its cycles: the coefficients of
+    det(I + tB), a cycle of length L and sign s contributing 1 - s (-t)^L."""
+    poly = [1] + [0] * n
     top = 0  # the degree of the product so far
-    for c in cycles(m):
-        length = len(c.support)
+    for length, sign in cycle_type:
         top += length
-        step = -c.sign * (-1) ** length
+        step = -sign * (-1) ** length
         for k in range(top, length - 1, -1):
             poly[k] += step * poly[k - length]
     return tuple(poly)
@@ -216,7 +215,7 @@ def trace_p(m: IntMatrix, p: int) -> int:
     n = len(m)
     if not 0 <= p <= n:
         raise UsageError(f"exterior power {p} out of range for dimension {n}")
-    return exterior_traces(m)[p]
+    return exterior_traces(n, ((len(c.support), c.sign) for c in cycles(m)))[p]
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:

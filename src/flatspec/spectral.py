@@ -30,7 +30,9 @@ from operator import add
 from .crystal import (
     GroupDefinition,
     PointGroupElement,
+    _torsion_walks,
     close_point_group,
+    coset_walk,
     fixed_cycle_phases,
     require_valid,
 )
@@ -203,10 +205,16 @@ def enumerate_fixed_shell(matrix: IntMatrix, mu: int) -> tuple[tuple[int, ...], 
 
 @lru_cache(maxsize=None)
 def _signature(element: PointGroupElement) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """B's signature: a_c and q - a_c give equal counts (send k_c to -k_c)."""
     r, fixed = fixed_cycle_phases(cycles(element.matrix), element.translation)
+    return _walk_signature(((len(c.support), 1, a) for c, a in fixed), r)
+
+
+def _walk_signature(walk, r: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """B's signature from the (L_c, s_c, a_c) of its cycles, a_c / r = u_c . b
+    mod 1: a_c and q - a_c give equal counts (send k_c to -k_c)."""
+    fixed = [(length, a) for length, sign, a in walk if sign == 1]
     q = lcm(*(r // gcd(a, r) for _, a in fixed))
-    reduced = ((len(c.support), a * q // r % q) for c, a in fixed)
+    reduced = ((length, a * q // r % q) for length, a in fixed)
     return q, tuple(sorted((length, min(a, q - a)) for length, a in reduced))
 
 
@@ -245,12 +253,16 @@ def character_sum(element: PointGroupElement, mu: int) -> RootOfUnityTally:
 @lru_cache(maxsize=None)
 def _class_rows(defn: GroupDefinition) -> tuple:
     """The validated group's record: (|F|, one (representative, summed
-    exterior-trace row) per signature of F)."""
+    exterior-trace row) per signature of F), read from one walk per element:
+    the torsion check's, and here the identity's."""
     order = require_valid(defn).holonomy_order
+    q, walks = _torsion_walks(defn)
+    n = defn.dim
     classes = {}
     for el in close_point_group(defn):
-        _, row = classes.setdefault(_signature(el), (el, [0] * (defn.dim + 1)))
-        row[:] = map(add, row, exterior_traces(el.matrix))
+        walk = walks[el.word] if any(el.word) else coset_walk((range(n), (1,) * n, (0,) * n), q)
+        _, row = classes.setdefault(_walk_signature(walk, q), (el, [0] * (n + 1)))
+        row[:] = map(add, row, exterior_traces(n, (c[:2] for c in walk)))
     return order, tuple((rep, tuple(row)) for rep, row in classes.values())
 
 

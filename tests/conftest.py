@@ -9,7 +9,7 @@ from math import gcd, isqrt, lcm
 import pytest
 from hypothesis import strategies as st
 
-from flatspec import HWMatrix, build_hw_group, example
+from flatspec import HWMatrix, build_hw_group, crystal, example
 from flatspec.crystal import (
     COSET_CAP,
     AbelianGroupType,
@@ -60,7 +60,7 @@ def mat_vec(m, v) -> tuple:
     """Apply ``m`` to a vector of ints or Fractions."""
     if m and len(m[0]) != len(v):
         raise ValueError("incompatible shapes for matrix-vector product")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    return tuple(sum(x * y for x, y in zip(row, v) if x) for row in m)
 
 
 def det_oracle(matrix) -> int:
@@ -147,6 +147,7 @@ def _all_words(orders):
     return [(l,) + w for l in range(orders[0]) for w in rest]
 
 
+@lru_cache(maxsize=None)
 def close_point_group_reference(definition):
     """(matrix, translation, word) per coset by Fraction matrix products.
 
@@ -198,13 +199,28 @@ def close_point_group_reference(definition):
         raise GroupStructureError(
             "distinct words give the same coset; translation lattice exceeds Z^n"
         )
-    for mat, tr, _ in elements:
-        for g in gens:
-            if _coset_mul(mat, tr, g.matrix, g.translation) not in cosets:
-                raise GroupStructureError(
-                    "word cosets are not closed under multiplication; "
-                    "some gamma_i^{m_i} is not a lattice translation"
-                )
+    closed = all(
+        _coset_mul(mat, tr, g.matrix, g.translation) in cosets
+        for mat, tr, _ in elements
+        for g in gens
+    )
+    # the diagnosis: the first generator power that is not the identity coset,
+    # else the first pair of generators that do not commute as cosets
+    failed = None
+    for k, g in enumerate(gens):
+        pm, pt = powers[k][-1]
+        if _coset_mul(pm, pt, g.matrix, g.translation) != ident:
+            failed = failed or f"gamma_{k}^{g.order} is not a lattice translation"
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            a, b = gens[i], gens[j]
+            if (_coset_mul(a.matrix, a.translation, b.matrix, b.translation)
+                    != _coset_mul(b.matrix, b.translation, a.matrix, a.translation)):
+                failed = failed or f"gamma_{i} and gamma_{j} do not commute"
+    # closure holds exactly when every power and every pair passes
+    assert closed == (failed is None), (closed, failed)
+    if failed:
+        raise GroupStructureError("word cosets are not closed under multiplication; " + failed)
     return elements
 
 
@@ -371,6 +387,34 @@ def random_candidate(rng, max_dim=8) -> GroupDefinition:
                 offset += len(base)
         translation = tuple(Fraction(rng.randrange(d), d) for _ in range(n))
         gens.append(AffineGenerator(matrix, translation))
+    return GroupDefinition(dim=n, generators=tuple(gens))
+
+
+def clear_crystal_caches():
+    """Empty every cache of ``flatspec.crystal``, for counts of cold work."""
+    for value in vars(crystal).values():
+        if hasattr(value, "cache_clear") and value.__module__ == crystal.__name__:
+            value.cache_clear()
+
+
+def random_hw_candidate(rng, n) -> GroupDefinition:
+    """A Hantzsche-Wendt candidate built as the benchmark's ``hw`` kind is: the
+    n - 1 diagonal generators with translations drawn from {0, 1/2}^n; its
+    point group has order 2^(n-1)."""
+    rows = tuple(tuple(Fraction(rng.randrange(2), 2) for _ in range(n)) for _ in range(n - 1))
+    return build_hw_group(HWMatrix(n=n, rows=rows))
+
+
+def random_diagonal_candidate(rng, max_generators=6) -> GroupDefinition:
+    """A candidate Z_2^k, k <= max_generators: diagonal +-1 generators with
+    translations in (1/2)Z^n or, one time in three, (1/4)Z^n."""
+    n = rng.randint(2, 8)
+    d = rng.choice((2, 2, 4))
+    gens = []
+    for _ in range(rng.randint(1, max_generators)):
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+        matrix = tuple(tuple(signs[i] if i == j else 0 for j in range(n)) for i in range(n))
+        gens.append(AffineGenerator(matrix, tuple(Fraction(rng.randrange(d), d) for _ in range(n))))
     return GroupDefinition(dim=n, generators=tuple(gens))
 
 

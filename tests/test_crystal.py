@@ -28,10 +28,11 @@ from flatspec.crystal import (
     validate_bieberbach,
 )
 from flatspec.exact_linear import UsageError, in_image_lattice, signed_permutation_order
-from flatspec import example
+from flatspec import crystal, example
 
 from conftest import (
     classical_hw_matrix,
+    clear_crystal_caches,
     close_point_group_reference,
     first_homology_reference,
     identity_matrix,
@@ -39,6 +40,8 @@ from conftest import (
     pairwise_condition_reference,
     power_sum_oracle,
     random_candidate,
+    random_diagonal_candidate,
+    random_hw_candidate,
     signed_permutations,
     torsion_oracle,
     validate_bieberbach_reference,
@@ -151,6 +154,85 @@ class TestClosePointGroup:
         gens = (AffineGenerator(identity_matrix(2), (THIRD, Fraction(0))),)
         with pytest.raises(GroupStructureError):
             close_point_group(GroupDefinition(dim=2, generators=gens))
+
+
+class TestClosureDiagnosis:
+    """A closure failure names the generator power or the pair that fails."""
+
+    def test_only_the_commutator_fails(self):
+        # both squares are lattice translations; gamma_0 gamma_1 sits at
+        # (1/4, 3/4) and gamma_1 gamma_0 at (1/4, 1/4)
+        gens = (
+            AffineGenerator(diag(1, -1), (Fraction(0), QUARTER)),
+            AffineGenerator(diag(-1, -1), (QUARTER, Fraction(0))),
+        )
+        defn = GroupDefinition(2, gens)
+        message = ("word cosets are not closed under multiplication; "
+                   "gamma_0 and gamma_1 do not commute")
+        with pytest.raises(GroupStructureError) as info:
+            close_point_group(defn)
+        assert str(info.value) == message
+        assert validate_bieberbach(defn).failures == (
+            ((0, 1), "pairwise"), ((), "closure: " + message))
+        assert assert_matches_references(defn) == message
+
+    def test_a_power_that_is_no_lattice_translation(self):
+        gens = (
+            AffineGenerator(diag(-1, 1, 1), (Fraction(0), HALF, Fraction(0))),
+            AffineGenerator(diag(1, 1, -1), (Fraction(0), QUARTER, Fraction(0))),
+        )
+        defn = GroupDefinition(3, gens)
+        message = ("word cosets are not closed under multiplication; "
+                   "gamma_1^2 is not a lattice translation")
+        assert assert_matches_references(defn) == message
+        assert validate_bieberbach(defn).failures == (
+            ((0, 1), "generator-lattice"), ((), "closure: " + message))
+        assert check_pairwise_condition(defn) == []
+
+
+def invalid_hw7():
+    """A 7-d Hantzsche-Wendt candidate (|F| = 64) that fails the torsion check."""
+    rng = random.Random(7)
+    while validate_bieberbach(defn := random_hw_candidate(rng, 7)).is_torsion_free:
+        pass
+    return defn
+
+
+class TestColdValidation:
+    """What a cold validation and a cold closure build, counted."""
+
+    def test_a_rejected_group_materialises_nothing(self, monkeypatch):
+        defn = invalid_hw7()
+        clear_crystal_caches()
+        built = []
+        init, new = PointGroupElement.__init__, Fraction.__new__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(PointGroupElement, "__init__", counting_init)
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        report = validate_bieberbach(defn)
+        monkeypatch.undo()
+        assert report.holonomy_order == 64 and not report.is_torsion_free
+        assert not built
+
+    @pytest.mark.parametrize("make", [invalid_hw7, lambda: example("5.1a"), lambda: example("5.8b")],
+                             ids=["hw7", "5.1a", "5.8b"])
+    def test_a_cold_closure_makes_few_coset_products(self, monkeypatch, make):
+        defn = make()
+        clear_crystal_caches()
+        products = []
+        original = crystal._coset_product
+        monkeypatch.setattr(crystal, "_coset_product",
+                            lambda x, y, q: products.append(q) or original(x, y, q))
+        order, r = len(close_point_group(defn)), len(defn.generators)
+        assert 0 < len(products) <= (order - 1) + r + r * (r - 1)
 
 
 class TestPairwiseCondition:
@@ -301,6 +383,34 @@ class TestClosureDifferential:
     def test_catalog_matches(self, all_corpus_defs):
         for label, defn in all_corpus_defs:
             assert assert_matches_references(defn) == "valid", label
+
+
+def sweep_outcome(defn) -> str:
+    """The references' verdict on ``defn`` (asserted equal to the engine's):
+    valid, pairwise (the pairwise condition fails), closure (the word cosets
+    are not a group, pairs commuting) or torsion."""
+    assert_matches_references(defn)
+    report = validate_bieberbach(defn)
+    if report.is_torsion_free:
+        return "valid"
+    if any(cond == "pairwise" for _, cond in report.failures):
+        return "pairwise"
+    return "torsion" if report.is_group_closed else "closure"
+
+
+class TestManyGenerators:
+    """Validation, closure and homology against the references on groups of
+    up to 8 generators: Hantzsche-Wendt candidates and diagonal Z_2^k."""
+
+    def test_seeded_sweep_reaches_every_outcome(self):
+        rng = random.Random(19)
+        groups = [random_hw_candidate(rng, n) for n, count in ((3, 4), (5, 4), (7, 3), (9, 2))
+                  for _ in range(count)]
+        groups += [random_diagonal_candidate(rng) for _ in range(80)]
+        outcomes = Counter(sweep_outcome(defn) for defn in groups)
+        assert all(outcomes[o] >= 5 for o in ("valid", "torsion", "pairwise", "closure")), outcomes
+        assert max(validate_bieberbach(defn).holonomy_order for defn in groups) == 256
+        assert max(len(defn.generators) for defn in groups) == 8
 
 
 class TestValidation:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatspec import crystal, exact_linear, oracles, spectral
+from flatspec import crystal, oracles, spectral
 from flatspec.crystal import (
     AffineGenerator,
     CosetCapError,
@@ -40,6 +40,7 @@ from conftest import (
     character_sum_reference,
     character_sum_shell,
     classical_hw_matrix,
+    clear_crystal_caches,
     diagonal_fixed_count,
     identity_matrix,
     multiplicity_reference,
@@ -470,6 +471,20 @@ def assert_series_match_the_shell(groups):
             assert character_sum(el, mu) == character_sum_shell(el, mu), (el, mu)
 
 
+def count_walks(monkeypatch) -> list:
+    """The cosets that ``crystal.coset_walk`` walks from now on."""
+    walks = []
+    original = crystal.coset_walk
+
+    def counting(coset, q):
+        walks.append(coset)
+        return original(coset, q)
+
+    for module in (crystal, spectral):
+        monkeypatch.setattr(module, "coset_walk", counting)
+    return walks
+
+
 class TestThetaSeries:
     """The theta series of each signature against the fixed-shell oracle."""
 
@@ -523,17 +538,18 @@ class TestThetaSeries:
         require_valid(g)
         order = len(close_point_group(g))
         clear_spectral_caches()
-        walks = []
-        original = exact_linear.cycles
-
-        def counting(m):
-            walks.append(m)
-            return original(m)
-
-        for module in (exact_linear, crystal, spectral):
-            monkeypatch.setattr(module, "cycles", counting)
+        walks = count_walks(monkeypatch)
         assert betti_row(g) == (1, 2, 3, 4, 3, 2, 1)
-        assert 0 < len(walks) <= 2 * order
+        assert 0 < len(walks) <= order
+
+    def test_a_cold_betti_row_walks_each_element_once(self, monkeypatch):
+        g = example("5.1a")
+        order = len(close_point_group(g))
+        clear_spectral_caches()
+        clear_crystal_caches()
+        walks = count_walks(monkeypatch)
+        assert betti_row(g) == (1, 2, 3, 4, 3, 2, 1)
+        assert 0 < len(walks) <= order
 
 
     def test_a_deeper_cold_table_hashes_no_more_fractions(self, monkeypatch):
@@ -571,6 +587,18 @@ class TestThetaSeries:
         assert calls.count("close_point_group") <= 1
 
 
+def z2_10_group() -> GroupDefinition:
+    """A 64-d group with holonomy Z_2^10: generator i shifts coordinate i by
+    1/2 and negates coordinates 10+5i .. 14+5i."""
+    n = 64
+    gens = []
+    for i in range(10):
+        signs = [-1 if 10 + 5 * i <= j < 15 + 5 * i else 1 for j in range(n)]
+        shift = tuple(HALF if j == i else Fraction(0) for j in range(n))
+        gens.append(AffineGenerator(diag(*signs), shift))
+    return GroupDefinition(n, tuple(gens), label="z2^10")
+
+
 class TestDeepInputs:
     """Cutoffs and dimensions where a lattice-shell walk did not finish."""
 
@@ -595,14 +623,8 @@ class TestDeepInputs:
             assert sum((-1) ** p * table[(p, mu)] for p in range(g.dim + 1)) == 0
 
     def test_betti_row_of_a_64d_group_with_1024_elements(self):
-        # generator i shifts coordinate i by 1/2 and negates 10+5i .. 14+5i
         n = 64
-        gens = []
-        for i in range(10):
-            signs = [-1 if 10 + 5 * i <= j < 15 + 5 * i else 1 for j in range(n)]
-            shift = tuple(HALF if j == i else Fraction(0) for j in range(n))
-            gens.append(AffineGenerator(diag(*signs), shift))
-        g = GroupDefinition(n, tuple(gens), label="z2^10")
+        g = z2_10_group()
         require_valid(g)
         assert len(close_point_group(g)) == 1024
         start = time.perf_counter()
@@ -612,3 +634,13 @@ class TestDeepInputs:
         # coordinates: beta_2 = C(14, 2) + 10 C(5, 2); no dx_J of degree 64
         # survives, since every generator has determinant -1
         assert row[:3] == (1, 14, 191) and row[n] == 0
+
+    def test_the_64d_group_walks_each_element_once(self, monkeypatch):
+        g = z2_10_group()
+        clear_spectral_caches()
+        clear_crystal_caches()
+        walks = count_walks(monkeypatch)
+        assert validate_bieberbach(g).holonomy_order == 1024
+        betti_row(g)
+        assert len(walks) == 1024
+        assert len(set(walks)) == 1024
