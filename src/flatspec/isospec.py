@@ -26,6 +26,7 @@ from .spectral import (
     form_degrees,
     multiplicity,
     require_cutoff,
+    size_table,
     sums_to_zero,
     weighted_sum,
 )
@@ -102,8 +103,10 @@ def compare_spectra(
     require_valid(second)
     if first.dim != second.dim:
         raise UsageError("cannot compare groups of different dimensions")
-    verdicts = []
-    for p in form_degrees(first.dim, p_set):
+    verdicts, degrees = [], form_degrees(first.dim, p_set)
+    size_table(first, degrees, mu_max)
+    size_table(second, degrees, mu_max)
+    for p in degrees:
         witness = None
         for mu in range(mu_max + 1):
             d1 = multiplicity(first, p, mu)
@@ -206,6 +209,7 @@ def duality_check(defn: GroupDefinition, mu_max: int = DEFAULT_MU_MAX) -> Dualit
     require_valid(defn)
     n = defn.dim
     orientable = is_orientable(defn)
+    size_table(defn, range(n // 2 + 1), mu_max)
     for p in range(n // 2 + 1):
         for mu in range(mu_max + 1):
             d1 = multiplicity(defn, p, mu)

@@ -14,8 +14,11 @@ and Groups*, ch. 4)
     prod_c sum_{k in Z} zeta_q^(a_c k) x^(L_c k^2),
 
 which depends only on B's signature (q, sorted (L_c, min(a_c, q - a_c))), so
-one series serves each signature; the fixed-shell walk is its test oracle.  A
-cell adds its weighted tallies into one flat list over zeta_Q, Q their lcm.
+one series serves each signature; the fixed-shell walk is its test oracle.
+Each group keeps one table: every signature class's series is lifted to
+zeta_Q, Q the lcm of the class moduli, and reduced modulo Phi_Q once, the p
+rows are trace-weighted sums of those, and a cell is a read.  Asking past its
+length rebuilds the table at the next power of two.
 
 Table keys use mu throughout; the eigenvalue itself is 4*pi^2*mu.
 """
@@ -25,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-from operator import add
+from operator import add, sub
 
 from .crystal import (
     GroupDefinition,
@@ -151,6 +154,8 @@ def require_series(mu: int, rank: int = 0) -> None:
     """Refuse a shell or series of squared norm mu on a fixed lattice of the
     given rank: mu must lie in 0..SHELL_NORM_CAP and, for mu > 0, the rank
     may not exceed SHELL_DIM_CAP."""
+    if not isinstance(mu, int):
+        raise UsageError(f"squared norm {mu} must be an integer")
     if mu < 0:
         raise UsageError("squared norm must be nonnegative")
     if mu > SHELL_NORM_CAP:
@@ -221,8 +226,8 @@ def _walk_signature(walk, r: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 @lru_cache(maxsize=None)
 def _theta(signature, length: int) -> tuple[tuple[int, ...], ...]:
     """Counts over zeta_q of x^0 .. x^(length - 1) in the theta series of a
-    signature, one tuple per mu.  The series is held as q lists over mu, one
-    per phase; each factor adds in one shifted slice per nonzero term k.
+    signature, as q tuples over mu, one per phase; each factor adds in one
+    shifted slice per nonzero term k.
     """
     q, factors = signature
     series = [[1] + [0] * (length - 1)] + [[0] * length for _ in range(q - 1)]
@@ -238,7 +243,7 @@ def _theta(signature, length: int) -> tuple[tuple[int, ...], ...]:
                 dest = series[(j + a * k) % q]
                 dest[shift:end] = map(add, dest[shift:end], row)
         top = min(length, top + weight * bound * bound)
-    return tuple(zip(*series))
+    return tuple(map(tuple, series))
 
 
 @lru_cache(maxsize=None)
@@ -247,40 +252,121 @@ def character_sum(element: PointGroupElement, mu: int) -> RootOfUnityTally:
     zeta_q: the x^mu coefficient of the theta series of B's signature."""
     q, factors = signature = _signature(element)
     require_series(mu, len(factors))
-    return RootOfUnityTally(q, _theta(signature, 1 << mu.bit_length())[mu])
+    return RootOfUnityTally(q, tuple(s[mu] for s in _theta(signature, 1 << mu.bit_length())))
 
 
 @lru_cache(maxsize=None)
 def _class_rows(defn: GroupDefinition) -> tuple:
-    """The validated group's record: (|F|, one (representative, summed
-    exterior-trace row) per signature of F), read from one walk per element:
-    the torsion check's, and here the identity's."""
+    """The validated group's record: (|F|, one (signature, summed
+    exterior-trace row) per signature class of F), read from one walk per
+    element: the torsion check's, and here the identity's."""
     order = require_valid(defn).holonomy_order
     q, walks = _torsion_walks(defn)
     n = defn.dim
     classes = {}
     for el in close_point_group(defn):
         walk = walks[el.word] if any(el.word) else coset_walk((range(n), (1,) * n, (0,) * n), q)
-        _, row = classes.setdefault(_walk_signature(walk, q), (el, [0] * (n + 1)))
+        row = classes.setdefault(_walk_signature(walk, q), [0] * (n + 1))
         row[:] = map(add, row, exterior_traces(n, (c[:2] for c in walk)))
-    return order, tuple((rep, tuple(row)) for rep, row in classes.values())
+    return order, tuple((sig, tuple(row)) for sig, row in classes.items())
 
 
 @lru_cache(maxsize=None)
-def multiplicity(defn: GroupDefinition, p: int, mu: int) -> int:
-    """Exact d_{p,mu}: multiplicity of eigenvalue 4 pi^2 mu on p-forms."""
+def _zeta_residues(modulus: int) -> tuple[tuple[int, ...], ...]:
+    """zeta_Q^j modulo Phi_Q over 1 .. zeta_Q^(phi(Q)-1), for j < Q: each is
+    x times the one before, x^phi(Q) replaced by x^phi(Q) - Phi_Q."""
+    phi = cyclotomic_polynomial(modulus)
+    r, out = [1] + [0] * (len(phi) - 2), []
+    for _ in range(modulus):
+        out.append(tuple(r))
+        r = [x - r[-1] * c for x, c in zip([0] + r[:-1], phi)]
+    return tuple(out)
+
+
+def _build_table(defn: GroupDefinition, length: int) -> list:
+    """Per p, the components of |F| d_{p,mu}, mu < length, over 1 ..
+    zeta_Q^(phi(Q)-1), Q the lcm of the class moduli: each class series is
+    lifted to zeta_Q and reduced once, then weighted by its trace row."""
+    _, classes = _class_rows(defn)
+    series = [_theta(sig, length) for sig, _ in classes]
+    residues = _zeta_residues(lcm(*map(len, series)))
+    rows = [[[0] * length for _ in residues[0]] for _ in range(defn.dim + 1)]
+    for (_, traces), phases in zip(classes, series):
+        parts = [[0] * length for _ in residues[0]]
+        for j, counts in enumerate(phases):
+            if any(counts):
+                residue = residues[j * len(residues) // len(phases)]
+                for part, c in zip(parts, residue):
+                    part[:] = map(add, part, map(c.__mul__, counts))
+        for row, w in zip(rows, traces):
+            if w:
+                for acc, part in zip(row, parts):
+                    acc[:] = map(add, acc, map(w.__mul__, part))
+    _check_table(defn, rows)
+    return rows
+
+
+def _check_table(defn: GroupDefinition, rows) -> None:
+    """Identities of flat manifolds on a table of nonnegative integer cells:
+    d_{0,0} = 1, d_{n,0} = 1 exactly if orientable, then row p = row n - p, and
+    a zero Euler sum at every mu.  ``multiplicity`` refuses other cells."""
     order, classes = _class_rows(defn)
+    for comps in rows:
+        if any(map(any, comps[1:])) or min(comps[0]) < 0 or any(map(order.__rmod__, comps[0])):
+            return
+    n, d = defn.dim, [list(map(order.__rfloordiv__, comps[0])) for comps in rows]
+    orientable, euler = sum(row[n] for _, row in classes) == order, d[0]
+    for row in d[1:]:  # d_p - d_{p-1} + ... + (-1)^p d_0
+        euler = list(map(sub, row, euler))
+    bad = [(0, 0)] if d[0][0] != 1 else [(n, 0)] if d[n][0] != orientable else []
+    for p in range(n + 1) if orientable else ():
+        if d[p] != d[n - p]:
+            bad += [(p, mu) for mu, (a, b) in enumerate(zip(d[p], d[n - p])) if a != b]
+    if any(euler):
+        bad.append((f"0..{n}", next(mu for mu, e in enumerate(euler) if e)))
+    if bad:
+        raise InternalError(f"{_cell(defn, *bad[0])}: table breaks an identity of flat "
+                            "manifolds; upstream bug")
+
+
+def _cell(defn: GroupDefinition, p, mu) -> str:
+    return f"{defn.label or '<unnamed>'} at p={p}, mu={mu}"
+
+
+_tables = lru_cache(maxsize=None)(lambda defn: [0, None])  # [length, rows] per group
+
+
+def _table(defn: GroupDefinition, mu: int) -> list:
+    """The group's table, rebuilt at the power of two above mu if shorter; the
+    identity class has rank n, so the guard refuses what any class would."""
+    require_series(mu, defn.dim)
+    held = _tables(defn)
+    if mu >= held[0]:
+        held[:] = 1 << mu.bit_length(), _build_table(defn, 1 << mu.bit_length())
+    return held[1]
+
+
+def size_table(defn: GroupDefinition, degrees, mu_max: int) -> None:
+    """Size the table for a cutoff before cells are read in rising mu; a
+    cutoff the rank guard refuses is left to the first cell reaching it."""
+    if degrees and (defn.dim <= SHELL_DIM_CAP or not mu_max):
+        _table(defn, mu_max)
+
+
+@lru_cache(maxsize=None, typed=True)
+def multiplicity(defn: GroupDefinition, p: int, mu: int) -> int:
+    """Exact d_{p,mu}: multiplicity of eigenvalue 4 pi^2 mu on p-forms, a read
+    of the group's table."""
+    order, _ = _class_rows(defn)
     form_degrees(defn.dim, (p,))
-    total = weighted_sum(
-        (row[p], character_sum(rep, mu)) for rep, row in classes if row[p]
-    )
-    try:
-        d, r = divmod(reduce_tally(total).numerator, order)
-        if r or d < 0:
-            raise InternalError(f"multiplicity came out {Fraction(d * order + r, order)}; "
-                                "must be a nonnegative integer")
-    except InternalError as exc:  # NonRationalSumError too: name the cell, keep the class
-        raise type(exc)(f"{defn.label or '<unnamed>'} at p={p}, mu={mu}: {exc}") from exc
+    rem = [c[mu] for c in _table(defn, mu)[p]]
+    d, r = divmod(rem[0], order)
+    if any(rem[1:]):
+        raise NonRationalSumError(f"{_cell(defn, p, mu)}: tally reduces to non-constant residue "
+                                  f"{rem}; upstream bug")
+    if r or d < 0:
+        raise InternalError(f"{_cell(defn, p, mu)}: multiplicity came out "
+                            f"{Fraction(rem[0], order)}; must be a nonnegative integer")
     return d
 
 
@@ -316,7 +402,10 @@ def form_degrees(dim: int, p_set=None) -> list[int]:
 
 
 def require_cutoff(mu_max: int) -> None:
-    """Refuse a negative cutoff, or one that the norm guard would stop part way."""
+    """Refuse a cutoff that is not a nonnegative integer, or one that the norm
+    guard would stop part way."""
+    if not isinstance(mu_max, int):
+        raise UsageError(f"cutoff {mu_max} must be an integer")
     if mu_max < 0:
         raise UsageError(f"cutoff {mu_max} must be nonnegative")
     if mu_max > SHELL_NORM_CAP:
@@ -328,7 +417,9 @@ def multiplicity_table(
 ) -> MultiplicityTable:
     require_cutoff(mu_max)
     entries = []
-    for p in form_degrees(defn.dim, p_set):
+    degrees = form_degrees(defn.dim, p_set)
+    size_table(defn, degrees, mu_max)
+    for p in degrees:
         for mu in range(mu_max + 1):
             entries.append(((p, mu), multiplicity(defn, p, mu)))
     return MultiplicityTable(tuple(entries))

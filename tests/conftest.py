@@ -9,7 +9,7 @@ from math import gcd, isqrt, lcm
 import pytest
 from hypothesis import strategies as st
 
-from flatspec import HWMatrix, build_hw_group, crystal, example
+from flatspec import HWMatrix, build_hw_group, crystal, example, spectral
 from flatspec.crystal import (
     COSET_CAP,
     AbelianGroupType,
@@ -29,6 +29,7 @@ from flatspec.spectral import (
     character_sum,
     enumerate_fixed_shell,
     reduce_tally,
+    weighted_sum,
 )
 
 HALF = Fraction(1, 2)
@@ -397,6 +398,13 @@ def clear_crystal_caches():
             value.cache_clear()
 
 
+def clear_spectral_caches():
+    """Empty every cache of ``flatspec.spectral``, the group tables among them."""
+    for value in vars(spectral).values():
+        if hasattr(value, "cache_clear") and value.__module__ == spectral.__name__:
+            value.cache_clear()
+
+
 def random_hw_candidate(rng, n) -> GroupDefinition:
     """A Hantzsche-Wendt candidate built as the benchmark's ``hw`` kind is: the
     n - 1 diagonal generators with translations drawn from {0, 1/2}^n; its
@@ -523,6 +531,24 @@ def multiplicity_reference(definition, p, mu) -> int:
         w = trace_p(el.matrix, p)
         if w:
             total = tally_add(total, tally_scale(character_sum_reference(el, mu), w))
+    value = reduce_tally(total) / len(elements)
+    assert value.denominator == 1 and value >= 0, value
+    return int(value)
+
+
+def multiplicity_cell_reference(definition, p, mu) -> int:
+    """d_{p,mu} computed for one cell alone, as the engine did before its
+    table: elements are grouped by the signature of their own cycle walk, and
+    one ``weighted_sum`` of trace-weighted class character sums is reduced.
+    """
+    elements = close_point_group(definition)
+    classes = {}
+    for el in elements:
+        classes.setdefault(spectral._signature(el), []).append(el)
+    total = weighted_sum(
+        (sum(trace_p(el.matrix, p) for el in members), character_sum(members[0], mu))
+        for members in classes.values()
+    )
     value = reduce_tally(total) / len(elements)
     assert value.denominator == 1 and value >= 0, value
     return int(value)

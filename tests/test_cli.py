@@ -14,8 +14,10 @@ from flatspec import spectral
 from flatspec.cli import main
 from flatspec.crystal import CosetCapError, GroupStructureError, group_to_json
 from flatspec.exact_linear import FlatspecError, InternalError, LimitError, UsageError
-from flatspec.spectral import EnumerationGuardError, NonRationalSumError, RootOfUnityTally
+from flatspec.spectral import EnumerationGuardError, NonRationalSumError
 from flatspec import example
+
+from conftest import clear_spectral_caches
 
 
 def run_cli(capsys, *argv):
@@ -512,13 +514,14 @@ class TestErrorClasses:
             assert cls.prefix == prefix
 
     def test_internal_error_is_one_line(self, capsys, monkeypatch):
-        irrational = RootOfUnityTally(4, (0, 1, 0, 0))  # zeta_4 alone
-        monkeypatch.setattr(spectral, "character_sum", lambda el, mu: irrational)
-        spectral.multiplicity.cache_clear()
+        clear_spectral_caches()
+        # every class series is zeta_4 alone at each mu
+        monkeypatch.setattr(spectral, "_theta", lambda sig, length: ((0,) * length, (1,) * length,
+                                                                     (0,) * length, (0,) * length))
         try:
             status = main(["multiplicity", "--corpus", "5.1a", "--p", "1", "--mu", "3"])
         finally:
-            spectral.multiplicity.cache_clear()
+            clear_spectral_caches()
         captured = capsys.readouterr()
         assert status == 1 and captured.out == ""
         lines = captured.err.splitlines()

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 from math import comb
@@ -17,7 +18,7 @@ from flatspec.crystal import (
     require_valid,
     validate_bieberbach,
 )
-from flatspec.exact_linear import UsageError, signed_permutation_order, trace_p
+from flatspec.exact_linear import InternalError, UsageError, signed_permutation_order, trace_p
 from flatspec.oracles import diagonal_trace, enumerate_shell, multiplicity_hw, projector_oracle
 from flatspec.spectral import (
     EnumerationGuardError,
@@ -34,17 +35,21 @@ from flatspec.spectral import (
     sums_to_zero,
     weighted_sum,
 )
-from flatspec import HWMatrix, corpus_ids, example
+from flatspec import HWMatrix, compare_spectra, corpus_ids, example
 
 from conftest import (
     character_sum_reference,
     character_sum_shell,
     classical_hw_matrix,
     clear_crystal_caches,
+    clear_spectral_caches,
+    corpus_defs,
     diagonal_fixed_count,
     identity_matrix,
+    multiplicity_cell_reference,
     multiplicity_reference,
     random_candidate,
+    random_hw_candidate,
     tallies_equal,
 )
 
@@ -229,12 +234,13 @@ class TestMultiplicity:
     def test_arithmetic_errors_name_the_cell(self, monkeypatch):
         probe = GroupDefinition(dim=2, generators=(), label="probe")
         clear_spectral_caches()  # an earlier test may have cached these 2-torus cells
-        irrational = RootOfUnityTally(4, (0, 1, 0, 0))  # zeta_4 alone
-        monkeypatch.setattr(spectral, "character_sum", lambda el, mu: irrational)
+        # every class series is zeta_4 alone at each mu
+        monkeypatch.setattr(spectral, "_theta", lambda sig, length: ((0,) * length, (1,) * length,
+                                                                     (0,) * length, (0,) * length))
         with pytest.raises(NonRationalSumError, match=r"^probe at p=1, mu=3: tally reduces"):
             multiplicity(probe, 1, 3)
-        negative = RootOfUnityTally(1, (-1,))
-        monkeypatch.setattr(spectral, "character_sum", lambda el, mu: negative)
+        clear_spectral_caches()
+        monkeypatch.setattr(spectral, "_theta", lambda sig, length: ((-1,) * length,))
         with pytest.raises(ArithmeticError, match=r"^probe at p=0, mu=2: multiplicity came out -1;"):
             multiplicity(probe, 0, 2)
 
@@ -453,12 +459,6 @@ class TestMultiplicityTable:
         assert all(v >= 0 for v in table.values())
 
 
-def clear_spectral_caches():
-    for value in vars(spectral).values():
-        if hasattr(value, "cache_clear") and value.__module__ == spectral.__name__:
-            value.cache_clear()
-
-
 def assert_series_match_the_shell(groups):
     """character_sum against the fixed-shell oracle, count for count, to
     mu = 24, once per distinct element of the groups.  A fixed lattice of rank
@@ -585,6 +585,128 @@ class TestThetaSeries:
         multiplicity_table(g, None, 40)
         assert calls.count("require_valid") <= 1
         assert calls.count("close_point_group") <= 1
+
+
+def count_calls(monkeypatch, name) -> list:
+    """The argument tuples of every later call of ``spectral.<name>``."""
+    calls = []
+    original = getattr(spectral, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(spectral, name, counting)
+    return calls
+
+
+def table_test_groups():
+    """Every catalog group, 12 seeded random valid groups, and the valid groups
+    among 10 seeded 3-d and 5-d Hantzsche-Wendt candidates."""
+    groups = [defn for _, defn in corpus_defs()]
+    rng = random.Random(20)
+    groups += [random_valid_group(rng) for _ in range(12)]
+    for n in (3, 5):
+        candidates = [random_hw_candidate(rng, n) for _ in range(10)]
+        groups += [g for g in candidates if validate_bieberbach(g).is_torsion_free]
+    return groups
+
+
+class TestSpectrumTable:
+    """One table per group: built once per cutoff, checked against the
+    per-cell route, and checking itself."""
+
+    def test_every_cell_matches_the_per_cell_route(self):
+        for defn in table_test_groups():
+            table = multiplicity_table(defn, None, 12).as_dict()
+            for (p, mu), d in table.items():
+                assert d == multiplicity_cell_reference(defn, p, mu), (defn, p, mu)
+
+    def test_class_signatures_are_the_elements_own(self):
+        for defn in table_test_groups():
+            n = defn.dim
+            q, walks = crystal._torsion_walks(defn)
+            expected = {}
+            for el in close_point_group(defn):
+                if any(el.word):
+                    assert spectral._walk_signature(walks[el.word], q) == spectral._signature(el)
+                row = expected.setdefault(spectral._signature(el), [0] * (n + 1))
+                row[:] = [a + trace_p(el.matrix, p) for p, a in enumerate(row)]
+            order, classes = spectral._class_rows(defn)
+            assert order == len(close_point_group(defn))
+            assert dict(classes) == {sig: tuple(row) for sig, row in expected.items()}
+
+    @pytest.mark.parametrize("call", [
+        lambda: betti_row(example("5.1a")),
+        lambda: multiplicity_table(example("5.6a"), None, 40),
+    ])
+    def test_a_cold_table_walks_no_cycles(self, monkeypatch, call):
+        clear_spectral_caches()
+        clear_crystal_caches()
+        walks = count_calls(monkeypatch, "cycles")
+        call()
+        assert walks == []
+
+    def test_a_cold_compare_builds_each_table_once(self, monkeypatch):
+        clear_spectral_caches()
+        builds = count_calls(monkeypatch, "_build_table")
+        compare_spectra(*example("5.1"), mu_max=8)
+        assert builds == [(g, 16) for g in example("5.1")]
+
+    def test_a_raised_cutoff_builds_once_more(self, monkeypatch):
+        g = example("4.5a")
+        clear_spectral_caches()
+        builds = count_calls(monkeypatch, "_build_table")
+        checks = count_calls(monkeypatch, "_check_table")
+        multiplicity_table(g, None, 64)
+        assert len(builds) == 1
+        multiplicity_table(g, None, 160)
+        assert len(builds) == len(checks) == 2
+
+    def test_ascending_cells_rebuild_at_powers_of_two(self, monkeypatch):
+        g = example("4.5a")
+        clear_spectral_caches()
+        builds = count_calls(monkeypatch, "_build_table")
+        for mu in range(65):
+            for p in range(g.dim + 1):
+                multiplicity(g, p, mu)
+        assert len(builds) <= 8
+        assert [n for _, n in builds] == [1 << k for k in range(len(builds))]
+
+    @pytest.mark.parametrize("key, cell, named", [
+        ("5.1a", (1, 3), "p=1, mu=3"),  # orientable: row 1 against row 5
+        ("5.1a", (5, 2), "p=1, mu=2"),  # the first p of a broken pair is named
+        ("5.6b", (2, 5), "p=0..8, mu=5"),  # not orientable: the Euler sum
+        ("4.5a", (0, 0), "p=0, mu=0"),
+        ("4.5a", (4, 0), "p=4, mu=0"),
+    ])
+    def test_a_corrupted_cell_fails_the_table_check(self, key, cell, named):
+        g = example(key)
+        order, _ = spectral._class_rows(g)
+        rows = [[list(part) for part in comps] for comps in spectral._table(g, 8)]
+        spectral._check_table(g, rows)  # the finished table passes
+        p, mu = cell
+        rows[p][0][mu] += order
+        with pytest.raises(InternalError, match=rf"^{re.escape(key)} at {re.escape(named)}: "):
+            spectral._check_table(g, rows)
+
+    def test_a_non_integer_norm_or_cutoff_is_refused(self):
+        g = example("5.1a")
+        assert multiplicity(g, 0, 2) == 6  # warm: a float key must not hit this entry
+        for call in (
+            lambda: multiplicity(g, 0, 2.0),
+            lambda: multiplicity_table(g, None, 2.5),
+            lambda: compare_spectra(*example("5.1"), mu_max=2.0),
+            lambda: spectral.require_series(Fraction(1, 2)),
+        ):
+            with pytest.raises(UsageError, match=r"^(squared norm|cutoff) \S+ must be an integer$"):
+                call()
+
+    def test_a_non_integral_table_is_left_to_its_cells(self):
+        g = example("5.1a")
+        rows = [[list(part) for part in comps] for comps in spectral._table(g, 8)]
+        rows[2][0][3] += 1  # not a multiple of |F|
+        spectral._check_table(g, rows)
 
 
 def z2_10_group() -> GroupDefinition:
