@@ -25,8 +25,8 @@ from .spectral import (
     character_sum,
     form_degrees,
     multiplicity,
+    read_rows,
     require_cutoff,
-    size_table,
     sums_to_zero,
     weighted_sum,
 )
@@ -104,16 +104,10 @@ def compare_spectra(
     if first.dim != second.dim:
         raise UsageError("cannot compare groups of different dimensions")
     verdicts, degrees = [], form_degrees(first.dim, p_set)
-    size_table(first, degrees, mu_max)
-    size_table(second, degrees, mu_max)
-    for p in degrees:
-        witness = None
-        for mu in range(mu_max + 1):
-            d1 = multiplicity(first, p, mu)
-            d2 = multiplicity(second, p, mu)
-            if d1 != d2:
-                witness = (p, mu, d1, d2)
-                break
+    rows = zip(read_rows(first, degrees, mu_max), read_rows(second, degrees, mu_max))
+    for p, (row1, row2) in zip(degrees, rows):
+        witness = next(((p, mu, d1, d2) for mu, (d1, d2) in enumerate(zip(row1, row2))
+                        if d1 != d2), None)
         verdicts.append((p, PVerdict(witness is None, witness)))
     return ComparisonReport(
         dim=first.dim,
@@ -209,11 +203,9 @@ def duality_check(defn: GroupDefinition, mu_max: int = DEFAULT_MU_MAX) -> Dualit
     require_valid(defn)
     n = defn.dim
     orientable = is_orientable(defn)
-    size_table(defn, range(n // 2 + 1), mu_max)
+    rows = read_rows(defn, range(n + 1), mu_max)
     for p in range(n // 2 + 1):
-        for mu in range(mu_max + 1):
-            d1 = multiplicity(defn, p, mu)
-            d2 = multiplicity(defn, n - p, mu)
+        for mu, (d1, d2) in enumerate(zip(rows[p], rows[n - p])):
             if d1 != d2:
                 return DualityReport(orientable, False, (p, mu, d1, d2))
     return DualityReport(orientable, True, None)

@@ -17,8 +17,9 @@ which depends only on B's signature (q, sorted (L_c, min(a_c, q - a_c))), so
 one series serves each signature; the fixed-shell walk is its test oracle.
 Each group keeps one table: every signature class's series is lifted to
 zeta_Q, Q the lcm of the class moduli, and reduced modulo Phi_Q once, the p
-rows are trace-weighted sums of those, and a cell is a read.  Asking past its
-length rebuilds the table at the next power of two.
+rows are trace-weighted sums of those, checked once and kept as integer rows
+that every table reader slices; ``multiplicity`` is the per-cell entry point.
+Asking past a table's length rebuilds it at the next power of two.
 
 Table keys use mu throughout; the eigenvalue itself is 4*pi^2*mu.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, product
 from math import gcd, isqrt, lcm
 from operator import add, sub
 
@@ -302,18 +304,18 @@ def _build_table(defn: GroupDefinition, length: int) -> list:
             if w:
                 for acc, part in zip(row, parts):
                     acc[:] = map(add, acc, map(w.__mul__, part))
-    _check_table(defn, rows)
     return rows
 
 
-def _check_table(defn: GroupDefinition, rows) -> None:
-    """Identities of flat manifolds on a table of nonnegative integer cells:
-    d_{0,0} = 1, d_{n,0} = 1 exactly if orientable, then row p = row n - p, and
-    a zero Euler sum at every mu.  ``multiplicity`` refuses other cells."""
+def _check_table(defn: GroupDefinition, rows) -> list | None:
+    """The rows d_p of a table of nonnegative integer cells, once they pass the
+    identities of flat manifolds: d_{0,0} = 1, d_{n,0} = 1 exactly if
+    orientable, then row p = row n - p, and a zero Euler sum at every mu.  None
+    for another table, whose cells ``multiplicity`` refuses."""
     order, classes = _class_rows(defn)
     for comps in rows:
         if any(map(any, comps[1:])) or min(comps[0]) < 0 or any(map(order.__rmod__, comps[0])):
-            return
+            return None
     n, d = defn.dim, [list(map(order.__rfloordiv__, comps[0])) for comps in rows]
     orientable, euler = sum(row[n] for _, row in classes) == order, d[0]
     for row in d[1:]:  # d_p - d_{p-1} + ... + (-1)^p d_0
@@ -327,30 +329,39 @@ def _check_table(defn: GroupDefinition, rows) -> None:
     if bad:
         raise InternalError(f"{_cell(defn, *bad[0])}: table breaks an identity of flat "
                             "manifolds; upstream bug")
+    return d
 
 
 def _cell(defn: GroupDefinition, p, mu) -> str:
     return f"{defn.label or '<unnamed>'} at p={p}, mu={mu}"
 
 
-_tables = lru_cache(maxsize=None)(lambda defn: [0, None])  # [length, rows] per group
+_tables = lru_cache(maxsize=None)(lambda defn: [0, None, None])  # [length, rows, d] per group
 
 
 def _table(defn: GroupDefinition, mu: int) -> list:
-    """The group's table, rebuilt at the power of two above mu if shorter; the
-    identity class has rank n, so the guard refuses what any class would."""
+    """The group's table, rebuilt and checked at the power of two above mu if
+    shorter; the identity class has rank n, so the guard refuses what any class would."""
     require_series(mu, defn.dim)
     held = _tables(defn)
     if mu >= held[0]:
-        held[:] = 1 << mu.bit_length(), _build_table(defn, 1 << mu.bit_length())
+        rows = _build_table(defn, 1 << mu.bit_length())
+        held[:] = 1 << mu.bit_length(), rows, _check_table(defn, rows)
     return held[1]
 
 
-def size_table(defn: GroupDefinition, degrees, mu_max: int) -> None:
-    """Size the table for a cutoff before cells are read in rising mu; a
-    cutoff the rank guard refuses is left to the first cell reaching it."""
-    if degrees and (defn.dim <= SHELL_DIM_CAP or not mu_max):
-        _table(defn, mu_max)
+def read_rows(defn: GroupDefinition, degrees, mu_max: int) -> list[list[int]]:
+    """d_{p,0..mu_max} for each p of ``degrees``, which the caller has checked
+    with the cutoff: slices of the checked rows, or for a table that failed its
+    check, cell by cell so that ``multiplicity`` names the bad cell."""
+    if not degrees:
+        return []
+    _class_rows(defn)  # an invalid group is refused before the rank guard
+    _table(defn, mu_max)
+    d = _tables(defn)[2]
+    if d is None:
+        return [[multiplicity(defn, p, mu) for mu in range(mu_max + 1)] for p in degrees]
+    return [d[p][:mu_max + 1] for p in degrees]
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -376,7 +387,7 @@ def betti(defn: GroupDefinition, p: int) -> int:
 
 
 def betti_row(defn: GroupDefinition) -> tuple[int, ...]:
-    return tuple(betti(defn, p) for p in range(defn.dim + 1))
+    return tuple(row[0] for row in read_rows(defn, range(defn.dim + 1), 0))
 
 
 class MultiplicityTable(Record):
@@ -395,6 +406,8 @@ def form_degrees(dim: int, p_set=None) -> list[int]:
         return list(range(dim + 1))
     seen = set()
     for p in p_set:
+        if not isinstance(p, int):
+            raise UsageError(f"form degree {p} must be an integer")
         if not 0 <= p <= dim:
             raise UsageError(f"form degree {p} out of range for dimension {dim}")
         seen.add(p)
@@ -416,10 +429,6 @@ def multiplicity_table(
     defn: GroupDefinition, p_set, mu_max: int
 ) -> MultiplicityTable:
     require_cutoff(mu_max)
-    entries = []
     degrees = form_degrees(defn.dim, p_set)
-    size_table(defn, degrees, mu_max)
-    for p in degrees:
-        for mu in range(mu_max + 1):
-            entries.append(((p, mu), multiplicity(defn, p, mu)))
-    return MultiplicityTable(tuple(entries))
+    rows = read_rows(defn, degrees, mu_max)
+    return MultiplicityTable(tuple(zip(product(degrees, range(mu_max + 1)), chain(*rows))))

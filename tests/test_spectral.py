@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatspec import crystal, oracles, spectral
+from flatspec import crystal, isospec, oracles, spectral
 from flatspec.crystal import (
     AffineGenerator,
     CosetCapError,
@@ -35,7 +35,7 @@ from flatspec.spectral import (
     sums_to_zero,
     weighted_sum,
 )
-from flatspec import HWMatrix, compare_spectra, corpus_ids, example
+from flatspec import HWMatrix, compare_spectra, corpus_ids, duality_check, example
 
 from conftest import (
     character_sum_reference,
@@ -702,11 +702,125 @@ class TestSpectrumTable:
             with pytest.raises(UsageError, match=r"^(squared norm|cutoff) \S+ must be an integer$"):
                 call()
 
+    def test_a_non_integer_degree_is_refused(self):
+        g = example("5.1a")
+        assert multiplicity(g, 1, 0) == betti(g, 1) == 2  # warm: a float key must not hit these
+        for call in (
+            lambda: multiplicity(g, 1.0, 0),
+            lambda: betti(g, 1.0),
+            lambda: multiplicity_table(g, [1.5], 2),
+        ):
+            with pytest.raises(UsageError, match=r"^form degree \S+ must be an integer$"):
+                call()
+
     def test_a_non_integral_table_is_left_to_its_cells(self):
         g = example("5.1a")
         rows = [[list(part) for part in comps] for comps in spectral._table(g, 8)]
         rows[2][0][3] += 1  # not a multiple of |F|
         spectral._check_table(g, rows)
+
+
+# Every reader of whole rows, each given a catalog pair and a cutoff.
+ROW_READERS = {
+    "multiplicity_table": lambda pair, mu_max: multiplicity_table(pair[0], None, mu_max),
+    "compare_spectra": lambda pair, mu_max: compare_spectra(*pair, mu_max=mu_max),
+    "duality_check": lambda pair, mu_max: duality_check(pair[0], mu_max),
+    "betti_row": lambda pair, mu_max: betti_row(pair[0]),
+}
+# Cutoffs on both sides of the table lengths 16, 32 and 64.
+ROW_CUTOFFS = (0, 15, 16, 17, 31, 32, 33)
+
+
+def per_cell_reads(defn, mu_max=max(ROW_CUTOFFS)) -> dict:
+    """Every d_{p,mu} to mu_max through ``multiplicity`` from cold caches, one
+    cell at a time in rising mu."""
+    clear_spectral_caches()
+    return {(p, mu): multiplicity(defn, p, mu)
+            for mu in range(mu_max + 1) for p in range(defn.dim + 1)}
+
+
+def first_difference(cells, other, p, q, mu_max):
+    """(p, mu, d, d') at the smallest mu <= mu_max where cells[p, mu] and
+    other[q, mu] differ, or None."""
+    return next(((p, mu, cells[p, mu], other[q, mu]) for mu in range(mu_max + 1)
+                 if cells[p, mu] != other[q, mu]), None)
+
+
+class TestRowReads:
+    """The table readers slice whole checked rows: the same values, witnesses
+    and counterexamples as a per-cell loop, no per-cell call on a clean table,
+    and the per-cell error for a bad cell."""
+
+    def test_row_reads_match_the_per_cell_reads(self):
+        counterexamples = 0
+        for _, g in corpus_defs():
+            cells, n = per_cell_reads(g), g.dim
+            for mu_max in ROW_CUTOFFS:
+                clear_spectral_caches()
+                expected = {(p, mu): d for (p, mu), d in cells.items() if mu <= mu_max}
+                assert multiplicity_table(g, None, mu_max).as_dict() == expected, (g, mu_max)
+                clear_spectral_caches()
+                assert spectral.read_rows(g, [n, 0], mu_max) == [
+                    [cells[p, mu] for mu in range(mu_max + 1)] for p in (n, 0)]
+                clear_spectral_caches()
+                assert betti_row(g) == tuple(cells[p, 0] for p in range(n + 1))
+                clear_spectral_caches()
+                found = duality_check(g, mu_max).counterexample
+                per_cell = (first_difference(cells, cells, p, n - p, mu_max) for p in range(n // 2 + 1))
+                assert found == next(filter(None, per_cell), None), (g, mu_max)
+                counterexamples += found is not None
+        assert counterexamples
+
+    def test_compare_witnesses_match_a_per_cell_loop(self):
+        witnesses = 0
+        for key in ("4.3", "4.5", "5.1", "5.5", "5.6", "5.7", "5.8", "5.9(k=1)", "5.9(k=2)"):
+            first, second = example(key)
+            a, b = per_cell_reads(first), per_cell_reads(second)
+            for mu_max in ROW_CUTOFFS:
+                clear_spectral_caches()
+                for p, verdict in compare_spectra(first, second, mu_max=mu_max).p_verdicts:
+                    assert verdict.witness == first_difference(a, b, p, p, mu_max), (key, mu_max)
+                    witnesses += verdict.witness is not None
+        assert witnesses
+
+    @pytest.mark.parametrize("reader", ROW_READERS)
+    def test_a_clean_table_is_read_without_per_cell_calls(self, monkeypatch, reader):
+        pair = example("5.1")
+        clear_spectral_caches()
+        cells = count_calls(monkeypatch, "multiplicity")
+        monkeypatch.setattr(isospec, "multiplicity", spectral.multiplicity)
+        builds = count_calls(monkeypatch, "_build_table")
+        ROW_READERS[reader](pair, 40)
+        assert cells == []
+        assert len(builds) == len(set(builds)) <= 2  # at most one build per group and size
+        ROW_READERS[reader](pair, 20)
+        assert cells == [] and len(builds) == len(set(builds))
+
+    @pytest.mark.parametrize("reader, cell", [
+        (reader, cell) for reader in ROW_READERS for cell in ((1, 0), (2, 3))
+        if cell[1] == 0 or reader != "betti_row"
+    ])
+    def test_a_bad_cell_is_refused_by_name_through_every_reader(self, monkeypatch, reader, cell):
+        pair = example("5.1")
+        p, mu = cell
+        build = spectral._build_table
+
+        def corrupted(defn, length):
+            rows = build(defn, length)
+            if defn == pair[0]:
+                rows[p][0][mu] += 1  # not a multiple of |F|, so the table is left unchecked
+            return rows
+
+        clear_spectral_caches()
+        monkeypatch.setattr(spectral, "_build_table", corrupted)
+        with pytest.raises(InternalError) as per_cell:
+            multiplicity(pair[0], p, mu)
+        assert str(per_cell.value).startswith(f"5.1a at p={p}, mu={mu}: multiplicity came out ")
+        clear_spectral_caches()
+        with pytest.raises(InternalError) as refused:
+            ROW_READERS[reader](pair, 8)
+        assert type(refused.value) is type(per_cell.value)
+        assert str(refused.value) == str(per_cell.value)
 
 
 def z2_10_group() -> GroupDefinition:
