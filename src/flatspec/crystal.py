@@ -18,14 +18,12 @@ from typing import Sequence
 
 from .exact_linear import (
     Cycle,
-    IntMatrix,
     IntVector,
     LimitError,
     RatVector,
     Record,
     UsageError,
     as_int_matrix,
-    cycles,
     is_signed_permutation,
     signed_perm,
     signed_perm_matrix,
@@ -321,17 +319,26 @@ def _torsion_test(walk, q: int) -> bool:
     return any(a for _, a in fixed) and not any(m // length * a % q for length, a in fixed)
 
 
-def _power_sum_image(matrix: IntMatrix, b: RatVector) -> tuple[int, IntVector, bool]:
-    """(q, q S b, off) for S as in ``_torsion_test``, q the lcm of the
-    denominators of b and ``off`` whether S b lies outside S Z^n."""
-    walk = cycles(matrix)
-    q, phases = fixed_cycle_phases(walk, b)
-    m = lcm(*(len(c.support) * (1 if c.sign == 1 else 2) for c in walk))
-    w = [0] * len(b)
-    for c, ut in phases:
-        for j in c.support:
-            w[j] = m // len(c.support) * ut * c.vector[j]
-    return q, tuple(w), any(ut % q for _, ut in phases)
+def _coset_power_sum(coset: Coset, q: int) -> tuple[IntVector, bool]:
+    """(q S b, off) for the Coset of B L_b, S as in ``_torsion_test`` and ``off``
+    whether S b lies outside S Z^n, by one walk over (image, sign) that keeps
+    the entries (j, u_c[j]) of each fixed cycle c."""
+    image, sign, t = coset
+    seen, fixed, m = [False] * len(t), [], 1
+    for start in range(len(t)):
+        j, u, entries = start, 1, []
+        while not seen[j]:
+            seen[j] = True
+            entries.append((j, u))
+            u, j = u * sign[j], image[j]
+        if entries:
+            m = lcm(m, len(entries) * (1 if u == 1 else 2))
+            fixed += [entries] if u == 1 else []
+    w, phases = [0] * len(t), [sum(v * t[j] for j, v in c) for c in fixed]
+    for c, ut in zip(fixed, phases):
+        for j, v in c:
+            w[j] = m // len(c) * ut * v
+    return tuple(w), any(ut % q for ut in phases)
 
 
 def check_torsion_condition(element: PointGroupElement) -> bool:
@@ -369,9 +376,9 @@ def validate_bieberbach(definition: GroupDefinition) -> ValidationReport:
         order = len(walks) + 1
     except GroupStructureError as exc:
         order, walks = 0, {}
-        for i, g in enumerate(gens):
-            qi, w, _ = _power_sum_image(g.matrix, g.translation)
-            if any(x % qi for x in w):
+        q, cosets = _integer_generators(definition)
+        for i, coset in enumerate(cosets):
+            if any(x % q for x in _coset_power_sum(coset, q)[0]):
                 failures.append((tuple(int(k == i) for k in range(len(gens))), "generator-lattice"))
         failures.append(((), f"closure: {exc}"))
     lattice_ok = not any(cond in ("pairwise", "generator-lattice") for _, cond in failures)
@@ -420,11 +427,9 @@ def first_homology(definition: GroupDefinition) -> AbelianGroupType:
                 col[image[j]] += sign[j]
                 col[j] -= 1
                 rows.append([0] * r + col)
-        qi, w, _ = _power_sum_image(g.matrix, g.translation)
-        row = [0] * r
-        row[i] = g.order
-        # require_valid passed the coset of gamma_i, so q_i divides q_i S_i b_i
-        rows.append(row + [-(x // qi) for x in w])
+        w, _ = _coset_power_sum(gens[i], q)
+        # require_valid passed the coset of gamma_i, so q divides q S_i b_i
+        rows.append([g.order * (k == i) for k in range(r)] + [-(x // q) for x in w])
 
     for i in range(r):
         for j in range(i + 1, r):

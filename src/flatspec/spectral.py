@@ -19,7 +19,8 @@ Each group keeps one table: every signature class's series is lifted to
 zeta_Q, Q the lcm of the class moduli, and reduced modulo Phi_Q once, the p
 rows are trace-weighted sums of those, checked once and kept as integer rows
 that every table reader slices; ``multiplicity`` is the per-cell entry point.
-Asking past a table's length rebuilds it at the next power of two.
+Asking past a table's length grows it in place to twice its length, or to
+the cutoff if that is longer: only the new columns are reduced and checked.
 
 Table keys use mu throughout; the eigenvalue itself is 4*pi^2*mu.
 """
@@ -286,16 +287,17 @@ def _zeta_residues(modulus: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _build_table(defn: GroupDefinition, length: int) -> list:
-    """Per p, the components of |F| d_{p,mu}, mu < length, over 1 ..
-    zeta_Q^(phi(Q)-1), Q the lcm of the class moduli: each class series is
-    lifted to zeta_Q and reduced once, then weighted by its trace row."""
-    _, classes = _class_rows(defn)
+    """Per p, the components of |F| d_{p,mu}, held length <= mu < length, over 1
+    .. zeta_Q^(phi(Q)-1), Q the lcm of the class moduli: the new columns of each
+    class series are lifted to zeta_Q and reduced once, then weighted by its trace row."""
+    start, (_, classes) = _tables(defn)[0], _class_rows(defn)
     series = [_theta(sig, length) for sig, _ in classes]
     residues = _zeta_residues(lcm(*map(len, series)))
-    rows = [[[0] * length for _ in residues[0]] for _ in range(defn.dim + 1)]
+    rows = [[[0] * (length - start) for _ in residues[0]] for _ in range(defn.dim + 1)]
     for (_, traces), phases in zip(classes, series):
-        parts = [[0] * length for _ in residues[0]]
+        parts = [[0] * (length - start) for _ in residues[0]]
         for j, counts in enumerate(phases):
+            counts = counts[start:]
             if any(counts):
                 residue = residues[j * len(residues) // len(phases)]
                 for part, c in zip(parts, residue):
@@ -307,11 +309,11 @@ def _build_table(defn: GroupDefinition, length: int) -> list:
     return rows
 
 
-def _check_table(defn: GroupDefinition, rows) -> list | None:
-    """The rows d_p of a table of nonnegative integer cells, once they pass the
-    identities of flat manifolds: d_{0,0} = 1, d_{n,0} = 1 exactly if
-    orientable, then row p = row n - p, and a zero Euler sum at every mu.  None
-    for another table, whose cells ``multiplicity`` refuses."""
+def _check_table(defn: GroupDefinition, rows, start: int = 0) -> list | None:
+    """The rows d_p of table columns from mu = start on, all nonnegative integer cells, once
+    they pass the identities of flat manifolds: d_{0,0} = 1, d_{n,0} = 1 exactly if orientable
+    (at start 0), then row p = row n - p, and a zero Euler sum at every mu.  None for
+    other columns, whose cells ``multiplicity`` refuses."""
     order, classes = _class_rows(defn)
     for comps in rows:
         if any(map(any, comps[1:])) or min(comps[0]) < 0 or any(map(order.__rmod__, comps[0])):
@@ -320,12 +322,12 @@ def _check_table(defn: GroupDefinition, rows) -> list | None:
     orientable, euler = sum(row[n] for _, row in classes) == order, d[0]
     for row in d[1:]:  # d_p - d_{p-1} + ... + (-1)^p d_0
         euler = list(map(sub, row, euler))
-    bad = [(0, 0)] if d[0][0] != 1 else [(n, 0)] if d[n][0] != orientable else []
+    bad = [] if start else [(0, 0)] if d[0][0] != 1 else [(n, 0)] if d[n][0] != orientable else []
     for p in range(n + 1) if orientable else ():
         if d[p] != d[n - p]:
-            bad += [(p, mu) for mu, (a, b) in enumerate(zip(d[p], d[n - p])) if a != b]
+            bad += [(p, mu) for mu, (a, b) in enumerate(zip(d[p], d[n - p]), start) if a != b]
     if any(euler):
-        bad.append((f"0..{n}", next(mu for mu, e in enumerate(euler) if e)))
+        bad.append((f"0..{n}", next(mu for mu, e in enumerate(euler, start) if e)))
     if bad:
         raise InternalError(f"{_cell(defn, *bad[0])}: table breaks an identity of flat "
                             "manifolds; upstream bug")
@@ -340,13 +342,20 @@ _tables = lru_cache(maxsize=None)(lambda defn: [0, None, None])  # [length, rows
 
 
 def _table(defn: GroupDefinition, mu: int) -> list:
-    """The group's table, rebuilt and checked at the power of two above mu if
-    shorter; the identity class has rank n, so the guard refuses what any class would."""
+    """The group's table, if shorter grown in place to max(twice its length, mu + 1) columns
+    within the norm guard: only new columns are built and checked, and an unchecked prefix
+    stays so.  The identity class has rank n, so the guard refuses what any class would."""
     require_series(mu, defn.dim)
     held = _tables(defn)
     if mu >= held[0]:
-        rows = _build_table(defn, 1 << mu.bit_length())
-        held[:] = 1 << mu.bit_length(), rows, _check_table(defn, rows)
+        start, length = held[0], min(max(2 * held[0], mu + 1), SHELL_NORM_CAP + 1)
+        rows = _build_table(defn, length)
+        d = _check_table(defn, rows, start) if held[2] or not start else None
+        if start:  # append the new columns to the held rows
+            for old, new in zip(chain(*held[1], held[2] if d else ()), chain(*rows, d or ())):
+                old += new
+            rows, d = held[1], d and held[2]
+        held[:] = length, rows, d
     return held[1]
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from flatspec.crystal import (
     AffineGenerator,
     PointGroupElement,
-    _power_sum_image,
+    _coset_power_sum,
     CosetCapError,
     GroupDefinition,
     GroupStructureError,
@@ -28,7 +28,7 @@ from flatspec.crystal import (
     validate_bieberbach,
 )
 from flatspec.exact_linear import UsageError, in_image_lattice, signed_permutation_order
-from flatspec import crystal, example
+from flatspec import crystal, example, exact_linear
 
 from conftest import (
     classical_hw_matrix,
@@ -289,9 +289,11 @@ matrix_and_translation = st.integers(1, 10).flatmap(
 
 
 def assert_power_sum_matches(matrix, b):
-    """_power_sum_image and check_torsion_condition against the S matrix."""
+    """_coset_power_sum and check_torsion_condition against the S matrix."""
     s = power_sum_oracle(matrix)
-    q, w, off = _power_sum_image(matrix, b)
+    defn = GroupDefinition(len(matrix), [AffineGenerator(matrix, b)])
+    q, (coset,) = crystal._integer_generators(defn)
+    w, off = _coset_power_sum(coset, q)
     assert q == lcm(*(x.denominator for x in b))
     assert tuple(Fraction(x, q) for x in w) == mat_vec(s, b)
     # u_c . q b is divisible by q on every fixed cycle c iff S q b lies in q S Z^n
@@ -479,6 +481,16 @@ class TestFirstHomology:
         gens = (AffineGenerator(diag(-1, -1), (Fraction(0), Fraction(0))),)
         with pytest.raises(ValueError):
             first_homology(GroupDefinition(2, gens))
+
+    def test_a_cold_homology_walks_no_cycles(self, monkeypatch):
+        defn = example("5.1a")
+        clear_crystal_caches()
+        walks, original = [], exact_linear.cycles
+        for module in (exact_linear, crystal):
+            monkeypatch.setattr(module, "cycles", lambda m: walks.append(m) or original(m),
+                                raising=False)
+        assert str(first_homology(defn)) == "Z^2 + Z2^2"
+        assert walks == []
 
 
 class TestHWConstruction:

@@ -651,7 +651,7 @@ class TestSpectrumTable:
         clear_spectral_caches()
         builds = count_calls(monkeypatch, "_build_table")
         compare_spectra(*example("5.1"), mu_max=8)
-        assert builds == [(g, 16) for g in example("5.1")]
+        assert builds == [(g, 9) for g in example("5.1")]
 
     def test_a_raised_cutoff_builds_once_more(self, monkeypatch):
         g = example("4.5a")
@@ -819,6 +819,93 @@ class TestRowReads:
         clear_spectral_caches()
         with pytest.raises(InternalError) as refused:
             ROW_READERS[reader](pair, 8)
+        assert type(refused.value) is type(per_cell.value)
+        assert str(refused.value) == str(per_cell.value)
+
+
+def held_table(defn, length=None) -> tuple:
+    """The group's held component rows and checked rows d, each cut to
+    ``length`` columns."""
+    _, rows, d = spectral._tables(defn)
+    return ([[part[:length] for part in comps] for comps in rows],
+            d and [row[:length] for row in d])
+
+
+class TestTableGrowth:
+    """A table grows in place to max(twice its length, mu + 1) columns: the new
+    columns alone are built and checked, with the cells a cold build gives."""
+
+    def test_a_grown_table_equals_a_cold_one(self):
+        cutoffs = (0, 1, 5, 16, 17, 40, 100)
+        for defn in table_test_groups():
+            clear_spectral_caches()
+            for mu_max in cutoffs:
+                multiplicity_table(defn, None, mu_max)
+            grown = held_table(defn, cutoffs[-1] + 1)
+            clear_spectral_caches()
+            multiplicity_table(defn, None, cutoffs[-1])
+            assert grown == held_table(defn), defn
+            assert grown[1] is not None, defn
+
+    @pytest.mark.parametrize("cutoffs, lengths", [
+        ((10000,), [10001]),
+        ((16, 32, 64), [17, 34, 68]),  # the spectrum-deep asks
+        ((6000, 6001), [6001, 10001]),  # never past the norm guard
+    ])
+    def test_builds_are_sized_to_the_cutoff(self, monkeypatch, cutoffs, lengths):
+        g = example("4.5a")
+        clear_spectral_caches()
+        builds = count_calls(monkeypatch, "_build_table")
+        for mu_max in cutoffs:
+            multiplicity_table(g, None, mu_max)
+        assert builds == [(g, n) for n in lengths]
+
+    @pytest.mark.parametrize("key, cell, named", [
+        ("5.1a", (1, 13), "p=1, mu=13"),  # orientable: row 1 against row 5
+        ("5.6b", (2, 11), "p=0..8, mu=11"),  # not orientable: the Euler sum
+    ])
+    def test_a_corrupted_cell_of_new_columns_is_named_at_its_mu(self, key, cell, named):
+        g = example(key)
+        clear_spectral_caches()
+        order, _ = spectral._class_rows(g)
+        start = len(spectral._table(g, 8)[0][0])
+        rows = spectral._build_table(g, 20)  # the columns start .. 19
+        assert spectral._check_table(g, rows, start) is not None
+        p, mu = cell
+        rows[p][0][mu - start] += order
+        with pytest.raises(InternalError, match=rf"^{re.escape(key)} at {re.escape(named)}: "):
+            spectral._check_table(g, rows, start)
+
+    @pytest.mark.parametrize("reader, cell", [
+        (reader, cell) for reader in ROW_READERS for cell in ((1, 0), (2, 3), (2, 20))
+        if cell[1] == 0 or reader != "betti_row"
+    ])
+    def test_a_bad_cell_leaves_the_grown_table_unchecked(self, monkeypatch, reader, cell):
+        """A bad cell in the first 9 columns leaves them unchecked, and the
+        table stays so as it grows; one in the new columns 9 .. 40 leaves the
+        grown table unchecked.  Either way every reader names the cell."""
+        pair = example("5.1")
+        p, mu = cell
+        build = spectral._build_table
+
+        def corrupted(defn, length):
+            start = spectral._tables(defn)[0]
+            rows = build(defn, length)
+            if defn == pair[0] and start <= mu < length:
+                rows[p][0][mu - start] += 1  # not a multiple of |F|
+            return rows
+
+        clear_spectral_caches()
+        monkeypatch.setattr(spectral, "_build_table", corrupted)
+        spectral._table(pair[0], 8)
+        assert (spectral._tables(pair[0])[2] is None) == (mu < 9)
+        spectral._table(pair[0], 40)
+        assert spectral._tables(pair[0])[0] == 41 and spectral._tables(pair[0])[2] is None
+        with pytest.raises(InternalError) as per_cell:
+            multiplicity(pair[0], p, mu)
+        assert str(per_cell.value).startswith(f"5.1a at p={p}, mu={mu}: multiplicity came out ")
+        with pytest.raises(InternalError) as refused:
+            ROW_READERS[reader](pair, 40)
         assert type(refused.value) is type(per_cell.value)
         assert str(refused.value) == str(per_cell.value)
 
