@@ -17,18 +17,19 @@ from math import lcm, prod
 from typing import Sequence
 
 from .exact_linear import (
-    Cycle,
+    Coset,
     IntVector,
     LimitError,
     RatVector,
     Record,
     UsageError,
     as_int_matrix,
-    is_signed_permutation,
+    coset_walk,
+    fixed_cycles,
     signed_perm,
     signed_perm_matrix,
-    signed_permutation_order,
     smith_normal_form,
+    walk_order,
 )
 
 COSET_CAP = 1024
@@ -57,15 +58,17 @@ class AffineGenerator(Record):
 
     def _check(self):
         matrix = as_int_matrix(self.matrix)
-        if not is_signed_permutation(matrix):
+        try:
+            perm = signed_perm(matrix)
+        except ValueError:
             raise GroupStructureError(
                 "generator matrix must be a signed permutation; other orthogonal "
                 "matrices do not preserve the canonical lattice Z^n"
-            )
+            ) from None
         translation = tuple(_as_fraction(x) % 1 for x in self.translation)
         if len(translation) != len(matrix):
             raise UsageError("translation length does not match matrix size")
-        true_order = signed_permutation_order(matrix)
+        true_order = walk_order(coset_walk(perm + ((0,) * len(matrix),), 1))
         if self.order and self.order != true_order:
             raise UsageError(
                 f"declared order {self.order} wrong: matrix has order {true_order}"
@@ -159,11 +162,8 @@ class HWMatrix(Record):
         object.__setattr__(self, "rows", rows)
 
 
-# B L_b as (image, sign) of B, read by signed_perm, and t = Q b mod Q
-Coset = tuple[IntVector, IntVector, IntVector]
-
-
-def _integer_generators(definition: GroupDefinition) -> tuple[int, list[Coset]]:
+@lru_cache(maxsize=None)
+def _integer_generators(definition: GroupDefinition) -> tuple[int, tuple[Coset, ...]]:
     """Q and each generator as a Coset.
 
     Signed permutations only permute and negate coordinates, so Q, the lcm of
@@ -171,7 +171,7 @@ def _integer_generators(definition: GroupDefinition) -> tuple[int, list[Coset]]:
     """
     gens = definition.generators
     q = lcm(*(x.denominator for g in gens for x in g.translation))
-    return q, [signed_perm(g.matrix) + (_scaled(g.translation, q),) for g in gens]
+    return q, tuple(signed_perm(g.matrix) + (_scaled(g.translation, q),) for g in gens)
 
 
 def _scaled(b: RatVector, q: int) -> IntVector:
@@ -279,61 +279,20 @@ def check_pairwise_condition(definition: GroupDefinition) -> list[tuple[int, int
     ]
 
 
-def fixed_cycle_phases(walk: Sequence[Cycle], b: RatVector) -> tuple[int, list[tuple[Cycle, int]]]:
-    """(q, [(c, u_c . q b)]) over the cycles c of sign +1 in ``walk``, q the lcm
-    of the denominators of b.
-
-    A vector fixed by B is v = sum_c k_c u_c with k_c = v[c.support[0]], so
-    v . b = sum_c k_c (u_c . b): only these phases reach a character sum.
-    """
-    q = lcm(*(x.denominator for x in b))
-    t = _scaled(b, q)
-    return q, [(c, sum(c.vector[j] * t[j] for j in c.support)) for c in walk if c.sign == 1]
-
-
-def coset_walk(coset: Coset, q: int) -> tuple[tuple[int, int, int], ...]:
-    """(L_c, s_c, u_c . t mod q) for each cycle c of B, in the order of
-    ``cycles``, by one walk over (image, sign)."""
-    image, sign, t = coset
-    seen = [False] * len(image)
-    out = []
-    for start in range(len(image)):
-        j, u, length, phase = start, 1, 0, 0
-        while not seen[j]:
-            seen[j] = True
-            length += 1
-            phase += u * t[j]
-            u *= sign[j]
-            j = image[j]
-        if length:
-            out.append((length, u, phase % q))
-    return tuple(out)
-
-
 def _torsion_test(walk, q: int) -> bool:
     """Whether S b lies in Z^n but outside S Z^n, for S = sum_{j=0}^{m-1} B^{-j}:
     S is (m / L_c) u_c u_c^T on a fixed cycle c and 0 on the others, and
     S Z^n = sum_c (m / L_c) Z u_c, the supports being disjoint."""
-    m = lcm(*(length * (1 if sign == 1 else 2) for length, sign, _ in walk))
+    m = walk_order(walk)
     fixed = [(length, a) for length, sign, a in walk if sign == 1]
     return any(a for _, a in fixed) and not any(m // length * a % q for length, a in fixed)
 
 
 def _coset_power_sum(coset: Coset, q: int) -> tuple[IntVector, bool]:
     """(q S b, off) for the Coset of B L_b, S as in ``_torsion_test`` and ``off``
-    whether S b lies outside S Z^n, by one walk over (image, sign) that keeps
-    the entries (j, u_c[j]) of each fixed cycle c."""
-    image, sign, t = coset
-    seen, fixed, m = [False] * len(t), [], 1
-    for start in range(len(t)):
-        j, u, entries = start, 1, []
-        while not seen[j]:
-            seen[j] = True
-            entries.append((j, u))
-            u, j = u * sign[j], image[j]
-        if entries:
-            m = lcm(m, len(entries) * (1 if u == 1 else 2))
-            fixed += [entries] if u == 1 else []
+    whether S b lies outside S Z^n, from the entries of B's fixed cycles."""
+    t = coset[2]
+    m, fixed = fixed_cycles(coset[:2])
     w, phases = [0] * len(t), [sum(v * t[j] for j, v in c) for c in fixed]
     for c, ut in zip(fixed, phases):
         for j, v in c:
@@ -341,11 +300,16 @@ def _coset_power_sum(coset: Coset, q: int) -> tuple[IntVector, bool]:
     return tuple(w), any(ut % q for ut in phases)
 
 
+def _element_coset(element: PointGroupElement) -> tuple[Coset, int]:
+    """The Coset of an element and its q, the lcm of its translation's denominators."""
+    q = lcm(*(x.denominator for x in element.translation))
+    return signed_perm(element.matrix) + (_scaled(element.translation, q),), q
+
+
 def check_torsion_condition(element: PointGroupElement) -> bool:
     """True iff S b(I) lies in Z^n but outside S Z^n, for S = sum_j B_I^{-j}:
     then the powers of the element reach a nonzero lattice translation."""
-    q = lcm(*(x.denominator for x in element.translation))
-    coset = signed_perm(element.matrix) + (_scaled(element.translation, q),)
+    coset, q = _element_coset(element)
     return _torsion_test(coset_walk(coset, q), q)
 
 

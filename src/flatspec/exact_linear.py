@@ -1,11 +1,13 @@
-"""Signed permutations, their cycles, and integer lattices in Z^n.
+"""Signed permutations, walked once per cycle, and integer lattices in Z^n.
 
 Matrices are tuples of row tuples of Python ints; vectors are plain tuples.
-Rational vectors use ``fractions.Fraction``.  Lattice work goes through two
-routines: one Hermite basis and one invariant-factor Smith form.  Every
-operation is exact.  The error taxonomy and the ``Record`` base of the
-package's value types live here too, since every other module imports this
-one.
+Rational vectors use ``fractions.Fraction``.  ``coset_walk`` gives each cycle
+of a signed permutation its length, sign and phase, which fix the order, the
+determinant and the exterior traces; ``fixed_cycles`` keeps the coordinates
+of the fixed cycle vectors.  Lattice work goes through two routines: one
+Hermite basis and one invariant-factor Smith form.  Every operation is exact.
+The error taxonomy and the ``Record`` base of the package's value types live
+here too, since every other module imports this one.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm, prod
 from operator import attrgetter
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -136,64 +138,66 @@ def signed_perm_matrix(image: Sequence[int], sign: Sequence[int]) -> IntMatrix:
     return tuple(tuple(row) for row in rows)
 
 
-def is_signed_permutation(m: IntMatrix) -> bool:
-    """True iff ``m`` has exactly one entry +-1 per row and per column.
-
-    Signed permutations are exactly the orthogonal integer matrices, i.e. the
-    symmetries of the canonical lattice.
-    """
-    try:
-        signed_perm(m)
-    except ValueError:
-        return False
-    return True
+# B L_b as (image, sign) of B, read by signed_perm, and t = q b mod q
+Coset = tuple[IntVector, IntVector, IntVector]
 
 
-class Cycle(NamedTuple):
-    """One cycle of a signed permutation B.
-
-    ``support`` lists the coordinates in the order B visits them.
-    ``vector`` is the +-1 vector u_c on that support found by following the
-    cycle, and ``sign`` is the product of the signs met along it; B u_c = u_c
-    exactly when ``sign`` is +1.
-    """
-
-    support: tuple[int, ...]
-    vector: IntVector
-    sign: int
-
-
-def cycles(m: IntMatrix) -> tuple[Cycle, ...]:
-    """The cycles of a signed permutation, by one walk over its columns."""
-    image, sign = signed_perm(m)
-    n = len(m)
-    seen = [False] * n
+def coset_walk(coset: Coset, q: int) -> tuple[tuple[int, int, int], ...]:
+    """(L_c, s_c, u_c . t mod q) for each cycle c of B, by one walk over (image,
+    sign): c visits its L_c coordinates from the least, u_c is the +-1 vector
+    met along it, and s_c the product of its signs, so B u_c = u_c iff s_c = 1."""
+    image, sign, t = coset
+    seen = [False] * len(image)
     out = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        support = []
-        u = [0] * n
-        j, uj = start, 1
+    for start in range(len(image)):
+        j, u, length, phase = start, 1, 0, 0
         while not seen[j]:
             seen[j] = True
-            support.append(j)
-            u[j] = uj
-            uj *= sign[j]
+            length += 1
+            phase += u * t[j]
+            u *= sign[j]
             j = image[j]
-        # uj is now the sign product of the cycle
-        out.append(Cycle(tuple(support), tuple(u), uj))
+        if length:
+            out.append((length, u, phase % q))
     return tuple(out)
+
+
+def fixed_cycles(perm: tuple[IntVector, IntVector]) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(order of B, the entries (j, u_c[j]) of each cycle c of sign +1, in the
+    order ``coset_walk`` visits them) for B given as (image, sign): the u_c
+    span ker(B - I)."""
+    image, sign = perm
+    seen, walk, fixed = [False] * len(image), [], []
+    for start in range(len(image)):
+        j, u, entries = start, 1, []
+        while not seen[j]:
+            seen[j] = True
+            entries.append((j, u))
+            u, j = u * sign[j], image[j]
+        if entries:
+            walk.append((len(entries), u))
+            fixed += [entries] if u == 1 else []
+    return walk_order(walk), fixed
+
+
+def walk_order(walk) -> int:
+    """B's multiplicative order from the (L_c, s_c, ...) of its cycles: the lcm
+    of L_c, or 2 L_c for a cycle of sign -1."""
+    return lcm(*(c[0] * (1 if c[1] == 1 else 2) for c in walk))
+
+
+def _matrix_walk(m: IntMatrix) -> tuple[tuple[int, int, int], ...]:
+    return coset_walk(signed_perm(m) + ((0,) * len(m),), 1)
 
 
 def signed_permutation_order(m: IntMatrix) -> int:
     """Multiplicative order: lcm of L_c, or 2 L_c for a cycle of sign -1."""
-    return lcm(*(len(c.support) * (1 if c.sign == 1 else 2) for c in cycles(m)))
+    return walk_order(_matrix_walk(m))
 
 
 def det(m: IntMatrix) -> int:
     """Determinant of a signed permutation: prod_c (-1)^(L_c + 1) s_c."""
-    return prod((-1) ** (len(c.support) + 1) * c.sign for c in cycles(m))
+    return prod((-1) ** (length + 1) * sign for length, sign, _ in _matrix_walk(m))
 
 
 def exterior_traces(n: int, cycle_type) -> tuple[int, ...]:
@@ -215,7 +219,7 @@ def trace_p(m: IntMatrix, p: int) -> int:
     n = len(m)
     if not 0 <= p <= n:
         raise UsageError(f"exterior power {p} out of range for dimension {n}")
-    return exterior_traces(n, ((len(c.support), c.sign) for c in cycles(m)))[p]
+    return exterior_traces(n, (c[:2] for c in _matrix_walk(m)))[p]
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:

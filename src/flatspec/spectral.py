@@ -36,10 +36,9 @@ from operator import add, sub
 from .crystal import (
     GroupDefinition,
     PointGroupElement,
+    _element_coset,
     _torsion_walks,
     close_point_group,
-    coset_walk,
-    fixed_cycle_phases,
     require_valid,
 )
 from .exact_linear import (
@@ -48,8 +47,10 @@ from .exact_linear import (
     LimitError,
     Record,
     UsageError,
-    cycles,
+    coset_walk,
     exterior_traces,
+    fixed_cycles,
+    signed_perm,
     trace_p,  # noqa: F401  (bench/test_bench.py traces spectral.trace_p)
 )
 
@@ -193,17 +194,16 @@ def enumerate_fixed_shell(matrix: IntMatrix, mu: int) -> tuple[tuple[int, ...], 
     with weights |u_c|^2 = L_c and the search is a weighted norm enumeration.
     """
     n = len(matrix)
-    basis = [c for c in cycles(matrix) if c.sign == 1]
+    _, basis = fixed_cycles(signed_perm(matrix))
     require_series(mu, len(basis))
     if mu == 0:
         return ((0,) * n,)
-    weights = tuple(len(c.support) for c in basis)
     vectors = []
-    for coeffs in _weighted_norm_solutions(weights, mu):
+    for coeffs in _weighted_norm_solutions(tuple(map(len, basis)), mu):
         v = [0] * n
         for k, c in zip(coeffs, basis):
-            for j in c.support:
-                v[j] = k * c.vector[j]
+            for j, u in c:
+                v[j] = k * u
         vectors.append(tuple(v))
     return tuple(sorted(vectors))
 
@@ -213,8 +213,8 @@ def enumerate_fixed_shell(matrix: IntMatrix, mu: int) -> tuple[tuple[int, ...], 
 
 @lru_cache(maxsize=None)
 def _signature(element: PointGroupElement) -> tuple[int, tuple[tuple[int, int], ...]]:
-    r, fixed = fixed_cycle_phases(cycles(element.matrix), element.translation)
-    return _walk_signature(((len(c.support), 1, a) for c, a in fixed), r)
+    coset, r = _element_coset(element)
+    return _walk_signature(coset_walk(coset, r), r)
 
 
 def _walk_signature(walk, r: int) -> tuple[int, tuple[tuple[int, int], ...]]:

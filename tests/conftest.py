@@ -9,7 +9,7 @@ from math import gcd, isqrt, lcm
 import pytest
 from hypothesis import strategies as st
 
-from flatspec import HWMatrix, build_hw_group, crystal, example, spectral
+from flatspec import HWMatrix, build_hw_group, crystal, example, exact_linear, spectral
 from flatspec.crystal import (
     COSET_CAP,
     AbelianGroupType,
@@ -19,10 +19,15 @@ from flatspec.crystal import (
     GroupStructureError,
     ValidationReport,
     close_point_group,
-    fixed_cycle_phases,
     require_valid,
 )
-from flatspec.exact_linear import cycles, in_image_lattice, smith_normal_form, trace_p
+from flatspec.exact_linear import (
+    fixed_cycles,
+    in_image_lattice,
+    signed_perm,
+    smith_normal_form,
+    trace_p,
+)
 from flatspec.oracles import enumerate_shell
 from flatspec.spectral import (
     RootOfUnityTally,
@@ -391,6 +396,21 @@ def random_candidate(rng, max_dim=8) -> GroupDefinition:
     return GroupDefinition(dim=n, generators=tuple(gens))
 
 
+def count_walks(monkeypatch) -> list:
+    """The cosets that ``coset_walk`` walks from now on, in every module that
+    calls it."""
+    walks = []
+    original = exact_linear.coset_walk
+
+    def counting(coset, q):
+        walks.append(coset)
+        return original(coset, q)
+
+    for module in (exact_linear, crystal, spectral):
+        monkeypatch.setattr(module, "coset_walk", counting)
+    return walks
+
+
 def clear_crystal_caches():
     """Empty every cache of ``flatspec.crystal``, for counts of cold work."""
     for value in vars(crystal).values():
@@ -508,14 +528,17 @@ def character_sum_shell(element, mu):
     """e_{mu,B} counted over the fixed shell ``enumerate_fixed_shell``, over the
     modulus q that ``character_sum`` uses: the shell oracle of the theta series.
 
-    A fixed v = sum_c k_c u_c has k_c = v[c.support[0]] and phase
-    sum_c k_c q (u_c . b) mod q.
+    A fixed v = sum_c k_c u_c has k_c = v[j_c], j_c the first coordinate of
+    the cycle c, where u_c is 1, and phase sum_c k_c q (u_c . b) mod q.
     """
-    r, fixed = fixed_cycle_phases(cycles(element.matrix), element.translation)
-    q = lcm(*(r // gcd(a, r) for _, a in fixed))
+    b = element.translation
+    r = lcm(*(x.denominator for x in b))
+    _, fixed = fixed_cycles(signed_perm(element.matrix))
+    phases = [(c[0][0], sum(u * int(b[j] * r) for j, u in c)) for c in fixed]
+    q = lcm(*(r // gcd(a, r) for _, a in phases))
     counts = [0] * q
     for v in enumerate_fixed_shell(element.matrix, mu):
-        counts[sum(v[c.support[0]] * a * q // r for c, a in fixed) % q] += 1
+        counts[sum(v[j] * a * q // r for j, a in phases) % q] += 1
     return RootOfUnityTally(q, tuple(counts))
 
 

@@ -34,6 +34,7 @@ from conftest import (
     classical_hw_matrix,
     clear_crystal_caches,
     close_point_group_reference,
+    count_walks,
     first_homology_reference,
     identity_matrix,
     mat_vec,
@@ -67,8 +68,16 @@ def klein_bottle():
 
 class TestAffineGenerator:
     def test_rejects_non_signed_permutation(self):
-        with pytest.raises(GroupStructureError):
+        with pytest.raises(GroupStructureError, match="must be a signed permutation"):
             AffineGenerator(((1, 1), (0, 1)), (Fraction(0), Fraction(0)))
+
+    def test_construction_scans_the_matrix_once(self, monkeypatch):
+        scans, original = [], exact_linear.signed_perm
+        for module in (exact_linear, crystal):
+            monkeypatch.setattr(module, "signed_perm", lambda m: scans.append(m) or original(m))
+        m = ((0, 0, -1), (1, 0, 0), (0, 1, 0))  # a 3-cycle of sign -1
+        assert AffineGenerator(m, (Fraction(0),) * 3).order == 6
+        assert scans == [m]
 
     def test_declared_order_verified(self):
         with pytest.raises(ValueError):
@@ -482,15 +491,22 @@ class TestFirstHomology:
         with pytest.raises(ValueError):
             first_homology(GroupDefinition(2, gens))
 
-    def test_a_cold_homology_walks_no_cycles(self, monkeypatch):
+    def test_a_cold_homology_walks_each_coset_once(self, monkeypatch):
+        """Validation walks each coset but the identity; the power sums read
+        the generators' fixed cycles and walk nothing more."""
+        defn = example("5.1a")
+        order = len(close_point_group(defn))
+        clear_crystal_caches()
+        walks = count_walks(monkeypatch)
+        assert str(first_homology(defn)) == "Z^2 + Z2^2"
+        assert len(walks) == len(set(walks)) == order - 1
+
+    def test_a_cold_validation_and_homology_build_the_generator_cosets_once(self):
         defn = example("5.1a")
         clear_crystal_caches()
-        walks, original = [], exact_linear.cycles
-        for module in (exact_linear, crystal):
-            monkeypatch.setattr(module, "cycles", lambda m: walks.append(m) or original(m),
-                                raising=False)
-        assert str(first_homology(defn)) == "Z^2 + Z2^2"
-        assert walks == []
+        validate_bieberbach(defn)
+        first_homology(defn)
+        assert crystal._integer_generators.cache_info().misses == 1
 
 
 class TestHWConstruction:

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatspec.exact_linear import (
-    cycles,
+    coset_walk,
     det,
+    fixed_cycles,
     hermite_row_basis,
     in_image_lattice,
     integer_kernel,
-    is_signed_permutation,
+    signed_perm,
     signed_permutation_order,
     smith_normal_form,
     trace_p,
@@ -128,27 +129,43 @@ class TestTraceP:
             assert alternating == det_oracle(complement)
 
 
+def unit(n, j):
+    return tuple(int(i == j) for i in range(n))
+
+
+def cycle_vector(n, entries):
+    """u_c in Z^n from the entries (j, u_c[j]) of a fixed cycle."""
+    u = [0] * n
+    for j, x in entries:
+        u[j] = x
+    return tuple(u)
+
+
 class TestCycles:
     def test_signed_three_cycle(self):
         # e0 -> e1 -> -e2, e2 -> e0: one cycle of length 3, sign -1
         m = ((0, 0, 1), (1, 0, 0), (0, -1, 0))
-        (c,) = cycles(m)
-        assert c.support == (0, 1, 2)
-        assert c.vector == (1, 1, -1)
-        assert c.sign == -1
+        # the phase of t = e_j is u_c[j], here taken mod 5
+        assert [coset_walk(signed_perm(m) + (unit(3, j),), 5) for j in range(3)] == [
+            ((3, -1, 1),), ((3, -1, 1),), ((3, -1, 4),)
+        ]
+        assert fixed_cycles(signed_perm(m)) == (6, [])
+        # with e2 -> -e0 the same cycle has sign +1: its entries follow the walk
+        flipped = ((0, 0, -1), (1, 0, 0), (0, -1, 0))
+        assert fixed_cycles(signed_perm(flipped)) == (3, [[(0, 1), (1, 1), (2, -1)]])
 
     def test_fixed_cycle_vector_is_fixed(self):
         m = ((0, -1, 0, 0), (-1, 0, 0, 0), (0, 0, -1, 0), (0, 0, 0, 1))
-        by_support = {c.support: c for c in cycles(m)}
-        assert set(by_support) == {(0, 1), (2,), (3,)}
-        assert by_support[(0, 1)].sign == 1
-        assert by_support[(0, 1)].vector == (1, -1, 0, 0)
-        assert mat_vec(m, by_support[(0, 1)].vector) == (1, -1, 0, 0)
-        assert by_support[(2,)].sign == -1
+        # cycles from coordinates 0, 2 and 3, of lengths 2, 1, 1
+        assert coset_walk(signed_perm(m) + ((0,) * 4,), 1) == ((2, 1, 0), (1, -1, 0), (1, 1, 0))
+        order, fixed = fixed_cycles(signed_perm(m))
+        assert (order, fixed) == (2, [[(0, 1), (1, -1)], [(3, 1)]])
+        assert cycle_vector(4, fixed[0]) == (1, -1, 0, 0)
+        assert mat_vec(m, cycle_vector(4, fixed[0])) == (1, -1, 0, 0)
 
     def test_non_signed_permutation_rejected(self):
         bad = ((1, 1), (0, 1))
-        for fn in (cycles, signed_permutation_order, det):
+        for fn in (signed_perm, signed_permutation_order, det):
             with pytest.raises(ValueError):
                 fn(bad)
         with pytest.raises(ValueError):
@@ -192,24 +209,39 @@ class TestCycleCoreDifferential:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 10).flatmap(signed_permutations))
     def test_fixed_cycles_span_the_kernel(self, m):
-        fixed = [c for c in cycles(m) if c.sign == 1]
-        for c in fixed:
-            assert mat_vec(m, c.vector) == c.vector
-            assert sum(x * x for x in c.vector) == len(c.support)
+        order, fixed = fixed_cycles(signed_perm(m))
+        assert order == signed_permutation_order(m)
+        vectors = [cycle_vector(len(m), c) for c in fixed]
+        for c, u in zip(fixed, vectors):
+            assert mat_vec(m, u) == u
+            assert c[0][1] == 1 and sum(x * x for x in u) == len(c)
         for a in range(len(fixed)):
             for b in range(a + 1, len(fixed)):
-                assert sum(
-                    x * y for x, y in zip(fixed[a].vector, fixed[b].vector)
-                ) == 0
+                assert sum(x * y for x, y in zip(vectors[a], vectors[b])) == 0
         kernel = integer_kernel(mat_sub(m, identity_matrix(len(m))))
-        assert hermite_row_basis([c.vector for c in fixed]) == hermite_row_basis(kernel)
+        assert hermite_row_basis(vectors) == hermite_row_basis(kernel)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 10).flatmap(signed_permutations), st.randoms(use_true_random=False))
+    def test_walk_phases_match_the_fixed_cycles(self, m, rng):
+        """coset_walk's sign +1 cycles are fixed_cycles', in order, with phase
+        u_c . t mod q; its cycles cover every coordinate once."""
+        n, q = len(m), 12
+        t = tuple(rng.randrange(q) for _ in range(n))
+        walk = coset_walk(signed_perm(m) + (t,), q)
+        _, fixed = fixed_cycles(signed_perm(m))
+        assert sum(length for length, _, _ in walk) == n
+        assert [(length, a) for length, sign, a in walk if sign == 1] == [
+            (len(c), sum(u * t[j] for j, u in c) % q) for c in fixed
+        ]
 
 
 class TestSignedPermutations:
     def test_recognition(self):
-        assert is_signed_permutation(J)
-        assert not is_signed_permutation(((1, 1), (0, 1)))
-        assert not is_signed_permutation(((2, 0), (0, 1)))
+        assert signed_perm(J) == ((1, 0), (-1, 1))
+        for bad in (((1, 1), (0, 1)), ((2, 0), (0, 1))):
+            with pytest.raises(ValueError):
+                signed_perm(bad)
 
     def test_orders(self):
         assert signed_permutation_order(J) == 4

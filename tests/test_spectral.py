@@ -44,6 +44,7 @@ from conftest import (
     clear_crystal_caches,
     clear_spectral_caches,
     corpus_defs,
+    count_walks,
     diagonal_fixed_count,
     identity_matrix,
     multiplicity_cell_reference,
@@ -122,6 +123,12 @@ class TestFixedShells:
         m = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
         assert enumerate_fixed_shell(m, 3) == ((-1, -1, -1), (1, 1, 1))
         assert enumerate_fixed_shell(m, 5) == ()
+
+    def test_signed_cycle_lattice(self):
+        # e0 <-> -e1 fixes u = (1, -1, 0); e2 -> -e2 fixes nothing
+        m = ((0, -1, 0), (-1, 0, 0), (0, 0, -1))
+        assert enumerate_fixed_shell(m, 2) == ((-1, 1, 0), (1, -1, 0))
+        assert enumerate_fixed_shell(m, 8) == ((-2, 2, 0), (2, -2, 0))
 
 
 class TestTallies:
@@ -471,20 +478,6 @@ def assert_series_match_the_shell(groups):
             assert character_sum(el, mu) == character_sum_shell(el, mu), (el, mu)
 
 
-def count_walks(monkeypatch) -> list:
-    """The cosets that ``crystal.coset_walk`` walks from now on."""
-    walks = []
-    original = crystal.coset_walk
-
-    def counting(coset, q):
-        walks.append(coset)
-        return original(coset, q)
-
-    for module in (crystal, spectral):
-        monkeypatch.setattr(module, "coset_walk", counting)
-    return walks
-
-
 class TestThetaSeries:
     """The theta series of each signature against the fixed-shell oracle."""
 
@@ -636,16 +629,18 @@ class TestSpectrumTable:
             assert order == len(close_point_group(defn))
             assert dict(classes) == {sig: tuple(row) for sig, row in expected.items()}
 
-    @pytest.mark.parametrize("call", [
-        lambda: betti_row(example("5.1a")),
-        lambda: multiplicity_table(example("5.6a"), None, 40),
-    ])
-    def test_a_cold_table_walks_no_cycles(self, monkeypatch, call):
+    @pytest.mark.parametrize("catalog_id, call", [
+        ("5.1a", betti_row),
+        ("5.6a", lambda g: multiplicity_table(g, None, 40)),
+    ], ids=["betti_row", "multiplicity_table"])
+    def test_a_cold_table_walks_each_element_once(self, monkeypatch, catalog_id, call):
+        g = example(catalog_id)
+        order = len(close_point_group(g))
         clear_spectral_caches()
         clear_crystal_caches()
-        walks = count_calls(monkeypatch, "cycles")
-        call()
-        assert walks == []
+        walks = count_walks(monkeypatch)
+        call(g)
+        assert len(walks) == len(set(walks)) == order
 
     def test_a_cold_compare_builds_each_table_once(self, monkeypatch):
         clear_spectral_caches()
