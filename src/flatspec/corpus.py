@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Union
 
 from .crystal import DIM_CAP, AffineGenerator, GroupDefinition, extend_with_characters
@@ -205,6 +205,13 @@ def corpus_ids() -> list[tuple[str, tuple[str, ...], bool, str]]:
     ]
 
 
+@lru_cache(maxsize=None)
+def _build(base: str, params: tuple[tuple[str, int], ...]) -> CorpusEntry:
+    """The entry of a catalog id, built once per base and sorted parameters,
+    so every id that names it shares its groups; a builder's error is not kept."""
+    return _REGISTRY[base][0](**dict(params))
+
+
 def example(catalog_id: str) -> CorpusEntry:
     """Resolve a catalog id, e.g. ``"4.5"``, ``"5.1a"`` or ``"4.1(n=4,k=1)"``.
 
@@ -219,7 +226,7 @@ def example(catalog_id: str) -> CorpusEntry:
     base, raw_params, member = match.groups()
     if base not in _REGISTRY:
         raise UsageError(f"unknown catalog id: {base!r}")
-    builder, param_names, is_pair, _desc = _REGISTRY[base]
+    param_names, is_pair = _REGISTRY[base][1:3]
     if member and not is_pair:
         raise UsageError(f"{catalog_id!r} is a single group; drop {member!r}")
     params: dict[str, int] = {}
@@ -245,7 +252,7 @@ def example(catalog_id: str) -> CorpusEntry:
     if missing:
         raise UsageError(f"catalog id {base!r} needs parameters {missing}")
     try:
-        entry = builder(**params)
+        entry = _build(base, tuple(sorted(params.items())))
     except LimitError:
         raise
     except ValueError as exc:

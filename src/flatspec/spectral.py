@@ -15,12 +15,12 @@ and Groups*, ch. 4)
 
 which depends only on B's signature (q, sorted (L_c, min(a_c, q - a_c))), so
 one series serves each signature; the fixed-shell walk is its test oracle.
-Each group keeps one table: every signature class's series is lifted to
-zeta_Q, Q the lcm of the class moduli, and reduced modulo Phi_Q once, the p
-rows are trace-weighted sums of those, checked once and kept as integer rows
-that every table reader slices; ``multiplicity`` is the per-cell entry point.
-Asking past a table's length grows it in place to twice its length, or to
-the cutoff if that is longer: only the new columns are reduced and checked.
+Each group keeps one table of checked integer rows d_p: every signature
+class's series is lifted to zeta_Q, Q the lcm of the class moduli, reduced
+modulo Phi_Q once and weighted by its trace row; a failing check refuses the
+table by its first bad cell, and every reader slices the rows.  Asking past
+a table's length grows it in place to twice its length, or to the cutoff if
+that is longer: only the new columns are reduced, checked and then kept.
 
 Table keys use mu throughout; the eigenvalue itself is 4*pi^2*mu.
 """
@@ -38,7 +38,6 @@ from .crystal import (
     PointGroupElement,
     _element_coset,
     _torsion_walks,
-    close_point_group,
     require_valid,
 )
 from .exact_linear import (
@@ -267,8 +266,7 @@ def _class_rows(defn: GroupDefinition) -> tuple:
     q, walks = _torsion_walks(defn)
     n = defn.dim
     classes = {}
-    for el in close_point_group(defn):
-        walk = walks[el.word] if any(el.word) else coset_walk((range(n), (1,) * n, (0,) * n), q)
+    for walk in chain([coset_walk((range(n), (1,) * n, (0,) * n), q)], walks.values()):
         row = classes.setdefault(_walk_signature(walk, q), [0] * (n + 1))
         row[:] = map(add, row, exterior_traces(n, (c[:2] for c in walk)))
     return order, tuple((sig, tuple(row)) for sig, row in classes.items())
@@ -309,15 +307,21 @@ def _build_table(defn: GroupDefinition, length: int) -> list:
     return rows
 
 
-def _check_table(defn: GroupDefinition, rows, start: int = 0) -> list | None:
-    """The rows d_p of table columns from mu = start on, all nonnegative integer cells, once
-    they pass the identities of flat manifolds: d_{0,0} = 1, d_{n,0} = 1 exactly if orientable
-    (at start 0), then row p = row n - p, and a zero Euler sum at every mu.  None for
-    other columns, whose cells ``multiplicity`` refuses."""
+def _check_table(defn: GroupDefinition, rows, start: int = 0) -> list:
+    """The rows d_p of table columns from mu = start on, once every cell is a nonnegative
+    integer and they pass the identities of flat manifolds: d_{0,0} = 1, d_{n,0} = 1 exactly
+    if orientable (at start 0), then row p = row n - p, and a zero Euler sum at every mu.
+    Otherwise raises, naming the first bad cell by p, then mu."""
     order, classes = _class_rows(defn)
-    for comps in rows:
+    for p, comps in enumerate(rows):
         if any(map(any, comps[1:])) or min(comps[0]) < 0 or any(map(order.__rmod__, comps[0])):
-            return None
+            mu, rem = next((mu, list(rem)) for mu, rem in enumerate(zip(*comps), start)
+                           if any(rem[1:]) or rem[0] < 0 or rem[0] % order)
+            if any(rem[1:]):
+                raise NonRationalSumError(f"{_cell(defn, p, mu)}: tally reduces to non-constant "
+                                          f"residue {rem}; upstream bug")
+            raise InternalError(f"{_cell(defn, p, mu)}: multiplicity came out "
+                                f"{Fraction(rem[0], order)}; must be a nonnegative integer")
     n, d = defn.dim, [list(map(order.__rfloordiv__, comps[0])) for comps in rows]
     orientable, euler = sum(row[n] for _, row in classes) == order, d[0]
     for row in d[1:]:  # d_p - d_{p-1} + ... + (-1)^p d_0
@@ -338,38 +342,29 @@ def _cell(defn: GroupDefinition, p, mu) -> str:
     return f"{defn.label or '<unnamed>'} at p={p}, mu={mu}"
 
 
-_tables = lru_cache(maxsize=None)(lambda defn: [0, None, None])  # [length, rows, d] per group
+_tables = lru_cache(maxsize=None)(lambda defn: [0, [[]] * (defn.dim + 1)])  # [length, d] per group
 
 
 def _table(defn: GroupDefinition, mu: int) -> list:
-    """The group's table, if shorter grown in place to max(twice its length, mu + 1) columns
-    within the norm guard: only new columns are built and checked, and an unchecked prefix
-    stays so.  The identity class has rank n, so the guard refuses what any class would."""
+    """The group's checked rows d, if shorter grown to max(twice its length, mu + 1) columns
+    within the norm guard: only new columns are built and checked, and kept once they pass.
+    The identity class has rank n, so the guard refuses what any class would."""
     require_series(mu, defn.dim)
     held = _tables(defn)
     if mu >= held[0]:
-        start, length = held[0], min(max(2 * held[0], mu + 1), SHELL_NORM_CAP + 1)
-        rows = _build_table(defn, length)
-        d = _check_table(defn, rows, start) if held[2] or not start else None
-        if start:  # append the new columns to the held rows
-            for old, new in zip(chain(*held[1], held[2] if d else ()), chain(*rows, d or ())):
-                old += new
-            rows, d = held[1], d and held[2]
-        held[:] = length, rows, d
+        length = min(max(2 * held[0], mu + 1), SHELL_NORM_CAP + 1)
+        new = _check_table(defn, _build_table(defn, length), held[0])
+        held[:] = length, list(map(add, held[1], new))
     return held[1]
 
 
 def read_rows(defn: GroupDefinition, degrees, mu_max: int) -> list[list[int]]:
     """d_{p,0..mu_max} for each p of ``degrees``, which the caller has checked
-    with the cutoff: slices of the checked rows, or for a table that failed its
-    check, cell by cell so that ``multiplicity`` names the bad cell."""
+    with the cutoff: slices of the group's checked rows."""
     if not degrees:
         return []
     _class_rows(defn)  # an invalid group is refused before the rank guard
-    _table(defn, mu_max)
-    d = _tables(defn)[2]
-    if d is None:
-        return [[multiplicity(defn, p, mu) for mu in range(mu_max + 1)] for p in degrees]
+    d = _table(defn, mu_max)
     return [d[p][:mu_max + 1] for p in degrees]
 
 
@@ -377,17 +372,9 @@ def read_rows(defn: GroupDefinition, degrees, mu_max: int) -> list[list[int]]:
 def multiplicity(defn: GroupDefinition, p: int, mu: int) -> int:
     """Exact d_{p,mu}: multiplicity of eigenvalue 4 pi^2 mu on p-forms, a read
     of the group's table."""
-    order, _ = _class_rows(defn)
+    _class_rows(defn)
     form_degrees(defn.dim, (p,))
-    rem = [c[mu] for c in _table(defn, mu)[p]]
-    d, r = divmod(rem[0], order)
-    if any(rem[1:]):
-        raise NonRationalSumError(f"{_cell(defn, p, mu)}: tally reduces to non-constant residue "
-                                  f"{rem}; upstream bug")
-    if r or d < 0:
-        raise InternalError(f"{_cell(defn, p, mu)}: multiplicity came out "
-                            f"{Fraction(rem[0], order)}; must be a nonnegative integer")
-    return d
+    return _table(defn, mu)[p][mu]
 
 
 def betti(defn: GroupDefinition, p: int) -> int:

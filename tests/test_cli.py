@@ -526,7 +526,7 @@ class TestErrorClasses:
         assert status == 1 and captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1, captured.err
-        assert lines[0].startswith("error: internal: 5.1a at p=1, mu=3: tally reduces")
+        assert lines[0].startswith("error: internal: 5.1a at p=0, mu=0: tally reduces")
 
 
 def test_every_public_name_resolves():

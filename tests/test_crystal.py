@@ -586,6 +586,25 @@ class TestCorpus:
         with pytest.raises(UsageError, match="is a single group"):
             example("4.1(n=4,k=1)a")
 
+    def test_ids_of_one_entry_share_one_build(self, monkeypatch):
+        assert example("5.1a") is example("5.1")[0]
+        assert example("5.1b") is example(" 5.1 ")[1]
+        assert example("4.1(k=1,n=4)") is example("4.1(n=4,k=1)")
+        keys = ("5.1", "5.1a", "5.1b", "4.1(n=4,k=1)", "5.9(k=2)b", "5.9(k=2)")
+        for key in keys:
+            example(key)
+        built = []
+        check = AffineGenerator._check
+        monkeypatch.setattr(AffineGenerator, "_check", lambda gen: built.append(gen) or check(gen))
+        for key in keys:
+            example(key)
+        assert built == []
+
+    def test_a_refused_build_is_not_kept(self):
+        for _ in range(2):
+            with pytest.raises(UsageError, match=r"^bad parameters in '4.1\(n=5,k=1\)': "):
+                example("4.1(n=5,k=1)")
+
     def test_repeated_parameter_refused(self):
         with pytest.raises(UsageError, match="repeated parameter 'k'"):
             example("4.1(n=4,k=1,k=3)")
@@ -681,7 +700,7 @@ class TestRecord:
         assert first != AffineGenerator(diag(1, -1), (0, HALF))
 
     def test_the_hash_is_computed_once(self, monkeypatch):
-        g = example("5.1a")
+        g = klein_bottle()  # fresh: a catalog group is shared, so it may be hashed already
         calls = []
         original = Fraction.__hash__
         monkeypatch.setattr(Fraction, "__hash__", lambda x: calls.append(x) or original(x))

@@ -1,8 +1,9 @@
+import copy
 import random
 import re
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -244,11 +245,12 @@ class TestMultiplicity:
         # every class series is zeta_4 alone at each mu
         monkeypatch.setattr(spectral, "_theta", lambda sig, length: ((0,) * length, (1,) * length,
                                                                      (0,) * length, (0,) * length))
-        with pytest.raises(NonRationalSumError, match=r"^probe at p=1, mu=3: tally reduces"):
+        # the table is refused by its first bad cell, whichever cell is asked
+        with pytest.raises(NonRationalSumError, match=r"^probe at p=0, mu=0: tally reduces"):
             multiplicity(probe, 1, 3)
         clear_spectral_caches()
         monkeypatch.setattr(spectral, "_theta", lambda sig, length: ((-1,) * length,))
-        with pytest.raises(ArithmeticError, match=r"^probe at p=0, mu=2: multiplicity came out -1;"):
+        with pytest.raises(ArithmeticError, match=r"^probe at p=0, mu=0: multiplicity came out -1;"):
             multiplicity(probe, 0, 2)
 
     def test_relabeled_group_shares_cache_entries(self):
@@ -563,21 +565,21 @@ class TestThetaSeries:
 
         assert fraction_hashes(64) == fraction_hashes(8)
 
-    def test_a_cold_table_validates_and_closes_the_group_once(self, monkeypatch):
+    def test_a_cold_table_validates_once_and_closes_no_group(self, monkeypatch):
         g = example("5.6a")
         clear_spectral_caches()
         calls = []
-        for name in ("require_valid", "close_point_group"):
-            original = getattr(spectral, name)
+        for module, name in ((spectral, "require_valid"), (crystal, "close_point_group")):
+            original = getattr(module, name)
 
             def counting(defn, name=name, original=original):
                 calls.append(name)
                 return original(defn)
 
-            monkeypatch.setattr(spectral, name, counting)
+            monkeypatch.setattr(module, name, counting)
         multiplicity_table(g, None, 40)
         assert calls.count("require_valid") <= 1
-        assert calls.count("close_point_group") <= 1
+        assert calls.count("close_point_group") == 0
 
 
 def count_calls(monkeypatch, name) -> list:
@@ -678,8 +680,9 @@ class TestSpectrumTable:
     def test_a_corrupted_cell_fails_the_table_check(self, key, cell, named):
         g = example(key)
         order, _ = spectral._class_rows(g)
-        rows = [[list(part) for part in comps] for comps in spectral._table(g, 8)]
-        spectral._check_table(g, rows)  # the finished table passes
+        clear_spectral_caches()
+        rows = spectral._build_table(g, 9)  # cold: the columns 0 .. 8
+        assert spectral._check_table(g, rows) == spectral._table(g, 8)  # the finished table passes
         p, mu = cell
         rows[p][0][mu] += order
         with pytest.raises(InternalError, match=rf"^{re.escape(key)} at {re.escape(named)}: "):
@@ -708,11 +711,13 @@ class TestSpectrumTable:
             with pytest.raises(UsageError, match=r"^form degree \S+ must be an integer$"):
                 call()
 
-    def test_a_non_integral_table_is_left_to_its_cells(self):
+    def test_a_non_integral_table_is_refused_at_its_cell(self):
         g = example("5.1a")
-        rows = [[list(part) for part in comps] for comps in spectral._table(g, 8)]
+        clear_spectral_caches()
+        rows = spectral._build_table(g, 9)
         rows[2][0][3] += 1  # not a multiple of |F|
-        spectral._check_table(g, rows)
+        with pytest.raises(InternalError, match=r"^5\.1a at p=2, mu=3: multiplicity came out "):
+            spectral._check_table(g, rows)
 
 
 # Every reader of whole rows, each given a catalog pair and a cutoff.
@@ -819,11 +824,14 @@ class TestRowReads:
 
 
 def held_table(defn, length=None) -> tuple:
-    """The group's held component rows and checked rows d, each cut to
-    ``length`` columns."""
-    _, rows, d = spectral._tables(defn)
-    return ([[part[:length] for part in comps] for comps in rows],
-            d and [row[:length] for row in d])
+    """The component rows of a cold build to the group's held length, and its
+    held checked rows d, each cut to ``length`` columns."""
+    held = spectral._tables(defn)
+    size, d = held
+    held[0] = 0  # the build starts at mu = 0
+    rows = spectral._build_table(defn, size)
+    held[0] = size
+    return [[part[:length] for part in comps] for comps in rows], [row[:length] for row in d]
 
 
 class TestTableGrowth:
@@ -840,7 +848,7 @@ class TestTableGrowth:
             clear_spectral_caches()
             multiplicity_table(defn, None, cutoffs[-1])
             assert grown == held_table(defn), defn
-            assert grown[1] is not None, defn
+            assert [len(row) for row in grown[1]] == [cutoffs[-1] + 1] * (defn.dim + 1), defn
 
     @pytest.mark.parametrize("cutoffs, lengths", [
         ((10000,), [10001]),
@@ -863,9 +871,10 @@ class TestTableGrowth:
         g = example(key)
         clear_spectral_caches()
         order, _ = spectral._class_rows(g)
-        start = len(spectral._table(g, 8)[0][0])
+        spectral._table(g, 8)
+        start = spectral._tables(g)[0]
         rows = spectral._build_table(g, 20)  # the columns start .. 19
-        assert spectral._check_table(g, rows, start) is not None
+        assert [len(row) for row in spectral._check_table(g, rows, start)] == [20 - start] * (g.dim + 1)
         p, mu = cell
         rows[p][0][mu - start] += order
         with pytest.raises(InternalError, match=rf"^{re.escape(key)} at {re.escape(named)}: "):
@@ -875,10 +884,11 @@ class TestTableGrowth:
         (reader, cell) for reader in ROW_READERS for cell in ((1, 0), (2, 3), (2, 20))
         if cell[1] == 0 or reader != "betti_row"
     ])
-    def test_a_bad_cell_leaves_the_grown_table_unchecked(self, monkeypatch, reader, cell):
-        """A bad cell in the first 9 columns leaves them unchecked, and the
-        table stays so as it grows; one in the new columns 9 .. 40 leaves the
-        grown table unchecked.  Either way every reader names the cell."""
+    def test_the_growth_that_reaches_a_bad_cell_raises(self, monkeypatch, reader, cell):
+        """A bad cell in the first 9 columns refuses the table, and every
+        growth that builds it again; one in the new columns 9 .. 40 refuses
+        the growth, and the held 9 columns stay.  Either way every reader
+        names the cell."""
         pair = example("5.1")
         p, mu = cell
         build = spectral._build_table
@@ -892,10 +902,16 @@ class TestTableGrowth:
 
         clear_spectral_caches()
         monkeypatch.setattr(spectral, "_build_table", corrupted)
-        spectral._table(pair[0], 8)
-        assert (spectral._tables(pair[0])[2] is None) == (mu < 9)
-        spectral._table(pair[0], 40)
-        assert spectral._tables(pair[0])[0] == 41 and spectral._tables(pair[0])[2] is None
+        held = 0 if mu < 9 else 9
+        if held:
+            spectral._table(pair[0], 8)
+        else:
+            with pytest.raises(InternalError, match=rf"^5\.1a at p={p}, mu={mu}: "):
+                spectral._table(pair[0], 8)
+        assert spectral._tables(pair[0])[0] == held
+        with pytest.raises(InternalError, match=rf"^5\.1a at p={p}, mu={mu}: "):
+            spectral._table(pair[0], 40)
+        assert spectral._tables(pair[0])[0] == held
         with pytest.raises(InternalError) as per_cell:
             multiplicity(pair[0], p, mu)
         assert str(per_cell.value).startswith(f"5.1a at p={p}, mu={mu}: multiplicity came out ")
@@ -903,6 +919,39 @@ class TestTableGrowth:
             ROW_READERS[reader](pair, 40)
         assert type(refused.value) is type(per_cell.value)
         assert str(refused.value) == str(per_cell.value)
+
+    def test_a_failed_growth_keeps_the_held_table(self, monkeypatch):
+        g = example("5.1a")
+        clear_spectral_caches()
+        multiplicity_table(g, None, 8)
+        before = copy.deepcopy(spectral._tables(g))
+        build = spectral._build_table
+
+        def corrupted(defn, length):
+            rows = build(defn, length)
+            rows[3][0][-1] += 1  # the last new cell of row 3 is not a multiple of |F|
+            return rows
+
+        monkeypatch.setattr(spectral, "_build_table", corrupted)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(InternalError) as failed:
+                multiplicity_table(g, None, 40)
+            errors.append((type(failed.value), str(failed.value)))
+            assert spectral._tables(g) == before
+        assert errors[0] == errors[1]
+        assert errors[0][1].startswith("5.1a at p=3, mu=40: multiplicity came out ")
+
+    def test_a_grown_table_holds_only_its_integer_rows(self):
+        g = example("5.1a")
+        _, classes = spectral._class_rows(g)
+        assert lcm(*(q for (q, _), _ in classes)) == 4  # phi(4) = 2 components per row
+        clear_spectral_caches()
+        for mu_max in (8, 40):
+            multiplicity_table(g, None, mu_max)
+        length, d = spectral._tables(g)
+        assert length == 41 and len(d) == g.dim + 1
+        assert all(len(row) == length and all(type(x) is int for x in row) for row in d)
 
 
 def z2_10_group() -> GroupDefinition:
@@ -952,6 +1001,17 @@ class TestDeepInputs:
         # coordinates: beta_2 = C(14, 2) + 10 C(5, 2); no dx_J of degree 64
         # survives, since every generator has determinant -1
         assert row[:3] == (1, 14, 191) and row[n] == 0
+
+    def test_a_cold_betti_row_of_the_64d_group_closes_no_group(self, monkeypatch):
+        g = z2_10_group()
+        clear_spectral_caches()
+        clear_crystal_caches()
+        closures = []
+        original = crystal.close_point_group
+        monkeypatch.setattr(crystal, "close_point_group",
+                            lambda defn: closures.append(defn) or original(defn))
+        assert betti_row(g)[:3] == (1, 14, 191)
+        assert closures == [] and not hasattr(spectral, "close_point_group")
 
     def test_the_64d_group_walks_each_element_once(self, monkeypatch):
         g = z2_10_group()
