@@ -15,12 +15,12 @@ and Groups*, ch. 4)
 
 which depends only on B's signature (q, sorted (L_c, min(a_c, q - a_c))), so
 one series serves each signature; the fixed-shell walk is its test oracle.
-Each group keeps one table of checked integer rows d_p: every signature
-class's series is lifted to zeta_Q, Q the lcm of the class moduli, reduced
-modulo Phi_Q once and weighted by its trace row; a failing check refuses the
-table by its first bad cell, and every reader slices the rows.  Asking past
-a table's length grows it in place to twice its length, or to the cutoff if
-that is longer: only the new columns are reduced, checked and then kept.
+Each group keeps one table of checked integer rows d_p.  A cell is rational,
+so it is its trace to Q over phi(Q), Q the lcm of the class moduli: one series
+per Galois orbit of classes, summed by Ramanujan sums, times its trace row.
+A failing check refuses the table by its first bad cell; every reader slices
+the rows.  Asking past a table's length grows it in place to twice its length,
+or to the cutoff if longer: only the new columns are built, checked and kept.
 
 Table keys use mu throughout; the eigenvalue itself is 4*pi^2*mu.
 """
@@ -62,7 +62,7 @@ class EnumerationGuardError(LimitError):
 
 
 class NonRationalSumError(InternalError):
-    """A tally expected to be rational reduced to a non-constant residue."""
+    """A sum that must be rational is not: its residue, series or Galois orbit is broken."""
 
 
 # ---------------------------------------------------------------------------
@@ -259,51 +259,54 @@ def character_sum(element: PointGroupElement, mu: int) -> RootOfUnityTally:
 
 @lru_cache(maxsize=None)
 def _class_rows(defn: GroupDefinition) -> tuple:
-    """The validated group's record: (|F|, one (signature, summed
-    exterior-trace row) per signature class of F), read from one walk per
-    element: the torsion check's, and here the identity's."""
-    order = require_valid(defn).holonomy_order
+    """The validated group's record: (|F|, one (least signature, trace row summed over its
+    elements) per Galois orbit of F's signature classes), read from one walk per element: the
+    torsion check's, and here the identity's.  sigma_t, t prime to q, maps the class of phases
+    a_c to that of t a_c, as B -> B^t' (t' = t mod q, prime to |F|) keeps cycle type and traces:
+    so every conjugate of a class must be a class with its trace row."""
+    order, n = require_valid(defn).holonomy_order, defn.dim
     q, walks = _torsion_walks(defn)
-    n = defn.dim
-    classes = {}
+    classes, orbits = {}, {}
     for walk in chain([coset_walk((range(n), (1,) * n, (0,) * n), q)], walks.values()):
         row = classes.setdefault(_walk_signature(walk, q), [0] * (n + 1))
         row[:] = map(add, row, exterior_traces(n, (c[:2] for c in walk)))
-    return order, tuple((sig, tuple(row)) for sig, row in classes.items())
+    for (m, factors), row in classes.items():
+        units = (t for t in range(m) if gcd(t, m) == 1)
+        orbit = {_walk_signature([(w, 1, t * a) for w, a in factors], m) for t in units}
+        if any(classes.get(sig) != row for sig in orbit):
+            raise NonRationalSumError(f"{defn.label or '<unnamed>'}: class {(m, factors)} lacks a "
+                                      "Galois conjugate of equal traces; upstream bug")
+        orbits[min(orbit)] = tuple(len(orbit) * x for x in row)
+    return order, tuple(orbits.items())
 
 
 @lru_cache(maxsize=None)
-def _zeta_residues(modulus: int) -> tuple[tuple[int, ...], ...]:
-    """zeta_Q^j modulo Phi_Q over 1 .. zeta_Q^(phi(Q)-1), for j < Q: each is
-    x times the one before, x^phi(Q) replaced by x^phi(Q) - Phi_Q."""
-    phi = cyclotomic_polynomial(modulus)
-    r, out = [1] + [0] * (len(phi) - 2), []
-    for _ in range(modulus):
-        out.append(tuple(r))
-        r = [x - r[-1] * c for x, c in zip([0] + r[:-1], phi)]
-    return tuple(out)
+def _ramanujan(q: int) -> tuple[int, ...]:
+    """The Ramanujan sums c_q(0 .. q-1), c_q(j) the trace of zeta_q^j to Q (Hardy & Wright,
+    section 16.6), by Moebius inversion of sum_{d | q} c_d(j) = q [q | j]."""
+    divisors = [d for d in range(1, q) if q % d == 0]
+    return tuple((0 if j else q) - sum(_ramanujan(d)[j % d] for d in divisors) for j in range(q))
 
 
 def _build_table(defn: GroupDefinition, length: int) -> list:
-    """Per p, the components of |F| d_{p,mu}, held length <= mu < length, over 1
-    .. zeta_Q^(phi(Q)-1), Q the lcm of the class moduli: the new columns of each
-    class series are lifted to zeta_Q and reduced once, then weighted by its trace row."""
-    start, (_, classes) = _tables(defn)[0], _class_rows(defn)
-    series = [_theta(sig, length) for sig, _ in classes]
-    residues = _zeta_residues(lcm(*map(len, series)))
-    rows = [[[0] * (length - start) for _ in residues[0]] for _ in range(defn.dim + 1)]
-    for (_, traces), phases in zip(classes, series):
-        parts = [[0] * (length - start) for _ in residues[0]]
-        for j, counts in enumerate(phases):
-            counts = counts[start:]
-            if any(counts):
-                residue = residues[j * len(residues) // len(phases)]
-                for part, c in zip(parts, residue):
-                    part[:] = map(add, part, map(c.__mul__, counts))
+    """Per p, phi(Q) |F| d_{p,mu} for held length <= mu < length, Q the lcm of the class moduli:
+    each orbit adds its trace row times the trace to Q of its series' new columns, (phi(Q)/phi(q))
+    sum_j c_q(j) counts_j.  A series not real, counts_j != counts_(q-j), is refused."""
+    start, (_, orbits) = _tables(defn)[0], _class_rows(defn)
+    phi = _ramanujan(lcm(*(q for (q, _), _ in orbits)))[0]
+    rows = [[0] * (length - start) for _ in range(defn.dim + 1)]
+    for sig, traces in orbits:
+        phases, ram, total = _theta(sig, length), _ramanujan(sig[0]), [0] * (length - start)
+        if any(phases[j] != phases[-j] for j in range(1, len(phases))):
+            mu = next(mu for mu, col in enumerate(zip(*phases)) if col[1:] != col[:0:-1])
+            raise NonRationalSumError(f"{_cell(defn, 0, mu)}: tally reduces to a non-real sum; "
+                                      "upstream bug")
+        for c, counts in zip(ram, phases):
+            if c:
+                total[:] = map(add, total, map((c * phi // ram[0]).__mul__, counts[start:]))
         for row, w in zip(rows, traces):
             if w:
-                for acc, part in zip(row, parts):
-                    acc[:] = map(add, acc, map(w.__mul__, part))
+                row[:] = map(add, row, map(w.__mul__, total))
     return rows
 
 
@@ -313,16 +316,13 @@ def _check_table(defn: GroupDefinition, rows, start: int = 0) -> list:
     if orientable (at start 0), then row p = row n - p, and a zero Euler sum at every mu.
     Otherwise raises, naming the first bad cell by p, then mu."""
     order, classes = _class_rows(defn)
-    for p, comps in enumerate(rows):
-        if any(map(any, comps[1:])) or min(comps[0]) < 0 or any(map(order.__rmod__, comps[0])):
-            mu, rem = next((mu, list(rem)) for mu, rem in enumerate(zip(*comps), start)
-                           if any(rem[1:]) or rem[0] < 0 or rem[0] % order)
-            if any(rem[1:]):
-                raise NonRationalSumError(f"{_cell(defn, p, mu)}: tally reduces to non-constant "
-                                          f"residue {rem}; upstream bug")
+    scale = order * _ramanujan(lcm(*(q for (q, _), _ in classes)))[0]
+    for p, row in enumerate(rows):
+        if min(row) < 0 or any(map(scale.__rmod__, row)):
+            mu, x = next((mu, x) for mu, x in enumerate(row, start) if x < 0 or x % scale)
             raise InternalError(f"{_cell(defn, p, mu)}: multiplicity came out "
-                                f"{Fraction(rem[0], order)}; must be a nonnegative integer")
-    n, d = defn.dim, [list(map(order.__rfloordiv__, comps[0])) for comps in rows]
+                                f"{Fraction(x, scale)}; must be a nonnegative integer")
+    n, d = defn.dim, [list(map(scale.__rfloordiv__, row)) for row in rows]
     orientable, euler = sum(row[n] for _, row in classes) == order, d[0]
     for row in d[1:]:  # d_p - d_{p-1} + ... + (-1)^p d_0
         euler = list(map(sub, row, euler))
@@ -361,9 +361,9 @@ def _table(defn: GroupDefinition, mu: int) -> list:
 def read_rows(defn: GroupDefinition, degrees, mu_max: int) -> list[list[int]]:
     """d_{p,0..mu_max} for each p of ``degrees``, which the caller has checked
     with the cutoff: slices of the group's checked rows."""
+    _class_rows(defn)  # an invalid group is refused first, before the rank guard
     if not degrees:
         return []
-    _class_rows(defn)  # an invalid group is refused before the rank guard
     d = _table(defn, mu_max)
     return [d[p][:mu_max + 1] for p in degrees]
 

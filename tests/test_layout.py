@@ -175,3 +175,19 @@ def test_signed_permutations_have_one_walker():
         module = importlib.import_module(f"flatspec.{stem}" if stem != "__init__" else "flatspec")
         for name in ("cycles", "Cycle", "fixed_cycle_phases"):
             assert not hasattr(module, name), (stem, name)
+
+
+def test_the_table_path_reduces_no_polynomial():
+    """Table cells come from Galois traces: the residue table is gone, and the
+    table functions name none of the cyclotomic reduction that the per-cell
+    reference and the oracles keep."""
+    for path in sorted(SRC.glob("*.py")):
+        name = f"flatspec.{path.stem}" if path.stem != "__init__" else "flatspec"
+        assert not hasattr(importlib.import_module(name), "_zeta_residues"), path.stem
+    functions = {
+        node.name: node for node in ast.walk(ast.parse((SRC / "spectral.py").read_text()))
+        if isinstance(node, ast.FunctionDef)
+    }
+    for name in ("_class_rows", "_build_table", "_check_table", "_table"):
+        named = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
+        assert not named & {"cyclotomic_polynomial", "_residue", "_poly_divmod"}, name

@@ -3,7 +3,7 @@ import random
 import re
 import time
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +50,7 @@ from conftest import (
     identity_matrix,
     multiplicity_cell_reference,
     multiplicity_reference,
+    _ramanujan_sums,
     random_candidate,
     random_hw_candidate,
     tallies_equal,
@@ -595,6 +596,13 @@ def count_calls(monkeypatch, name) -> list:
     return calls
 
 
+def table_scale(defn) -> int:
+    """|F| phi(Q), Q the lcm of the class moduli: the factor between a built
+    table cell and d_{p,mu}."""
+    order, classes = spectral._class_rows(defn)
+    return order * (len(cyclotomic_polynomial(lcm(*(q for (q, _), _ in classes)))) - 1)
+
+
 def table_test_groups():
     """Every catalog group, 12 seeded random valid groups, and the valid groups
     among 10 seeded 3-d and 5-d Hantzsche-Wendt candidates."""
@@ -627,9 +635,14 @@ class TestSpectrumTable:
                     assert spectral._walk_signature(walks[el.word], q) == spectral._signature(el)
                 row = expected.setdefault(spectral._signature(el), [0] * (n + 1))
                 row[:] = [a + trace_p(el.matrix, p) for p, a in enumerate(row)]
+            orbits = {}  # the least signature of each Galois orbit: a -> t a mod q, t prime to q
+            for (q, factors), row in expected.items():
+                orbit = min((q, tuple(sorted((w, min(t * a % q, -t * a % q)) for w, a in factors)))
+                            for t in range(q) if gcd(t, q) == 1)
+                orbits[orbit] = [a + b for a, b in zip(orbits.get(orbit, [0] * (n + 1)), row)]
             order, classes = spectral._class_rows(defn)
             assert order == len(close_point_group(defn))
-            assert dict(classes) == {sig: tuple(row) for sig, row in expected.items()}
+            assert dict(classes) == {sig: tuple(row) for sig, row in orbits.items()}
 
     @pytest.mark.parametrize("catalog_id, call", [
         ("5.1a", betti_row),
@@ -679,12 +692,12 @@ class TestSpectrumTable:
     ])
     def test_a_corrupted_cell_fails_the_table_check(self, key, cell, named):
         g = example(key)
-        order, _ = spectral._class_rows(g)
+        scale = table_scale(g)
         clear_spectral_caches()
         rows = spectral._build_table(g, 9)  # cold: the columns 0 .. 8
         assert spectral._check_table(g, rows) == spectral._table(g, 8)  # the finished table passes
         p, mu = cell
-        rows[p][0][mu] += order
+        rows[p][mu] += scale
         with pytest.raises(InternalError, match=rf"^{re.escape(key)} at {re.escape(named)}: "):
             spectral._check_table(g, rows)
 
@@ -711,11 +724,19 @@ class TestSpectrumTable:
             with pytest.raises(UsageError, match=r"^form degree \S+ must be an integer$"):
                 call()
 
+    def test_an_invalid_group_is_refused_for_every_degree_set(self):
+        bad = GroupDefinition(2, (AffineGenerator(diag(-1, -1), (0, 0)),), label="bad")
+        for p_set in (None, [], [0]):
+            with pytest.raises(UsageError, match="^group definition bad fails validation"):
+                multiplicity_table(bad, p_set, 3)
+        with pytest.raises(UsageError, match="^group definition bad fails validation"):
+            spectral.read_rows(bad, [], 3)
+
     def test_a_non_integral_table_is_refused_at_its_cell(self):
         g = example("5.1a")
         clear_spectral_caches()
         rows = spectral._build_table(g, 9)
-        rows[2][0][3] += 1  # not a multiple of |F|
+        rows[2][3] += 1  # not a multiple of |F| phi(Q)
         with pytest.raises(InternalError, match=r"^5\.1a at p=2, mu=3: multiplicity came out "):
             spectral._check_table(g, rows)
 
@@ -808,7 +829,7 @@ class TestRowReads:
         def corrupted(defn, length):
             rows = build(defn, length)
             if defn == pair[0]:
-                rows[p][0][mu] += 1  # not a multiple of |F|, so the table is left unchecked
+                rows[p][mu] += 1  # not a multiple of |F| phi(Q), so the table is refused
             return rows
 
         clear_spectral_caches()
@@ -824,14 +845,14 @@ class TestRowReads:
 
 
 def held_table(defn, length=None) -> tuple:
-    """The component rows of a cold build to the group's held length, and its
-    held checked rows d, each cut to ``length`` columns."""
+    """The rows of a cold build to the group's held length, and its held
+    checked rows d, each cut to ``length`` columns."""
     held = spectral._tables(defn)
     size, d = held
     held[0] = 0  # the build starts at mu = 0
     rows = spectral._build_table(defn, size)
     held[0] = size
-    return [[part[:length] for part in comps] for comps in rows], [row[:length] for row in d]
+    return [row[:length] for row in rows], [row[:length] for row in d]
 
 
 class TestTableGrowth:
@@ -870,13 +891,13 @@ class TestTableGrowth:
     def test_a_corrupted_cell_of_new_columns_is_named_at_its_mu(self, key, cell, named):
         g = example(key)
         clear_spectral_caches()
-        order, _ = spectral._class_rows(g)
+        scale = table_scale(g)
         spectral._table(g, 8)
         start = spectral._tables(g)[0]
         rows = spectral._build_table(g, 20)  # the columns start .. 19
         assert [len(row) for row in spectral._check_table(g, rows, start)] == [20 - start] * (g.dim + 1)
         p, mu = cell
-        rows[p][0][mu - start] += order
+        rows[p][mu - start] += scale
         with pytest.raises(InternalError, match=rf"^{re.escape(key)} at {re.escape(named)}: "):
             spectral._check_table(g, rows, start)
 
@@ -897,7 +918,7 @@ class TestTableGrowth:
             start = spectral._tables(defn)[0]
             rows = build(defn, length)
             if defn == pair[0] and start <= mu < length:
-                rows[p][0][mu - start] += 1  # not a multiple of |F|
+                rows[p][mu - start] += 1  # not a multiple of |F| phi(Q)
             return rows
 
         clear_spectral_caches()
@@ -929,7 +950,7 @@ class TestTableGrowth:
 
         def corrupted(defn, length):
             rows = build(defn, length)
-            rows[3][0][-1] += 1  # the last new cell of row 3 is not a multiple of |F|
+            rows[3][-1] += 1  # the last new cell of row 3 is not a multiple of |F| phi(Q)
             return rows
 
         monkeypatch.setattr(spectral, "_build_table", corrupted)
@@ -945,7 +966,7 @@ class TestTableGrowth:
     def test_a_grown_table_holds_only_its_integer_rows(self):
         g = example("5.1a")
         _, classes = spectral._class_rows(g)
-        assert lcm(*(q for (q, _), _ in classes)) == 4  # phi(4) = 2 components per row
+        assert lcm(*(q for (q, _), _ in classes)) == 4  # Q = 4, phi(Q) = 2
         clear_spectral_caches()
         for mu_max in (8, 40):
             multiplicity_table(g, None, mu_max)
@@ -964,6 +985,67 @@ def z2_10_group() -> GroupDefinition:
         shift = tuple(HALF if j == i else Fraction(0) for j in range(n))
         gens.append(AffineGenerator(diag(*signs), shift))
     return GroupDefinition(n, tuple(gens), label="z2^10")
+
+
+def z60_group() -> GroupDefinition:
+    """A 12-d group with holonomy Z_60 and 31 signature classes, q up to 60:
+    one generator, a 5-cycle on coordinates 0-4, a 6-cycle with sign product
+    -1 on 5-10, and coordinate 11 fixed and shifted by 1/60."""
+    n = 12
+    m = [[0] * n for _ in range(n)]
+    for i in range(5):
+        m[(i + 1) % 5][i] = 1
+    for i in range(6):
+        m[5 + (i + 1) % 6][5 + i] = -1 if i == 5 else 1
+    m[11][11] = 1
+    shift = tuple(Fraction(int(j == 11), 60) for j in range(n))
+    return GroupDefinition(n, (AffineGenerator(tuple(map(tuple, m)), shift),), label="z60")
+
+
+class TestGaloisOrbits:
+    """One series per Galois orbit of signature classes, each cell an integer
+    from the trace of its sum."""
+
+    def test_ramanujan_sums_match_the_reference(self):
+        for q in range(1, 121):
+            assert spectral._ramanujan(q) == _ramanujan_sums(q), q
+
+    def test_the_z60_table_builds_one_series_per_orbit(self, monkeypatch):
+        g = z60_group()
+        assert validate_bieberbach(g).holonomy_order == 60
+        clear_spectral_caches()
+        series = count_calls(monkeypatch, "_theta")
+        multiplicity_table(g, None, 24)
+        assert len(series) == len(set(series)) == 12
+        assert {sig for sig, _ in series} == {sig for sig, _ in spectral._class_rows(g)[1]}
+
+    def test_every_z60_cell_matches_the_per_cell_route(self):
+        g = z60_group()
+        clear_spectral_caches()
+        for (p, mu), d in multiplicity_table(g, None, 24).as_dict().items():
+            assert d == multiplicity_cell_reference(g, p, mu), (p, mu)
+
+    def test_a_broken_orbit_is_refused_by_name(self, monkeypatch):
+        g = z60_group()
+        original = spectral.exterior_traces
+        altered = []
+
+        def traces(n, cycle_type):
+            cycle_type = list(cycle_type)
+            row = original(n, cycle_type)
+            # g^k with k prime to 6, whose Galois orbit holds 2 or 8 classes
+            if not altered and (6, -1) in cycle_type:
+                altered.append(cycle_type)
+                row = (row[0] + 2,) + row[1:]
+            return row
+
+        clear_spectral_caches()
+        monkeypatch.setattr(spectral, "exterior_traces", traces)
+        with pytest.raises(NonRationalSumError, match=r"^z60: class \(\d+, .*\) lacks a Galois "):
+            multiplicity(g, 0, 1)
+        assert altered
+        monkeypatch.undo()  # a refused record is not kept
+        assert betti_row(g)[0] == 1
 
 
 class TestDeepInputs:
