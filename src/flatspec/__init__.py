@@ -3,121 +3,41 @@
 The package constructs Bieberbach groups over the canonical lattice Z^n,
 validates torsion-freeness, and computes multiplicities of Hodge-Laplacian
 eigenvalues on p-forms exactly (eigenvalues are 4*pi^2*mu for integer mu).
+
+Only the documented API is exported here; every other name is reached
+through its module, and the cross-check oracles only as flatspec.oracles.
 """
 
+from .corpus import example
 from .crystal import (
-    AbelianGroupType,
     AffineGenerator,
     GroupDefinition,
     HWMatrix,
-    PointGroupElement,
-    ValidationReport,
     build_hw_group,
-    check_pairwise_condition,
-    check_torsion_condition,
-    close_point_group,
-    extend_with_characters,
     first_homology,
-    group_from_json,
-    group_to_json,
     validate_bieberbach,
 )
-from .corpus import corpus_ids, example
-from .exact_linear import (
-    FlatspecError,
-    IntMatrix,
-    InternalError,
-    LimitError,
-    RatVector,
-    UsageError,
-    in_image_lattice,
-    integer_kernel,
-    smith_normal_form,
-    trace_p,
-)
-from .isospec import (
-    ComparisonReport,
-    DualityReport,
-    HolonomyPairing,
-    check_pairing_criterion,
-    compare_spectra,
-    duality_check,
-    identity_pairing,
-    kunneth_betti,
-    pairing_from_words,
-)
-from .oracles import (
-    diagonal_trace,
-    enumerate_shell,
-    krawtchouk,
-    krawtchouk_subset_oracle,
-    multiplicity_hw,
-    projector_oracle,
-)
-from .spectral import (
-    MultiplicityTable,
-    RootOfUnityTally,
-    betti,
-    betti_row,
-    character_sum,
-    enumerate_fixed_shell,
-    multiplicity,
-    multiplicity_table,
-    reduce_tally,
-)
+from .exact_linear import FlatspecError, InternalError, LimitError, UsageError, trace_p
+from .isospec import compare_spectra
+from .spectral import betti_row, multiplicity, multiplicity_table
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbelianGroupType",
     "AffineGenerator",
-    "ComparisonReport",
-    "DualityReport",
     "FlatspecError",
     "GroupDefinition",
     "HWMatrix",
-    "HolonomyPairing",
-    "IntMatrix",
     "InternalError",
     "LimitError",
-    "MultiplicityTable",
-    "PointGroupElement",
-    "RatVector",
-    "RootOfUnityTally",
     "UsageError",
-    "ValidationReport",
-    "betti",
     "betti_row",
     "build_hw_group",
-    "character_sum",
-    "check_pairing_criterion",
-    "check_pairwise_condition",
-    "check_torsion_condition",
-    "close_point_group",
     "compare_spectra",
-    "corpus_ids",
-    "diagonal_trace",
-    "duality_check",
-    "enumerate_fixed_shell",
-    "enumerate_shell",
     "example",
-    "extend_with_characters",
     "first_homology",
-    "group_from_json",
-    "group_to_json",
-    "identity_pairing",
-    "in_image_lattice",
-    "integer_kernel",
-    "krawtchouk",
-    "krawtchouk_subset_oracle",
-    "kunneth_betti",
     "multiplicity",
-    "multiplicity_hw",
     "multiplicity_table",
-    "pairing_from_words",
-    "projector_oracle",
-    "reduce_tally",
-    "smith_normal_form",
     "trace_p",
     "validate_bieberbach",
 ]

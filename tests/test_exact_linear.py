@@ -110,7 +110,7 @@ class TestTraceP:
             assert trace_p(m, p) == d * trace_p(m, n - p)
 
     def test_alternating_sum_is_det_of_complement(self, all_corpus_defs):
-        from flatspec import close_point_group
+        from flatspec.crystal import close_point_group
 
         seen = set()
         for _, defn in all_corpus_defs:

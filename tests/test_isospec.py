@@ -22,7 +22,9 @@ from flatspec.spectral import (
     multiplicity,
     multiplicity_table,
 )
-from flatspec import close_point_group, corpus_ids, example
+from flatspec import example
+from flatspec.corpus import corpus_ids
+from flatspec.crystal import close_point_group
 
 from conftest import pairing_criterion_reference
 

@@ -1,6 +1,7 @@
 """Module boundaries: the engine never imports the cross-check oracles, the
-CLI maps library errors in one place and dispatches every subcommand it
-parses, and every name the benchmark traces exists."""
+package exports only its documented API, the CLI maps library errors in one
+place and dispatches every subcommand it parses, and every name the
+benchmark traces exists."""
 
 import argparse
 import ast
@@ -15,6 +16,7 @@ from flatspec import cli
 
 SRC = Path(flatspec.__file__).parent
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+README = Path(__file__).resolve().parents[1] / "README.md"
 ENGINE = {"crystal", "exact_linear", "spectral", "isospec", "corpus", "cli"}
 ORACLES = {
     "enumerate_shell",
@@ -23,6 +25,26 @@ ORACLES = {
     "krawtchouk",
     "krawtchouk_subset_oracle",
     "diagonal_trace",
+}
+# What ``import flatspec`` exports: README's quick start, the error classes,
+# and the names bench/workloads.py and bench/test_bench.py read through it.
+PUBLIC = {
+    "GroupDefinition",
+    "AffineGenerator",
+    "validate_bieberbach",
+    "first_homology",
+    "betti_row",
+    "multiplicity",
+    "example",
+    "compare_spectra",
+    "FlatspecError",
+    "UsageError",
+    "LimitError",
+    "InternalError",
+    "HWMatrix",
+    "build_hw_group",
+    "multiplicity_table",
+    "trace_p",
 }
 
 
@@ -54,7 +76,42 @@ def test_every_oracle_is_public():
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     }
     assert public == ORACLES
-    assert ORACLES <= set(flatspec.__all__)
+    assert not ORACLES & set(flatspec.__all__)
+
+
+def test_the_package_exports_only_the_documented_api():
+    """Every name outside PUBLIC is reached through its home module."""
+    assert sorted(flatspec.__all__) == sorted(PUBLIC)
+
+
+def readme_quick_start():
+    """The python block under README's "Library quick start"."""
+    section = README.read_text().split("## Library quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_the_readme_quick_start_gives_its_commented_values():
+    """Runs the quick start statement by statement; each commented expression
+    has the value its comment shows, so a documented name that leaves the
+    package fails here."""
+    source = readme_quick_start()
+    lines, namespace, shown = source.splitlines(), {}, {}
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.Expr):
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            shown[ast.unparse(stmt.value)] = value, lines[stmt.lineno - 1].partition("#")[2].strip()
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    for expr, expected in (
+        ("fs.validate_bieberbach(klein).is_torsion_free", True),
+        ("fs.betti_row(klein)", (1, 1, 0)),
+        ("report.equal_p_set()", (1, 3, 5, 7)),
+    ):
+        value, comment = shown[expr]
+        assert type(value) is type(expected) and value == expected, expr
+        assert ast.literal_eval(comment) == expected, expr
+    value, comment = shown["fs.first_homology(klein)"]
+    assert str(value) == comment == "Z + Z2"
 
 
 def test_cli_maps_errors_in_one_place():
@@ -90,14 +147,24 @@ def test_every_subcommand_is_dispatched_or_answered_first():
     assert set(subparsers[0].choices) == set(cli.COMMANDS) | {"corpus", "validate"}
 
 
-def test_importing_the_cli_loads_no_dataclass_machinery():
-    """dataclasses pulls in inspect, ast, dis and tokenize, which every cold
-    CLI process would pay for; the package's records do without them."""
-    code = "import sys, flatspec.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+def loaded_by_cli_import(modules):
+    """Which of ``modules`` a fresh ``import flatspec.cli`` puts in sys.modules."""
+    code = f"import sys, flatspec.cli; print(sorted({set(modules)!r} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=60)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    """dataclasses pulls in inspect, ast, dis and tokenize, which every cold
+    CLI process would pay for; the package's records do without them."""
+    assert loaded_by_cli_import({"dataclasses", "inspect"}) == "[]"
+
+
+def test_importing_the_cli_loads_no_oracle():
+    """The oracles only cross-check the engine, so no CLI process imports them."""
+    assert loaded_by_cli_import({"flatspec.oracles"}) == "[]"
 
 
 def spans_constant(name):

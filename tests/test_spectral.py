@@ -36,7 +36,9 @@ from flatspec.spectral import (
     sums_to_zero,
     weighted_sum,
 )
-from flatspec import HWMatrix, compare_spectra, corpus_ids, duality_check, example
+from flatspec import HWMatrix, compare_spectra, example
+from flatspec.corpus import corpus_ids
+from flatspec.isospec import duality_check
 
 from conftest import (
     character_sum_reference,
@@ -687,6 +689,7 @@ class TestSpectrumTable:
         ("5.1a", (1, 3), "p=1, mu=3"),  # orientable: row 1 against row 5
         ("5.1a", (5, 2), "p=1, mu=2"),  # the first p of a broken pair is named
         ("5.6b", (2, 5), "p=0..8, mu=5"),  # not orientable: the Euler sum
+        ("5.6b", (0, 0), "p=0, mu=0"),  # not orientable: only the d_{0,0} = 1 test names it
         ("4.5a", (0, 0), "p=0, mu=0"),
         ("4.5a", (4, 0), "p=4, mu=0"),
     ])
