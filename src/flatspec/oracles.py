@@ -1,6 +1,7 @@
 """Independent cross-checks of the spectral engine, used only to test it: the
-projector oracle, the diagonal 2-torsion (HW) rewrite, full norm shells and
-binary Krawtchouk values.  The engine modules never import this one.
+projector oracle, the diagonal 2-torsion (HW) rewrite, full norm shells, theta
+series by slice convolution and binary Krawtchouk values.  The engine modules
+never import this one.
 """
 
 from __future__ import annotations
@@ -8,8 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress
-from math import comb, lcm
-from operator import eq, mul
+from math import comb, isqrt, lcm
+from operator import add, eq, mul
 
 from .crystal import (
     GroupDefinition,
@@ -45,6 +46,32 @@ def enumerate_shell(n: int, mu: int) -> tuple[tuple[int, ...], ...]:
     if n > SHELL_DIM_CAP:
         raise EnumerationGuardError(f"dimension {n} exceeds guard {SHELL_DIM_CAP}")
     return tuple(_weighted_norm_solutions((1,) * n, mu))
+
+
+# ---------------------------------------------------------------------------
+# Theta series
+
+def theta_by_slices(signature, length: int) -> tuple[tuple[int, ...], ...]:
+    """Counts over zeta_q of x^0 .. x^(length - 1) in the theta series of a
+    signature, as q tuples over mu, one per phase; each factor adds in one
+    shifted slice per nonzero term k.  A list convolution, independent of the
+    engine's packed-integer build.
+    """
+    q, factors = signature
+    series = [[1] + [0] * (length - 1)] + [[0] * length for _ in range(q - 1)]
+    top = 1  # every coefficient from x^top on is 0
+    for weight, a in factors:
+        rows = [(j, row[:top]) for j, row in enumerate(series) if any(row)]
+        series = [[0] * length for _ in range(q)]
+        bound = isqrt((length - 1) // weight)
+        for k in range(-bound, bound + 1):
+            shift = weight * k * k
+            end = min(length, shift + top)
+            for j, row in rows:
+                dest = series[(j + a * k) % q]
+                dest[shift:end] = map(add, dest[shift:end], row)
+        top = min(length, top + weight * bound * bound)
+    return tuple(map(tuple, series))
 
 
 # ---------------------------------------------------------------------------

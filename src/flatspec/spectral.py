@@ -14,7 +14,9 @@ and Groups*, ch. 4)
     prod_c sum_{k in Z} zeta_q^(a_c k) x^(L_c k^2),
 
 which depends only on B's signature (q, sorted (L_c, min(a_c, q - a_c))), so
-one series serves each signature; the fixed-shell walk is its test oracle.
+one series serves each signature; the fixed-shell walk and the oracles' slice
+convolution test it.  Its q phase rows are packed ints (Kronecker substitution:
+Schoenhage, EUROCAM 1982; Harvey, J. Symb. Comput. 44, 2009).
 Each group keeps one table of checked integer rows d_p.  A cell is rational,
 so it is its trace to Q over phi(Q), Q the lcm of the class moduli: one series
 per Galois orbit of classes, summed by Ramanujan sums, times its trace row.
@@ -30,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import add, sub
 
 from .crystal import (
@@ -227,25 +229,33 @@ def _walk_signature(walk, r: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 @lru_cache(maxsize=None)
 def _theta(signature, length: int) -> tuple[tuple[int, ...], ...]:
-    """Counts over zeta_q of x^0 .. x^(length - 1) in the theta series of a
-    signature, as q tuples over mu, one per phase; each factor adds in one
-    shifted slice per nonzero term k.
-    """
+    """Counts over zeta_q of x^0 .. x^(length - 1) in the theta series of a signature, as q
+    tuples over mu, one per phase, each built as one int: x^m's count in bits B m .. B m + B - 1
+    (Kronecker substitution: Schoenhage, EUROCAM 1982; Harvey, J. Symb. Comput. 44, 2009).  A
+    phase-free factor multiplies row 0 by the packed 1 + 2 sum x^(L k^2); a phased one shifts each
+    nonzero row j by B L k^2 into rows j + a k and j - a k, k = 1..b.  B = 8 width bits, width =
+    box.bit_length() // 8 + 1, box = prod_c (2 b_c + 1), b_c = isqrt((length - 1) // L_c): in any
+    partial product x^m's count, m < length, counts k with all L_c k_c^2 <= m: at most box < 2^B.
+    Counts are >= 0, so no slot below length carries; carries above move up, and masks drop them."""
     q, factors = signature
-    series = [[1] + [0] * (length - 1)] + [[0] * length for _ in range(q - 1)]
-    top = 1  # every coefficient from x^top on is 0
-    for weight, a in factors:
-        rows = [(j, row[:top]) for j, row in enumerate(series) if any(row)]
-        series = [[0] * length for _ in range(q)]
+    width = prod(2 * isqrt((length - 1) // w) + 1 for w, _ in factors).bit_length() // 8 + 1
+    slot, mask, rows = 8 * width, (1 << 8 * width * length) - 1, [1] + [0] * (q - 1)
+    for weight, a in sorted(factors, key=lambda factor: factor[1] != 0):
         bound = isqrt((length - 1) // weight)
-        for k in range(-bound, bound + 1):
-            shift = weight * k * k
-            end = min(length, shift + top)
-            for j, row in rows:
-                dest = series[(j + a * k) % q]
-                dest[shift:end] = map(add, dest[shift:end], row)
-        top = min(length, top + weight * bound * bound)
-    return tuple(map(tuple, series))
+        if not a:
+            packed = 1 + sum(2 << slot * weight * k * k for k in range(1, bound + 1))
+            rows[0] = rows[0] * packed & mask
+            continue
+        live, new = [(j, row) for j, row in enumerate(rows) if row], rows[:]
+        for k in range(1, bound + 1):
+            for j, row in live:
+                row <<= slot * weight * k * k
+                new[(j + a * k) % q] += row
+                new[(j - a * k) % q] += row
+        rows = [row & mask for row in new]
+    size, unpack = width * length, int.from_bytes
+    return tuple(tuple([unpack(data[i:i + width], "little") for i in range(0, size, width)])
+                 for data in [row.to_bytes(size, "little") for row in rows])
 
 
 @lru_cache(maxsize=None)

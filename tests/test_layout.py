@@ -25,6 +25,7 @@ ORACLES = {
     "krawtchouk",
     "krawtchouk_subset_oracle",
     "diagonal_trace",
+    "theta_by_slices",
 }
 # What ``import flatspec`` exports: README's quick start, the error classes,
 # and the names bench/workloads.py and bench/test_bench.py read through it.
@@ -77,6 +78,21 @@ def test_every_oracle_is_public():
     }
     assert public == ORACLES
     assert not ORACLES & set(flatspec.__all__)
+
+
+def test_only_the_oracles_name_the_slice_convolution():
+    """The engine's theta series is the packed-integer build: no engine module
+    names the slice oracle, and _theta assigns to no slice."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "oracles":
+            assert "theta_by_slices" not in path.read_text(), path.name
+    theta = next(node for node in ast.parse((SRC / "spectral.py").read_text()).body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_theta")
+    for node in ast.walk(theta):
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            sliced = isinstance(target, ast.Subscript) and isinstance(target.slice, ast.Slice)
+            assert not sliced, ast.unparse(node)
 
 
 def test_the_package_exports_only_the_documented_api():

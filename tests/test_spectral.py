@@ -3,7 +3,7 @@ import random
 import re
 import time
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -1049,6 +1049,108 @@ class TestGaloisOrbits:
         assert altered
         monkeypatch.undo()  # a refused record is not kept
         assert betti_row(g)[0] == 1
+
+
+def random_signature(rng) -> tuple:
+    """A signature with q <= 60 and up to 8 factors, its phases drawn from all
+    of 0..q-1."""
+    q, size = rng.randint(1, 60), rng.randint(0, 8)
+    return q, tuple(sorted((rng.randint(1, 12), rng.randrange(q)) for _ in range(size)))
+
+
+def byte_edge_length(signature, start=1) -> int:
+    """The first length from ``start`` on at which prod(2 b_c + 1), the count
+    bound of _theta's slot width, has a bit length that is a multiple of 8."""
+    length = start
+    while True:
+        box = 1
+        for weight, _ in signature[1]:
+            box *= 2 * isqrt((length - 1) // weight) + 1
+        if box.bit_length() % 8 == 0:
+            return length
+        length += 1
+
+
+def assert_theta_matches_the_slices(sig, length):
+    assert spectral._theta(sig, length) == oracles.theta_by_slices(sig, length), (sig, length)
+
+
+def divisor_sums(top, f) -> list:
+    """sum_{d | m} f(d, m) for m = 0 .. top - 1, 0 at m = 0."""
+    sums = [0] * top
+    for d in range(1, top):
+        for m in range(d, top, d):
+            sums[m] += f(d, m)
+    return sums
+
+
+class TestPackedTheta:
+    """The packed-integer theta build against slice convolution (the oracle)
+    and against the closed forms of r_2, r_4 and r_8."""
+
+    def test_seeded_random_signatures_match_the_slices(self):
+        rng = random.Random(27)
+        for _ in range(200):
+            sig, length = random_signature(rng), rng.randint(1, 300)
+            assert_theta_matches_the_slices(sig, length)
+        spectral._theta.cache_clear()
+
+    def test_every_orbit_signature_matches_the_slices(self):
+        groups = table_test_groups() + [z60_group()]
+        sigs = {sig for g in groups for sig, _ in spectral._class_rows(g)[1]}
+        assert len(sigs) >= 30
+        for sig in sorted(sigs):
+            assert_theta_matches_the_slices(sig, 1001)
+        spectral._theta.cache_clear()
+
+    def test_byte_edge_lengths_match_the_slices(self):
+        """The lengths where the count bound's bit length is a multiple of 8:
+        there a slot of exactly that many bits would have no bit to spare."""
+        assert byte_edge_length((1, ((1, 0), (1, 0))), 2) == 37  # 13^2 = 169 < 2^8
+        rng = random.Random(28)
+        sigs = [(1, ((1, 0), (1, 0))), (1, ((1, 0),) * 4), (2, ((1, 1), (2, 0)))]
+        sigs += [(4, ((1, 1),) * 3)] + [random_signature(rng) for _ in range(20)]
+        cases = 0
+        for sig in filter(lambda sig: sig[1], sigs):
+            length = 1
+            for _ in range(3):  # the first three edges of each signature
+                if (length := byte_edge_length(sig, length + 1)) > 300:
+                    break
+                cases += 1
+                assert_theta_matches_the_slices(sig, length)
+        assert cases >= 30
+        spectral._theta.cache_clear()
+
+    def test_sums_of_squares_to_2000(self):
+        """r_2(m) = 4 (d_1(m) - d_3(m)), r_4(m) = 8 sigma(m) - 32 sigma(m / 4) and
+        r_8(m) = 16 sum_{d | m} (-1)^(m + d) d^3 (Hardy & Wright, ch. 20;
+        Grosswald 1985), and theta(-x)^r, the q = 2 signature with every phase
+        1, has counts_0 - counts_1 = (-1)^m r_r(m)."""
+        top = 2001
+        sigma = divisor_sums(top, lambda d, m: d)
+        r = {
+            2: divisor_sums(top, lambda d, m: 4 * (d % 4 == 1) - 4 * (d % 4 == 3)),
+            4: [8 * sigma[m] - 32 * (m % 4 == 0) * sigma[m // 4] for m in range(top)],
+            8: divisor_sums(top, lambda d, m: 16 * (-1) ** (m + d) * d ** 3),
+        }
+        for rank, counts in r.items():
+            counts[0] = 1
+            assert spectral._theta((1, ((1, 0),) * rank), top) == (tuple(counts),), rank
+            plus, minus = spectral._theta((2, ((1, 1),) * rank), top)
+            signed = [(-1) ** m * c for m, c in enumerate(counts)]
+            assert [a - b for a, b in zip(plus, minus)] == signed, rank
+        spectral._theta.cache_clear()
+
+    def test_a_class_without_a_fixed_cycle_has_the_series_1(self):
+        for length in (1, 2, 17, 300):
+            assert spectral._theta((1, ()), length) == ((1,) + (0,) * (length - 1),)
+
+    def test_every_signature_at_length_1_is_its_constant_term(self):
+        rng = random.Random(29)
+        sigs = [random_signature(rng) for _ in range(100)]
+        sigs += [sig for g in table_test_groups() for sig, _ in spectral._class_rows(g)[1]]
+        for q, factors in sigs:
+            assert spectral._theta((q, factors), 1) == ((1,),) + ((0,),) * (q - 1), (q, factors)
 
 
 class TestDeepInputs:
