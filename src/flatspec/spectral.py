@@ -15,8 +15,8 @@ and Groups*, ch. 4)
 
 which depends only on B's signature (q, sorted (L_c, min(a_c, q - a_c))), so
 one series serves each signature; the fixed-shell walk and the oracles' slice
-convolution test it.  Its q phase rows are packed ints (Kronecker substitution:
-Schoenhage, EUROCAM 1982; Harvey, J. Symb. Comput. 44, 2009).
+convolution test it.  Every factor shifts and adds its q phase rows, packed ints as
+in Kronecker substitution (Schoenhage, EUROCAM 1982; Harvey, J. Symb. Comput. 44, 2009).
 Each group keeps one table of checked integer rows d_p.  A cell is rational,
 so it is its trace to Q over phi(Q), Q the lcm of the class moduli: one series
 per Galois orbit of classes, summed by Ramanujan sums, times its trace row.
@@ -230,10 +230,10 @@ def _walk_signature(walk, r: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 @lru_cache(maxsize=None)
 def _theta(signature, length: int) -> tuple[tuple[int, ...], ...]:
     """Counts over zeta_q of x^0 .. x^(length - 1) in the theta series of a signature, as q
-    tuples over mu, one per phase, each built as one int: x^m's count in bits B m .. B m + B - 1
-    (Kronecker substitution: Schoenhage, EUROCAM 1982; Harvey, J. Symb. Comput. 44, 2009).  A
-    phase-free factor multiplies row 0 by the packed 1 + 2 sum x^(L k^2); a phased one shifts each
-    nonzero row j by B L k^2 into rows j + a k and j - a k, k = 1..b.  B = 8 width bits, width =
+    tuples over mu, one per phase, each one int: x^m's count in bits B m .. B m + B - 1 (packed as
+    in Kronecker substitution: Schoenhage, EUROCAM 1982; Harvey, J. Symb. Comput. 44, 2009).  Each
+    factor shifts each nonzero row j by B L k^2 into rows j + a k and j - a k (both j if a = 0),
+    k = 1..b; phase-free ones go first only for speed (one live row).  B = 8 width bits, width =
     box.bit_length() // 8 + 1, box = prod_c (2 b_c + 1), b_c = isqrt((length - 1) // L_c): in any
     partial product x^m's count, m < length, counts k with all L_c k_c^2 <= m: at most box < 2^B.
     Counts are >= 0, so no slot below length carries; carries above move up, and masks drop them."""
@@ -242,10 +242,6 @@ def _theta(signature, length: int) -> tuple[tuple[int, ...], ...]:
     slot, mask, rows = 8 * width, (1 << 8 * width * length) - 1, [1] + [0] * (q - 1)
     for weight, a in sorted(factors, key=lambda factor: factor[1] != 0):
         bound = isqrt((length - 1) // weight)
-        if not a:
-            packed = 1 + sum(2 << slot * weight * k * k for k in range(1, bound + 1))
-            rows[0] = rows[0] * packed & mask
-            continue
         live, new = [(j, row) for j, row in enumerate(rows) if row], rows[:]
         for k in range(1, bound + 1):
             for j, row in live:

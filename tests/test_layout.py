@@ -95,6 +95,25 @@ def test_only_the_oracles_name_the_slice_convolution():
             assert not sliced, ast.unparse(node)
 
 
+def test_theta_has_one_factor_rule():
+    """Every factor of _theta takes the shift-and-add rule: no factor skips it
+    with a continue, and no row is multiplied."""
+    theta = next(node for node in ast.parse((SRC / "spectral.py").read_text()).body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_theta")
+    rows = {"row", "rows", "new", "live"}
+
+    def is_row(node):
+        node = node.value if isinstance(node, ast.Subscript) else node
+        return isinstance(node, ast.Name) and node.id in rows
+
+    for node in ast.walk(theta):
+        assert not isinstance(node, ast.Continue)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            assert not (is_row(node.left) or is_row(node.right)), ast.unparse(node)
+        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult):
+            assert not (is_row(node.target) or is_row(node.value)), ast.unparse(node)
+
+
 def test_the_package_exports_only_the_documented_api():
     """Every name outside PUBLIC is reached through its home module."""
     assert sorted(flatspec.__all__) == sorted(PUBLIC)

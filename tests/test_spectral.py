@@ -1058,17 +1058,22 @@ def random_signature(rng) -> tuple:
     return q, tuple(sorted((rng.randint(1, 12), rng.randrange(q)) for _ in range(size)))
 
 
+def count_box(signature, length) -> int:
+    """prod(2 b_c + 1), b_c = isqrt((length - 1) // L_c): the count bound of
+    _theta's slot width."""
+    box = 1
+    for weight, _ in signature[1]:
+        box *= 2 * isqrt((length - 1) // weight) + 1
+    return box
+
+
 def byte_edge_length(signature, start=1) -> int:
-    """The first length from ``start`` on at which prod(2 b_c + 1), the count
-    bound of _theta's slot width, has a bit length that is a multiple of 8."""
+    """The first length from ``start`` on at which the count box has a bit
+    length that is a multiple of 8."""
     length = start
-    while True:
-        box = 1
-        for weight, _ in signature[1]:
-            box *= 2 * isqrt((length - 1) // weight) + 1
-        if box.bit_length() % 8 == 0:
-            return length
+    while count_box(signature, length).bit_length() % 8:
         length += 1
+    return length
 
 
 def assert_theta_matches_the_slices(sig, length):
@@ -1151,6 +1156,32 @@ class TestPackedTheta:
         sigs += [sig for g in table_test_groups() for sig, _ in spectral._class_rows(g)[1]]
         for q, factors in sigs:
             assert spectral._theta((q, factors), 1) == ((1,),) + ((0,),) * (q - 1), (q, factors)
+
+
+class TestThetaSlotWidth:
+    """Series whose counts fill their slots, against slice convolution."""
+
+    @pytest.mark.parametrize("sig, length", [
+        ((1, ((1, 0),) * 5), 8),
+        ((1, ((1, 0),) * 4), 19),
+        ((1, ((1, 0), (1, 0), (2, 0), (2, 0))), 37),
+        ((1, tuple((w, 0) for w in range(1, 7))), 22),
+    ])
+    def test_a_slot_one_byte_narrower_would_overflow(self, sig, length):
+        """The largest count needs more bits than a slot of box.bit_length() // 8
+        bytes holds, so only the spare byte of _theta's width keeps it."""
+        largest = max(max(row) for row in oracles.theta_by_slices(sig, length))
+        assert largest.bit_length() > 8 * (count_box(sig, length).bit_length() // 8)
+        assert_theta_matches_the_slices(sig, length)
+
+    @pytest.mark.parametrize("sig", [
+        (1, ((1, 0),) * 24),
+        (6, ((1, 0),) * 12 + ((1, 1),) * 6 + ((2, 3),) * 4 + ((3, 2),) * 2),
+    ])
+    def test_rank_24_slots_of_16_bytes_match_the_slices(self, sig):
+        assert count_box(sig, 1001).bit_length() // 8 + 1 >= 16
+        assert_theta_matches_the_slices(sig, 1001)
+        spectral._theta.cache_clear()
 
 
 class TestDeepInputs:
