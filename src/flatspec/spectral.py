@@ -13,16 +13,16 @@ and Groups*, ch. 4)
 
     prod_c sum_{k in Z} zeta_q^(a_c k) x^(L_c k^2),
 
-which depends only on B's signature (q, sorted (L_c, min(a_c, q - a_c))), so
-one series serves each signature; the fixed-shell walk and the oracles' slice
-convolution test it.  Every factor shifts and adds its q phase rows, packed ints as
-in Kronecker substitution (Schoenhage, EUROCAM 1982; Harvey, J. Symb. Comput. 44, 2009).
-Each group keeps one table of checked integer rows d_p.  A cell is rational,
-so it is its trace to Q over phi(Q), Q the lcm of the class moduli: one series
-per Galois orbit of classes, summed by Ramanujan sums, times its trace row.
-A failing check refuses the table by its first bad cell; every reader slices
-the rows.  Asking past a table's length grows it in place to twice its length,
-or to the cutoff if longer: only the new columns are built, checked and kept.
+which depends only on B's signature (q, sorted (L_c, min(a_c, q - a_c))), so one series
+serves each signature; the fixed-shell walk and the oracles' slice convolution test it.
+Every factor shifts and adds its q phase rows, packed ints as in Kronecker substitution
+(Schoenhage, EUROCAM 1982; Harvey, J. Symb. Comput. 44, 2009), and one struct call
+unpacks a row of slots up to 8 bytes.  Each group keeps one table of checked integer
+rows d_p.  A cell is rational, so it is its trace to Q over phi(Q), Q the lcm of the
+class moduli: one series per Galois orbit of classes, summed by Ramanujan sums, times
+its trace row.  A failing check refuses the table by its first bad cell; every reader
+slices the rows.  Asking past a table's length grows it in place to twice its length, or
+to the cutoff if longer: only the new columns are built, checked and kept.
 
 Table keys use mu throughout; the eigenvalue itself is 4*pi^2*mu.
 """
@@ -34,6 +34,7 @@ from functools import lru_cache
 from itertools import chain, product
 from math import gcd, isqrt, lcm, prod
 from operator import add, sub
+from struct import unpack
 
 from .crystal import (
     GroupDefinition,
@@ -229,16 +230,17 @@ def _walk_signature(walk, r: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 @lru_cache(maxsize=None)
 def _theta(signature, length: int) -> tuple[tuple[int, ...], ...]:
-    """Counts over zeta_q of x^0 .. x^(length - 1) in the theta series of a signature, as q
-    tuples over mu, one per phase, each one int: x^m's count in bits B m .. B m + B - 1 (packed as
-    in Kronecker substitution: Schoenhage, EUROCAM 1982; Harvey, J. Symb. Comput. 44, 2009).  Each
-    factor shifts each nonzero row j by B L k^2 into rows j + a k and j - a k (both j if a = 0),
-    k = 1..b; phase-free ones go first only for speed (one live row).  B = 8 width bits, width =
-    box.bit_length() // 8 + 1, box = prod_c (2 b_c + 1), b_c = isqrt((length - 1) // L_c): in any
-    partial product x^m's count, m < length, counts k with all L_c k_c^2 <= m: at most box < 2^B.
-    Counts are >= 0, so no slot below length carries; carries above move up, and masks drop them."""
+    """Counts over zeta_q of x^0 .. x^(length - 1) in a signature's theta series: q tuples over mu,
+    one per phase, each one int with x^m's count in bits B m .. B m + B - 1.  Each factor shifts
+    each nonzero row j by B L k^2 into rows j + a k and j - a k (both j if a = 0), k = 1..b;
+    phase-free ones go first only for speed.  B = 8 width bits, width = box.bit_length() // 8 + 1,
+    raised to 1, 2, 4 or 8 if at most 8, box = prod_c (2 b_c + 1), b_c = isqrt((length - 1) //
+    L_c): any partial product's x^m count, m < length, counts k with all L_c k_c^2 <= m: at most
+    box < 2^B.  Counts are >= 0, so no slot below length carries, and masks drop the carries above.
+    Rows decode by one little-endian struct.unpack, or one int.from_bytes a slot past 8 bytes."""
     q, factors = signature
     width = prod(2 * isqrt((length - 1) // w) + 1 for w, _ in factors).bit_length() // 8 + 1
+    width = 1 << (width - 1).bit_length() if width <= 8 else width
     slot, mask, rows = 8 * width, (1 << 8 * width * length) - 1, [1] + [0] * (q - 1)
     for weight, a in sorted(factors, key=lambda factor: factor[1] != 0):
         bound = isqrt((length - 1) // weight)
@@ -249,9 +251,11 @@ def _theta(signature, length: int) -> tuple[tuple[int, ...], ...]:
                 new[(j + a * k) % q] += row
                 new[(j - a * k) % q] += row
         rows = [row & mask for row in new]
-    size, unpack = width * length, int.from_bytes
-    return tuple(tuple([unpack(data[i:i + width], "little") for i in range(0, size, width)])
-                 for data in [row.to_bytes(size, "little") for row in rows])
+    data, from_bytes = [row.to_bytes(width * length, "little") for row in rows], int.from_bytes
+    if width <= 8:
+        return tuple(unpack(f"<{length}{'BHIQ'[width.bit_length() - 1]}", d) for d in data)
+    return tuple(tuple([from_bytes(d[i:i + width], "little") for i in range(0, len(d), width)])
+                 for d in data)
 
 
 @lru_cache(maxsize=None)

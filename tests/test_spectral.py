@@ -1169,7 +1169,8 @@ class TestThetaSlotWidth:
     ])
     def test_a_slot_one_byte_narrower_would_overflow(self, sig, length):
         """The largest count needs more bits than a slot of box.bit_length() // 8
-        bytes holds, so only the spare byte of _theta's width keeps it."""
+        bytes holds, so only the spare byte of the raw width keeps it (rounding
+        the raw width up to 1, 2, 4 or 8 bytes only widens the slot)."""
         largest = max(max(row) for row in oracles.theta_by_slices(sig, length))
         assert largest.bit_length() > 8 * (count_box(sig, length).bit_length() // 8)
         assert_theta_matches_the_slices(sig, length)
@@ -1182,6 +1183,37 @@ class TestThetaSlotWidth:
         assert count_box(sig, 1001).bit_length() // 8 + 1 >= 16
         assert_theta_matches_the_slices(sig, 1001)
         spectral._theta.cache_clear()
+
+
+# (raw width box.bit_length() // 8 + 1, rank, length): of the sums of squares of
+# rank up to 24 and length up to 169 with that raw width, one whose largest count
+# has the most bits
+DECODE_CASES = [(1, 4, 4), (2, 4, 31), (3, 6, 44), (4, 7, 105), (5, 9, 97),
+                (6, 10, 162), (7, 12, 130), (8, 13, 164), (9, 15, 160), (12, 21, 142)]
+
+
+class TestThetaDecode:
+    """Each raw slot width from 1 to 9 bytes, decoded by struct.unpack in
+    slots of 1, 2, 4 or 8 bytes or by one int.from_bytes a slot past 8."""
+
+    @pytest.mark.parametrize("raw, rank, length", DECODE_CASES)
+    @pytest.mark.parametrize("q, a", [(1, 0), (2, 1)])
+    def test_each_raw_width_matches_the_slices(self, raw, rank, length, q, a):
+        sig = (q, ((1, a),) * rank)
+        assert count_box(sig, length).bit_length() // 8 + 1 == raw
+        assert_theta_matches_the_slices(sig, length)
+
+    def test_each_decode_holds_a_count_the_next_narrower_one_would_not(self):
+        """Per decode, B, H, I, Q and the per-slot one, some case's largest count
+        needs more bits than the next narrower decode's 0, 1, 2, 4 or 8 bytes."""
+        bits = {}
+        for raw, rank, length in DECODE_CASES:
+            largest = max(oracles.theta_by_slices((1, ((1, 0),) * rank), length)[0])
+            key = 1 << (raw - 1).bit_length() if raw <= 8 else "wide"
+            bits[key] = max(bits.get(key, 0), largest.bit_length())
+        assert list(bits) == [1, 2, 4, 8, "wide"]
+        for key, narrower in zip(bits, (0, 1, 2, 4, 8)):
+            assert bits[key] > 8 * narrower, (key, bits[key])
 
 
 class TestDeepInputs:
