@@ -36,17 +36,20 @@ def _block_diag(*blocks) -> tuple[tuple[int, ...], ...]:
     return signed_perm_matrix(image, sign)
 
 
-def _unit_translation(n: int, components: dict[int, Fraction]) -> tuple[Fraction, ...]:
-    # components keyed by 1-based coordinate
-    return tuple(components.get(i + 1, Fraction(0)) for i in range(n))
+def _group(label: str, *gens) -> GroupDefinition:
+    """The group of the generators (B, {coordinate: shift}) and Z^n; coordinates
+    are 1-based, as the paper writes b = sum b_i e_i."""
+    n = len(gens[0][0])
+    return GroupDefinition(n, tuple(
+        AffineGenerator(b, tuple(shifts.get(i, Fraction(0)) for i in range(1, n + 1)))
+        for b, shifts in gens), label=label)
 
 
 def _half_shifted(n: int, k: int, j: int, label: str) -> GroupDefinition:
     """Holonomy Z2 generated by C_k = diag(1^k, (-1)^(n-k)) with shift
     (e_1 + ... + e_j)/2."""
     c_k = _diag(*([1] * k + [-1] * (n - k)))
-    tr = _unit_translation(n, {i: HALF for i in range(1, j + 1)})
-    return GroupDefinition(dim=n, generators=(AffineGenerator(c_k, tr),), label=label)
+    return _group(label, (c_k, dict.fromkeys(range(1, j + 1), HALF)))
 
 
 def _family_reflections(n: int, k: int) -> GroupDefinition:
@@ -80,49 +83,17 @@ def _pair_9d() -> tuple[GroupDefinition, GroupDefinition]:
 def _pair_4d_z22() -> tuple[GroupDefinition, GroupDefinition]:
     b1 = _diag(1, 1, -1, -1)
     b2 = _diag(1, -1, 1, -1)
-    first = GroupDefinition(
-        4,
-        (
-            AffineGenerator(b1, _unit_translation(4, {2: HALF, 4: HALF})),
-            AffineGenerator(b2, _unit_translation(4, {3: HALF})),
-        ),
-        label="4.5a",
-    )
-    second = GroupDefinition(
-        4,
-        (
-            AffineGenerator(b1, _unit_translation(4, {2: HALF})),
-            AffineGenerator(b2, _unit_translation(4, {1: HALF})),
-        ),
-        label="4.5b",
-    )
-    return first, second
+    return (_group("4.5a", (b1, {2: HALF, 4: HALF}),
+                           (b2, {3: HALF})),
+            _group("4.5b", (b1, {2: HALF}),
+                           (b2, {1: HALF})))
 
 
 def _pair_6d_z4z2() -> tuple[GroupDefinition, GroupDefinition]:
-    i2 = ((1, 0), (0, 1))
-    neg_i2 = ((-1, 0), (0, -1))
-    b1 = _block_diag(J_BLOCK, J_BLOCK, i2)
-    b2 = _block_diag(neg_i2, i2, i2)
-    b1p = _block_diag(J_BLOCK, _diag(1, -1, -1, 1))
-    b2p = _block_diag(neg_i2, _diag(-1, 1, -1, 1))
-    first = GroupDefinition(
-        6,
-        (
-            AffineGenerator(b1, _unit_translation(6, {5: QUARTER})),
-            AffineGenerator(b2, _unit_translation(6, {6: HALF})),
-        ),
-        label="5.1a",
-    )
-    second = GroupDefinition(
-        6,
-        (
-            AffineGenerator(b1p, _unit_translation(6, {6: QUARTER})),
-            AffineGenerator(b2p, _unit_translation(6, {4: HALF, 5: HALF})),
-        ),
-        label="5.1b",
-    )
-    return first, second
+    return (_group("5.1a", (_block_diag(J_BLOCK, J_BLOCK, _diag(1, 1)), {5: QUARTER}),
+                           (_diag(-1, -1, 1, 1, 1, 1), {6: HALF})),
+            _group("5.1b", (_block_diag(J_BLOCK, _diag(1, -1, -1, 1)), {6: QUARTER}),
+                           (_diag(-1, -1, -1, 1, -1, 1), {4: HALF, 5: HALF})))
 
 
 # character rows are indexed by generator: the 6d pair has generators
@@ -143,23 +114,9 @@ def _extended_6d(name: str, chars_a, chars_b, trivial_count: int = 0
 
 
 def _pair_4d_holonomies() -> tuple[GroupDefinition, GroupDefinition]:
-    b1 = _diag(1, 1, -1, -1)
-    b2 = _diag(1, -1, -1, 1)
-    first = GroupDefinition(
-        4,
-        (
-            AffineGenerator(b1, _unit_translation(4, {1: HALF})),
-            AffineGenerator(b2, _unit_translation(4, {4: HALF})),
-        ),
-        label="5.8a",
-    )
-    b_prime = _block_diag(J_BLOCK, _diag(-1, 1))
-    second = GroupDefinition(
-        4,
-        (AffineGenerator(b_prime, _unit_translation(4, {4: QUARTER})),),
-        label="5.8b",
-    )
-    return first, second
+    return (_group("5.8a", (_diag(1, 1, -1, -1), {1: HALF}),
+                           (_diag(1, -1, -1, 1), {4: HALF})),
+            _group("5.8b", (_block_diag(J_BLOCK, _diag(-1, 1)), {4: QUARTER})))
 
 
 def _pair_torus_products(k: int) -> tuple[GroupDefinition, GroupDefinition]:

@@ -317,15 +317,3 @@ def integer_kernel(m: IntMatrix) -> tuple[IntVector, ...]:
     nrows, ncols = len(m), len(m[0])
     rows = [col + tuple(int(i == j) for i in range(ncols)) for j, col in enumerate(zip(*m))]
     return tuple(row[nrows:] for row in hermite_row_basis(rows) if not any(row[:nrows]))
-
-
-def in_image_lattice(s: IntMatrix, w: Sequence) -> bool:
-    """Decide w in s * Z^n exactly: a lattice has one Hermite basis, so w lies
-    in the column lattice of s iff adding it leaves that basis unchanged.
-
-    ``w`` must have integer entries (callers check membership in Z^n first).
-    """
-    if any(Fraction(x).denominator != 1 for x in w):
-        raise ValueError(f"in_image_lattice needs an integer vector, got {w}")
-    cols = list(zip(*s))
-    return hermite_row_basis(cols) == hermite_row_basis(cols + [tuple(map(int, w))])

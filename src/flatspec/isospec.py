@@ -1,4 +1,5 @@
-"""Spectral comparison of two groups up to a finite eigenvalue cutoff.
+"""Spectral comparison of two groups up to a finite eigenvalue cutoff, with
+orientability, holonomy pairings and the Poincare duality check.
 
 Verdicts are finite certificates: "equal up to cutoff" never claims full
 isospectrality.  The pairing criterion checks the termwise identity
@@ -9,22 +10,15 @@ verified for mu up to the cutoff.
 
 from __future__ import annotations
 
-from math import comb
 from typing import Iterable, Optional
 
-from .crystal import (
-    GroupDefinition,
-    close_point_group,
-    extend_with_characters,
-    require_valid,
-)
-from .exact_linear import InternalError, Record, UsageError, trace_p
+from .crystal import GroupDefinition, close_point_group, require_valid
+from .exact_linear import Record, UsageError, trace_p
 from .spectral import (
     _class_rows,
     betti_row,
     character_sum,
     form_degrees,
-    multiplicity,
     read_rows,
     require_cutoff,
     sums_to_zero,
@@ -209,26 +203,3 @@ def duality_check(defn: GroupDefinition, mu_max: int = DEFAULT_MU_MAX) -> Dualit
             if d1 != d2:
                 return DualityReport(orientable, False, (p, mu, d1, d2))
     return DualityReport(orientable, True, None)
-
-
-def kunneth_betti(defn: GroupDefinition, k: int, h: int) -> int:
-    """Betti number of the product with a k-torus.
-
-    Computed as sum_i beta_i(M) C(k, h-i) and cross-checked against the
-    Betti number of the group extended by k torus coordinates.
-    """
-    require_valid(defn)
-    if k < 0:
-        raise UsageError("torus factor count must be nonnegative")
-    form_degrees(defn.dim + k, (h,))
-    row = betti_row(defn)
-    value = sum(
-        row[i] * comb(k, h - i) for i in range(len(row)) if 0 <= h - i <= k
-    )
-    extended = extend_with_characters(defn, [], trivial_count=k)
-    direct = multiplicity(extended, h, 0)
-    if direct != value:
-        raise InternalError(
-            f"Kunneth value {value} disagrees with direct Betti {direct}"
-        )
-    return value

@@ -1,7 +1,8 @@
 """Independent cross-checks of the spectral engine, used only to test it: the
 projector oracle, the diagonal 2-torsion (HW) rewrite, full norm shells, theta
-series by slice convolution and binary Krawtchouk values.  The engine modules
-never import this one.
+series by slice convolution, binary Krawtchouk values, lattice membership by
+Hermite bases and Kunneth Betti numbers of a product with a torus.  The engine
+modules never import this one.
 """
 
 from __future__ import annotations
@@ -11,20 +12,25 @@ from functools import lru_cache
 from itertools import combinations, compress
 from math import comb, isqrt, lcm
 from operator import add, eq, mul
+from typing import Sequence
 
 from .crystal import (
     GroupDefinition,
     HWMatrix,
     build_hw_group,
     close_point_group,
+    extend_with_characters,
     require_valid,
 )
-from .exact_linear import signed_perm
+from .exact_linear import IntMatrix, InternalError, UsageError, hermite_row_basis, signed_perm
 from .spectral import (
     SHELL_DIM_CAP,
     EnumerationGuardError,
     RootOfUnityTally,
     _weighted_norm_solutions,
+    betti_row,
+    form_degrees,
+    multiplicity,
     reduce_tally,
     require_series,
 )
@@ -259,3 +265,44 @@ def diagonal_trace(p: int, n: int, n_fixed: int) -> int:
     if not 0 <= n_fixed <= n:
         raise ValueError(f"fixed-coordinate count {n_fixed} out of range for n={n}")
     return krawtchouk(p, n - n_fixed, n)
+
+
+# ---------------------------------------------------------------------------
+# Lattice membership
+
+def in_image_lattice(s: IntMatrix, w: Sequence) -> bool:
+    """Decide w in s * Z^n exactly: a lattice has one Hermite basis, so w lies
+    in the column lattice of s iff adding it leaves that basis unchanged.
+
+    ``w`` must have integer entries (callers check membership in Z^n first).
+    """
+    if any(Fraction(x).denominator != 1 for x in w):
+        raise ValueError(f"in_image_lattice needs an integer vector, got {w}")
+    cols = list(zip(*s))
+    return hermite_row_basis(cols) == hermite_row_basis(cols + [tuple(map(int, w))])
+
+
+# ---------------------------------------------------------------------------
+# Betti numbers of a product with a torus
+
+def kunneth_betti(defn: GroupDefinition, k: int, h: int) -> int:
+    """Betti number of the product with a k-torus.
+
+    Computed as sum_i beta_i(M) C(k, h-i) and cross-checked against the
+    Betti number of the group extended by k torus coordinates.
+    """
+    require_valid(defn)
+    if k < 0:
+        raise UsageError("torus factor count must be nonnegative")
+    form_degrees(defn.dim + k, (h,))
+    row = betti_row(defn)
+    value = sum(
+        row[i] * comb(k, h - i) for i in range(len(row)) if 0 <= h - i <= k
+    )
+    extended = extend_with_characters(defn, [], trivial_count=k)
+    direct = multiplicity(extended, h, 0)
+    if direct != value:
+        raise InternalError(
+            f"Kunneth value {value} disagrees with direct Betti {direct}"
+        )
+    return value

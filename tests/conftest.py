@@ -23,12 +23,11 @@ from flatspec.crystal import (
 )
 from flatspec.exact_linear import (
     fixed_cycles,
-    in_image_lattice,
     signed_perm,
     smith_normal_form,
     trace_p,
 )
-from flatspec.oracles import enumerate_shell
+from flatspec.oracles import enumerate_shell, in_image_lattice
 from flatspec.spectral import (
     RootOfUnityTally,
     character_sum,

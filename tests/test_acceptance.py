@@ -21,7 +21,6 @@ from flatspec.isospec import (
     identity_pairing,
     check_pairing_criterion,
     is_orientable,
-    kunneth_betti,
 )
 from flatspec.oracles import (
     PROJECTOR_BASIS_CAP,
@@ -29,6 +28,7 @@ from flatspec.oracles import (
     enumerate_shell,
     krawtchouk,
     krawtchouk_subset_oracle,
+    kunneth_betti,
     multiplicity_hw,
     projector_oracle,
 )

@@ -27,8 +27,9 @@ from flatspec.crystal import (
     group_to_json,
     validate_bieberbach,
 )
-from flatspec.exact_linear import UsageError, in_image_lattice, signed_permutation_order
+from flatspec.exact_linear import UsageError, signed_permutation_order
 from flatspec import crystal, example, exact_linear
+from flatspec.oracles import in_image_lattice
 
 from conftest import (
     classical_hw_matrix,
@@ -565,7 +566,46 @@ class TestExtendWithCharacters:
             assert gen.translation[-1] == 0
 
 
+ZERO = Fraction(0)
+
+# The generators (B, b) of the paper's fixed pairs, written out from its
+# definitions: C_k = diag(1^k, (-1)^(n-k)), J the quarter turn ((0, 1), (-1, 0)).
+PAPER_GENERATORS = {
+    "4.3a": [(diag(1, 1, 1, -1, -1, -1, -1, -1, -1), (HALF,) + (ZERO,) * 8)],
+    "4.3b": [(diag(1, 1, 1, 1, 1, 1, -1, -1, -1), (HALF,) + (ZERO,) * 8)],
+    "4.5a": [(diag(1, 1, -1, -1), (ZERO, HALF, ZERO, HALF)),
+             (diag(1, -1, 1, -1), (ZERO, ZERO, HALF, ZERO))],
+    "4.5b": [(diag(1, 1, -1, -1), (ZERO, HALF, ZERO, ZERO)),
+             (diag(1, -1, 1, -1), (HALF, ZERO, ZERO, ZERO))],
+    "5.1a": [(((0, 1, 0, 0, 0, 0),
+               (-1, 0, 0, 0, 0, 0),
+               (0, 0, 0, 1, 0, 0),
+               (0, 0, -1, 0, 0, 0),
+               (0, 0, 0, 0, 1, 0),
+               (0, 0, 0, 0, 0, 1)), (ZERO, ZERO, ZERO, ZERO, QUARTER, ZERO)),
+             (diag(-1, -1, 1, 1, 1, 1), (ZERO, ZERO, ZERO, ZERO, ZERO, HALF))],
+    "5.1b": [(((0, 1, 0, 0, 0, 0),
+               (-1, 0, 0, 0, 0, 0),
+               (0, 0, 1, 0, 0, 0),
+               (0, 0, 0, -1, 0, 0),
+               (0, 0, 0, 0, -1, 0),
+               (0, 0, 0, 0, 0, 1)), (ZERO, ZERO, ZERO, ZERO, ZERO, QUARTER)),
+             (diag(-1, -1, -1, 1, -1, 1), (ZERO, ZERO, ZERO, HALF, HALF, ZERO))],
+    "5.8a": [(diag(1, 1, -1, -1), (HALF, ZERO, ZERO, ZERO)),
+             (diag(1, -1, -1, 1), (ZERO, ZERO, ZERO, HALF))],
+    "5.8b": [(((0, 1, 0, 0),
+               (-1, 0, 0, 0),
+               (0, 0, -1, 0),
+               (0, 0, 0, 1)), (ZERO, ZERO, ZERO, QUARTER))],
+}
+
+
 class TestCorpus:
+    @pytest.mark.parametrize("catalog_id", sorted(PAPER_GENERATORS))
+    def test_fixed_pair_generators_are_the_papers(self, catalog_id):
+        built = [(g.matrix, g.translation) for g in example(catalog_id).generators]
+        assert built == PAPER_GENERATORS[catalog_id]
+
     def test_all_entries_validate(self, all_corpus_defs):
         for label, defn in all_corpus_defs:
             assert validate_bieberbach(defn).is_torsion_free, label

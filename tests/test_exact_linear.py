@@ -11,7 +11,6 @@ from flatspec.exact_linear import (
     det,
     fixed_cycles,
     hermite_row_basis,
-    in_image_lattice,
     integer_kernel,
     signed_perm,
     signed_permutation_order,
@@ -19,6 +18,7 @@ from flatspec.exact_linear import (
     trace_p,
 )
 from flatspec import example
+from flatspec.oracles import in_image_lattice
 
 from conftest import (
     char_poly,

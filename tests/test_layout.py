@@ -26,6 +26,8 @@ ORACLES = {
     "krawtchouk_subset_oracle",
     "diagonal_trace",
     "theta_by_slices",
+    "in_image_lattice",
+    "kunneth_betti",
 }
 # What ``import flatspec`` exports: README's quick start, the error classes,
 # and the names bench/workloads.py and bench/test_bench.py read through it.
