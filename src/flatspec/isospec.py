@@ -123,10 +123,10 @@ class HolonomyPairing(Record):
         firsts = [a for a, _ in self.pairs]
         seconds = [b for _, b in self.pairs]
         if len(set(firsts)) != len(firsts) or len(set(seconds)) != len(seconds):
-            raise ValueError("pairing is not a bijection")
+            raise UsageError("pairing is not a bijection")
         for a, b in self.pairs:
             if a.is_identity != b.is_identity:
-                raise ValueError("pairing must match identity with identity")
+                raise UsageError("pairing must match identity with identity")
 
 
 def pairing_from_words(
@@ -135,12 +135,17 @@ def pairing_from_words(
     word_map: dict[tuple[int, ...], tuple[int, ...]],
 ) -> HolonomyPairing:
     """Build a pairing from a map of generator words; unlisted words map to
-    themselves."""
+    themselves.  A word that names no element of its group is refused."""
     by_word_1 = {el.word: el for el in close_point_group(first)}
     by_word_2 = {el.word: el for el in close_point_group(second)}
+    for word in word_map:
+        if word not in by_word_1:
+            raise UsageError(f"{first.label or '<unnamed>'} has no element of word {word}")
     pairs = []
     for word, el in by_word_1.items():
         target = word_map.get(word, word)
+        if target not in by_word_2:
+            raise UsageError(f"{second.label or '<unnamed>'} has no element of word {target}")
         pairs.append((el, by_word_2[target]))
     return HolonomyPairing(pairs=tuple(pairs))
 
@@ -151,7 +156,7 @@ def identity_pairing(first: GroupDefinition, second: GroupDefinition) -> Holonom
     pairs = []
     for el in close_point_group(first):
         if el.matrix not in by_matrix:
-            raise ValueError("point groups differ; no identity pairing exists")
+            raise UsageError("point groups differ; no identity pairing exists")
         pairs.append((el, by_matrix[el.matrix]))
     return HolonomyPairing(pairs=tuple(pairs))
 
@@ -165,13 +170,15 @@ def check_pairing_criterion(
 ) -> bool:
     """Termwise trace_p(B) e_{mu,B} = trace_p(B') e_{mu,B'} for all mu <= mu_max.
 
-    True implies the compare_spectra verdict for this p at the same cutoff.
+    True implies the compare_spectra verdict for this p at the same cutoff.  The
+    pairing must pair the elements of first with those of second.
     """
     require_cutoff(mu_max)
     require_valid(first)
     require_valid(second)
-    if len(pairing.pairs) != len(close_point_group(first)):
-        raise ValueError("pairing does not cover the whole point group")
+    if ({a for a, _ in pairing.pairs} != set(close_point_group(first))
+            or {b for _, b in pairing.pairs} != set(close_point_group(second))):
+        raise UsageError("pairing does not pair the elements of these two point groups")
     for a, b in pairing.pairs:
         wa = trace_p(a.matrix, p)
         wb = trace_p(b.matrix, p)

@@ -1,8 +1,9 @@
 """Independent cross-checks of the spectral engine, used only to test it: the
 projector oracle, the diagonal 2-torsion (HW) rewrite, full norm shells, theta
-series by slice convolution, binary Krawtchouk values, lattice membership by
-Hermite bases and Kunneth Betti numbers of a product with a torus.  The engine
-modules never import this one.
+series by slice convolution, sums of roots of unity reduced modulo the
+cyclotomic polynomial, binary Krawtchouk values, lattice membership by Hermite
+bases and Kunneth Betti numbers of a product with a torus.  The engine modules
+never import this one.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .spectral import (
     betti_row,
     form_degrees,
     multiplicity,
-    reduce_tally,
     require_series,
 )
 
@@ -78,6 +78,52 @@ def theta_by_slices(signature, length: int) -> tuple[tuple[int, ...], ...]:
                 dest[shift:end] = map(add, dest[shift:end], row)
         top = min(length, top + weight * bound * bound)
     return tuple(map(tuple, series))
+
+
+# ---------------------------------------------------------------------------
+# Cyclotomic reduction
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(q: int) -> tuple[int, ...]:
+    """Coefficients of Phi_q, ascending, computed by dividing x^q - 1 by the
+    cyclotomic polynomials of the proper divisors of q."""
+    if q < 1:
+        raise ValueError("index must be positive")
+    poly = [-1] + [0] * (q - 1) + [1]
+    for d in range(1, q):
+        if q % d == 0:
+            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
+            if any(rem):
+                raise InternalError("expected exact polynomial division")
+    return tuple(poly)
+
+
+def _poly_divmod(num, den) -> tuple[list[int], list[int]]:
+    # den is monic, so quotient and remainder stay integral
+    num = list(num)
+    dd = len(den) - 1
+    if den[-1] != 1:
+        raise ValueError("divisor must be monic")
+    quot = [0] * max(1, len(num) - dd)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i]
+        if c == 0:
+            continue
+        quot[i - dd] = c
+        for k, dcoef in enumerate(den):
+            num[i - dd + k] -= c * dcoef
+    return quot, num[:dd]
+
+
+def _residue(counts, modulus: int) -> list[int]:
+    return _poly_divmod(counts, cyclotomic_polynomial(modulus))[1]
+
+
+def cyclotomic_residue(t: RootOfUnityTally) -> tuple[int, ...]:
+    """The counts of t modulo Phi_Q, Q its modulus: its coordinates on the basis
+    1, zeta_Q, ..., zeta_Q^(phi(Q)-1), so constant exactly when t is rational
+    and 0 exactly when t is 0.  Independent of the engine's Ramanujan sums."""
+    return tuple(_residue(t.counts, t.modulus))
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +210,11 @@ def projector_oracle(defn: GroupDefinition, p: int, mu: int) -> int:
     for rows, exps in matrices:
         for c in compress(range(size), map(eq, rows, range(size))):
             trace[exps[c]] += 1
-    value = reduce_tally(RootOfUnityTally(m, tuple(trace))) / len(elements)
-    if value.denominator != 1 or value < 0:
-        raise ArithmeticError(f"projector trace came out {value}; internal error")
+    residue = cyclotomic_residue(RootOfUnityTally(m, tuple(trace)))
+    value = Fraction(residue[0], len(elements))
+    if any(residue[1:]) or value.denominator != 1 or value < 0:
+        raise ArithmeticError(f"projector trace came out {residue} / {len(elements)}; "
+                              "internal error")
     return int(value)
 
 

@@ -22,7 +22,8 @@ rows d_p.  A cell is rational, so it is its trace to Q over phi(Q), Q the lcm of
 class moduli: one series per Galois orbit of classes, summed by Ramanujan sums, times
 its trace row.  A failing check refuses the table by its first bad cell; every reader
 slices the rows.  Asking past a table's length grows it in place to twice its length, or
-to the cutoff if longer: only the new columns are built, checked and kept.
+to the cutoff if longer: only the new columns are built, checked and kept.  A single
+tally is decided by the same Ramanujan sums, through its trace form Tr(t conj t).
 
 Table keys use mu throughout; the eigenvalue itself is 4*pi^2*mu.
 """
@@ -33,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
 from math import gcd, isqrt, lcm, prod
-from operator import add, sub
+from operator import add, mul, sub
 from struct import unpack
 
 from .crystal import (
@@ -65,7 +66,7 @@ class EnumerationGuardError(LimitError):
 
 
 class NonRationalSumError(InternalError):
-    """A sum that must be rational is not: its residue, series or Galois orbit is broken."""
+    """A sum that must be rational is not: its tally, series or Galois orbit is broken."""
 
 
 # ---------------------------------------------------------------------------
@@ -84,54 +85,34 @@ class RootOfUnityTally(Record):
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(q: int) -> tuple[int, ...]:
-    """Coefficients of Phi_q, ascending, computed by dividing x^q - 1 by the
-    cyclotomic polynomials of the proper divisors of q."""
-    if q < 1:
-        raise ValueError("index must be positive")
-    poly = [-1] + [0] * (q - 1) + [1]
-    for d in range(1, q):
-        if q % d == 0:
-            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
-            if any(rem):
-                raise InternalError("expected exact polynomial division")
-    return tuple(poly)
+def _ramanujan(q: int) -> tuple[int, ...]:
+    """The Ramanujan sums c_q(0 .. q-1), c_q(j) the trace of zeta_q^j to Q (Hardy & Wright,
+    section 16.6), by Moebius inversion of sum_{d | q} c_d(j) = q [q | j]."""
+    divisors = [d for d in range(1, q) if q % d == 0]
+    return tuple((0 if j else q) - sum(_ramanujan(d)[j % d] for d in divisors) for j in range(q))
 
 
-def _poly_divmod(num, den) -> tuple[list[int], list[int]]:
-    # den is monic, so quotient and remainder stay integral
-    num = list(num)
-    dd = len(den) - 1
-    if den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    quot = [0] * max(1, len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        quot[i - dd] = c
-        for k, dcoef in enumerate(den):
-            num[i - dd + k] -= c * dcoef
-    return quot, num[:dd]
-
-
-def _residue(counts, modulus: int) -> list[int]:
-    return _poly_divmod(counts, cyclotomic_polynomial(modulus))[1]
+def _norm_trace(q: int, y) -> int:
+    """Tr(y conj y) = sum_{k,l} y_k y_l c_q(k - l) for y = sum_k y_k zeta_q^k, over the
+    nonzero y_k only, each by one dot over l: the sum of |sigma(y)|^2 over the embeddings
+    sigma of Q(zeta_q), so it is 0 exactly when y is 0."""
+    ram = _ramanujan(q) * 2  # ram[q - k + l] = c_q(k - l)
+    return sum(a * sum(map(mul, y, ram[q - k:2 * q - k])) for k, a in enumerate(y) if a)
 
 
 def reduce_tally(t: RootOfUnityTally) -> Fraction:
     """Exact rational value of the tally; non-rational sums are an error.
 
-    Reduction is modulo the cyclotomic polynomial of the modulus, whose
-    residues 1, zeta, ..., zeta^(phi(Q)-1) are a basis, so the value is
-    rational exactly when the residue is constant.
+    A rational t is its field trace Tr(t) = sum_k counts_k c_Q(k) over
+    phi(Q) = c_Q(0), so t is rational exactly when phi(Q) t - Tr(t) is 0.
     """
-    rem = _residue(t.counts, t.modulus)
-    if any(rem[1:]):
-        raise NonRationalSumError(
-            f"tally reduces to non-constant residue {rem}; upstream bug"
-        )
-    return Fraction(rem[0])
+    ram = _ramanujan(t.modulus)
+    trace = sum(map(mul, t.counts, ram))
+    y = [ram[0] * t.counts[0] - trace] + [ram[0] * c for c in t.counts[1:]]
+    if _norm_trace(t.modulus, y):
+        raise NonRationalSumError(f"tally over zeta_{t.modulus} with counts {t.counts} "
+                                  "is not rational; upstream bug")
+    return Fraction(trace, ram[0])
 
 
 def weighted_sum(terms) -> RootOfUnityTally:
@@ -148,9 +129,9 @@ def weighted_sum(terms) -> RootOfUnityTally:
 
 
 def sums_to_zero(t: RootOfUnityTally) -> bool:
-    """Whether the tally is 0 as an algebraic number, i.e. its residue modulo
-    the cyclotomic polynomial vanishes (its counts need not all be 0)."""
-    return not any(_residue(t.counts, t.modulus))
+    """Whether the tally is 0 as an algebraic number, i.e. Tr(t conj t) is 0
+    (its counts need not all be 0)."""
+    return not _norm_trace(t.modulus, t.counts)
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +269,6 @@ def _class_rows(defn: GroupDefinition) -> tuple:
                                       "Galois conjugate of equal traces; upstream bug")
         orbits[min(orbit)] = tuple(len(orbit) * x for x in row)
     return order, tuple(orbits.items())
-
-
-@lru_cache(maxsize=None)
-def _ramanujan(q: int) -> tuple[int, ...]:
-    """The Ramanujan sums c_q(0 .. q-1), c_q(j) the trace of zeta_q^j to Q (Hardy & Wright,
-    section 16.6), by Moebius inversion of sum_{d | q} c_d(j) = q [q | j]."""
-    divisors = [d for d in range(1, q) if q % d == 0]
-    return tuple((0 if j else q) - sum(_ramanujan(d)[j % d] for d in divisors) for j in range(q))
 
 
 def _build_table(defn: GroupDefinition, length: int) -> list:

@@ -27,12 +27,11 @@ from flatspec.exact_linear import (
     smith_normal_form,
     trace_p,
 )
-from flatspec.oracles import enumerate_shell, in_image_lattice
+from flatspec.oracles import cyclotomic_residue, enumerate_shell, in_image_lattice
 from flatspec.spectral import (
     RootOfUnityTally,
     character_sum,
     enumerate_fixed_shell,
-    reduce_tally,
     weighted_sum,
 )
 
@@ -493,16 +492,17 @@ def _ramanujan_sums(q: int) -> tuple[int, ...]:
 
 
 def tallies_equal(a: RootOfUnityTally, b: RootOfUnityTally) -> bool:
-    """Equality as algebraic numbers, without cyclotomic division.
+    """Equality as algebraic numbers: a - b reduces to 0 modulo the cyclotomic
+    polynomial, independent of the engine's Ramanujan-sum test."""
+    return not any(cyclotomic_residue(tally_add(a, tally_scale(b, -1))))
 
-    x = a - b over zeta_Q is 0 exactly when Tr(x conj(x)), the sum of
-    |sigma(x)|^2 over the embeddings sigma, is 0; it equals
-    sum_{k,l} x_k x_l c_Q(k - l).
-    """
-    diff = tally_add(a, tally_scale(b, -1))
-    q, x = diff.modulus, diff.counts
-    ram = _ramanujan_sums(q)
-    return sum(xk * xl * ram[(k - l) % q] for k, xk in enumerate(x) for l, xl in enumerate(x)) == 0
+
+def residue_value(t: RootOfUnityTally) -> Fraction:
+    """The rational value of t by its residue modulo the cyclotomic polynomial,
+    which must be constant; independent of the engine's ``reduce_tally``."""
+    residue = cyclotomic_residue(t)
+    assert not any(residue[1:]), (t, residue)
+    return Fraction(residue[0])
 
 
 @lru_cache(maxsize=None)
@@ -553,7 +553,7 @@ def multiplicity_reference(definition, p, mu) -> int:
         w = trace_p(el.matrix, p)
         if w:
             total = tally_add(total, tally_scale(character_sum_reference(el, mu), w))
-    value = reduce_tally(total) / len(elements)
+    value = residue_value(total) / len(elements)
     assert value.denominator == 1 and value >= 0, value
     return int(value)
 
@@ -571,7 +571,7 @@ def multiplicity_cell_reference(definition, p, mu) -> int:
         (sum(trace_p(el.matrix, p) for el in members), character_sum(members[0], mu))
         for members in classes.values()
     )
-    value = reduce_tally(total) / len(elements)
+    value = residue_value(total) / len(elements)
     assert value.denominator == 1 and value >= 0, value
     return int(value)
 

@@ -37,7 +37,6 @@ from flatspec.spectral import (
     betti_row,
     character_sum,
     multiplicity,
-    reduce_tally,
     weighted_sum,
 )
 from flatspec import AffineGenerator, GroupDefinition, example
@@ -50,6 +49,7 @@ from conftest import (
     mat_mul,
     mat_sub,
     mat_vec,
+    residue_value,
     shell_count,
     signed_shell_count,
     transpose,
@@ -64,7 +64,7 @@ def note(line: str) -> None:
 
 
 def order_four_aggregate(defn, mu):
-    return reduce_tally(weighted_sum(
+    return residue_value(weighted_sum(
         (1, character_sum(el, mu))
         for el in close_point_group(defn)
         if signed_permutation_order(el.matrix) == 4

@@ -128,6 +128,47 @@ class TestPairings:
         with pytest.raises(ValueError):
             identity_pairing(g, h)
 
+    def test_unknown_target_word_is_refused(self):
+        with pytest.raises(UsageError, match=r"5\.1b has no element of word \(7, 7\)"):
+            pairing_from_words(*example("5.1"), {(1, 0): (7, 7)})
+
+    def test_words_of_another_shape_are_refused(self):
+        # 5.8a's words are (k, l) and 5.8b's are (k,), so no word maps to itself
+        with pytest.raises(UsageError, match=r"5\.8b has no element of word \(0, 0\)"):
+            pairing_from_words(*example("5.8"), {})
+
+    def test_unknown_source_word_is_refused(self):
+        with pytest.raises(UsageError, match=r"5\.1a has no element of word \(9, 9\)"):
+            pairing_from_words(*example("5.1"), {(9, 9): (0, 1)})
+
+    def test_a_non_bijection_is_a_usage_error(self):
+        els = close_point_group(example("4.5")[0])
+        with pytest.raises(UsageError, match="not a bijection"):
+            HolonomyPairing(pairs=((els[0], els[0]), (els[1], els[0])))
+
+    def test_an_unmatched_identity_is_a_usage_error(self):
+        els = close_point_group(example("4.5")[0])
+        with pytest.raises(UsageError, match="identity with identity"):
+            HolonomyPairing(pairs=((els[0], els[1]), (els[1], els[0])))
+
+    def test_differing_point_groups_are_a_usage_error(self):
+        with pytest.raises(UsageError, match="point groups differ"):
+            identity_pairing(example("4.5")[0], example("5.8")[1])
+
+    def test_a_partial_pairing_is_a_usage_error(self):
+        g, gp = example("4.5")
+        identity = ((close_point_group(g)[0], close_point_group(gp)[0]),)
+        with pytest.raises(UsageError, match="does not pair the elements"):
+            check_pairing_criterion(g, gp, HolonomyPairing(pairs=identity), 0, mu_max=2)
+
+    def test_a_pairing_of_other_groups_is_a_usage_error(self):
+        # 5.7a's point group has the order of 5.6's, but not its elements:
+        # without the check every p passed, though p = 0 differs at mu = 6
+        g, gp = example("5.6")
+        other = example("5.7")[0]
+        with pytest.raises(UsageError, match="does not pair the elements"):
+            check_pairing_criterion(g, gp, identity_pairing(other, other), 0, mu_max=6)
+
     def test_matches_pairwise_reference(self):
         # one flat weighted sum per pair and mu, against scaling each side's
         # tally and comparing the two across moduli

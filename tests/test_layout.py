@@ -19,6 +19,8 @@ SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 README = Path(__file__).resolve().parents[1] / "README.md"
 ENGINE = {"crystal", "exact_linear", "spectral", "isospec", "corpus", "cli"}
 ORACLES = {
+    "cyclotomic_polynomial",
+    "cyclotomic_residue",
     "enumerate_shell",
     "projector_oracle",
     "multiplicity_hw",
@@ -282,16 +284,26 @@ def test_signed_permutations_have_one_walker():
 
 
 def test_the_table_path_reduces_no_polynomial():
-    """Table cells come from Galois traces: the residue table is gone, and the
-    table functions name none of the cyclotomic reduction that the per-cell
-    reference and the oracles keep."""
+    """Cells and tallies are decided by Ramanujan sums: the residue table is
+    gone, no module but the oracles defines or names the cyclotomic division,
+    and reduce_tally and sums_to_zero call only _ramanujan, the trace form and
+    builtins."""
+    division = {"cyclotomic_polynomial", "_residue", "_poly_divmod"}
     for path in sorted(SRC.glob("*.py")):
         name = f"flatspec.{path.stem}" if path.stem != "__init__" else "flatspec"
         assert not hasattr(importlib.import_module(name), "_zeta_residues"), path.stem
+        if path.stem == "oracles":
+            continue
+        named = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            named |= {getattr(node, field, None) for field in ("id", "attr", "name", "asname")}
+        assert not named & division, path.stem
     functions = {
         node.name: node for node in ast.walk(ast.parse((SRC / "spectral.py").read_text()))
         if isinstance(node, ast.FunctionDef)
     }
-    for name in ("_class_rows", "_build_table", "_check_table", "_table"):
-        named = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
-        assert not named & {"cyclotomic_polynomial", "_residue", "_poly_divmod"}, name
+    for name in ("reduce_tally", "sums_to_zero"):
+        called = {ast.unparse(node.func) for node in ast.walk(functions[name])
+                  if isinstance(node, ast.Call)}
+        assert called <= {"_ramanujan", "_norm_trace", "sum", "map", "Fraction",
+                          "NonRationalSumError"}, (name, called)

@@ -20,7 +20,13 @@ from flatspec.crystal import (
     validate_bieberbach,
 )
 from flatspec.exact_linear import InternalError, UsageError, signed_permutation_order, trace_p
-from flatspec.oracles import diagonal_trace, enumerate_shell, multiplicity_hw, projector_oracle
+from flatspec.oracles import (
+    cyclotomic_polynomial,
+    diagonal_trace,
+    enumerate_shell,
+    multiplicity_hw,
+    projector_oracle,
+)
 from flatspec.spectral import (
     EnumerationGuardError,
     NonRationalSumError,
@@ -28,7 +34,6 @@ from flatspec.spectral import (
     betti,
     betti_row,
     character_sum,
-    cyclotomic_polynomial,
     enumerate_fixed_shell,
     multiplicity,
     multiplicity_table,
