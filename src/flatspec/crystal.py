@@ -95,6 +95,8 @@ class GroupDefinition(Record):
             raise UsageError("dimension must be positive")
         if self.dim > DIM_CAP:
             raise LimitError(f"dimension {self.dim} exceeds cap {DIM_CAP}")
+        if len(self.generators) > DIM_CAP:
+            raise LimitError(f"generator count {len(self.generators)} exceeds cap {DIM_CAP}")
         for g in self.generators:
             if g.dim != self.dim:
                 raise UsageError("generator size does not match group dimension")
@@ -202,6 +204,16 @@ def _commutator_term(x: Coset, y: Coset) -> list[int]:
 
 
 @lru_cache(maxsize=None)
+def _generator_failures(definition: GroupDefinition) -> tuple[list[tuple[int, int]], list[int]]:
+    """The pairs i < j whose ``_commutator_term`` lies outside Q Z^n, and the
+    k whose gamma_k^{m_k} is no lattice translation (q S_k b_k nonzero mod Q)."""
+    q, gens = _integer_generators(definition)
+    pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))
+             if any(x % q for x in _commutator_term(gens[i], gens[j]))]
+    return pairs, [k for k, g in enumerate(gens) if any(x % q for x in _coset_power_sum(g))]
+
+
+@lru_cache(maxsize=None)
 def _cosets(definition: GroupDefinition) -> tuple[int, dict[tuple[int, ...], Coset]]:
     """Q and the Coset of each word, identity first, by word length then word.
 
@@ -209,11 +221,11 @@ def _cosets(definition: GroupDefinition) -> tuple[int, dict[tuple[int, ...], Cos
     matrix group is the direct product of the cyclic <B_k>, and the word
     cosets are closed: given the direct product, exactly when each
     gamma_k^{m_k} is the identity coset and each pair gamma_i, gamma_j
-    commutes.  If so, w -> gamma^w is a homomorphism from prod_k Z_{m_k} onto
-    the word cosets, which are then a group.  If they are a group, taking the
-    matrix maps it one to one onto the matrix group, so gamma_k^{m_k} and the
-    identity, both over I, are equal, as are gamma_i gamma_j and gamma_j
-    gamma_i, both over B_i B_j.
+    commutes, which ``_generator_failures`` decides.  If so, w -> gamma^w is
+    a homomorphism from prod_k Z_{m_k} onto the word cosets, which are then
+    a group.  If they are a group, taking the matrix maps it one to one onto
+    the matrix group, so gamma_k^{m_k} and the identity, both over I, are
+    equal, as are gamma_i gamma_j and gamma_j gamma_i, both over B_i B_j.
     """
     orders = [g.order for g in definition.generators]
     total = prod(orders)
@@ -221,17 +233,10 @@ def _cosets(definition: GroupDefinition) -> tuple[int, dict[tuple[int, ...], Cos
         raise CosetCapError(f"point group order {total} exceeds cap {COSET_CAP}")
 
     q, gens = _integer_generators(definition)
-    unequal = []  # the pairs that commute as matrices but not as cosets
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            ab = _coset_product(gens[i], gens[j], q)
-            ba = _coset_product(gens[j], gens[i], q)
-            if ab[:2] != ba[:2]:
-                raise GroupStructureError(
-                    f"generator matrices {i} and {j} do not commute"
-                )
-            if ab != ba:
-                unequal.append(f"gamma_{i} and gamma_{j} do not commute")
+            if _coset_product(gens[i], gens[j], q)[:2] != _coset_product(gens[j], gens[i], q)[:2]:
+                raise GroupStructureError(f"generator matrices {i} and {j} do not commute")
 
     n = definition.dim
     words = sorted(product(*map(range, orders)), key=lambda w: (sum(w), w))
@@ -247,12 +252,10 @@ def _cosets(definition: GroupDefinition) -> tuple[int, dict[tuple[int, ...], Cos
         raise GroupStructureError(
             "matrix group is not the direct product of the declared cyclic factors"
         )
-    powers = []
-    for k, m in enumerate(orders):
-        last = tuple(m - 1 if i == k else 0 for i in range(len(orders)))
-        if any(_coset_product(built[last], gens[k], q)[2]):
-            powers.append(f"gamma_{k}^{m} is not a lattice translation")
-    if failed := powers + unequal:
+    pairs, powers = _generator_failures(definition)
+    failed = [f"gamma_{k}^{orders[k]} is not a lattice translation" for k in powers]
+    failed += [f"gamma_{i} and gamma_{j} do not commute" for i, j in pairs]
+    if failed:
         raise GroupStructureError(f"word cosets are not closed under multiplication; {failed[0]}")
     return q, built
 
@@ -268,17 +271,6 @@ def close_point_group(definition: GroupDefinition) -> tuple[PointGroupElement, .
     )
 
 
-def check_pairwise_condition(definition: GroupDefinition) -> list[tuple[int, int]]:
-    """Pairs (i, j) violating (B_i^{-1} - I) b_j - (B_j^{-1} - I) b_i in Z^n."""
-    q, gens = _integer_generators(definition)
-    return [
-        (i, j)
-        for i in range(len(gens))
-        for j in range(i + 1, len(gens))
-        if any(x % q for x in _commutator_term(gens[i], gens[j]))
-    ]
-
-
 def _torsion_test(walk, q: int) -> bool:
     """Whether S b lies in Z^n but outside S Z^n, for S = sum_{j=0}^{m-1} B^{-j}:
     S is (m / L_c) u_c u_c^T on a fixed cycle c and 0 on the others, and
@@ -288,16 +280,16 @@ def _torsion_test(walk, q: int) -> bool:
     return any(a for _, a in fixed) and not any(m // length * a % q for length, a in fixed)
 
 
-def _coset_power_sum(coset: Coset, q: int) -> tuple[IntVector, bool]:
-    """(q S b, off) for the Coset of B L_b, S as in ``_torsion_test`` and ``off``
-    whether S b lies outside S Z^n, from the entries of B's fixed cycles."""
+def _coset_power_sum(coset: Coset) -> IntVector:
+    """q S b for the Coset of B L_b, S as in ``_torsion_test``, from the
+    entries of B's fixed cycles."""
     t = coset[2]
     m, fixed = fixed_cycles(coset[:2])
     w, phases = [0] * len(t), [sum(v * t[j] for j, v in c) for c in fixed]
     for c, ut in zip(fixed, phases):
         for j, v in c:
             w[j] = m // len(c) * ut * v
-    return tuple(w), any(ut % q for ut in phases)
+    return tuple(w)
 
 
 def _element_coset(element: PointGroupElement) -> tuple[Coset, int]:
@@ -328,30 +320,28 @@ def validate_bieberbach(definition: GroupDefinition) -> ValidationReport:
     The torsion condition is enforced over every nontrivial coset of the
     closed point group; every coset arises from a generator word, and the
     condition only depends on the coset, so this is equivalent to checking
-    all index words with repetitions.  The lattice flag follows the separate
-    split: pairwise condition plus S_i b_i in Z^n per generator, that is,
-    gamma_i^{m_i} a lattice translation, which closure already implies.
+    all index words with repetitions.  The lattice flag and the pairwise and
+    generator-lattice failures read the closure's ``_generator_failures``
+    (pairwise condition; S_i b_i in Z^n, that is, gamma_i^{m_i} a lattice
+    translation), so a closed group passes both.
     """
     gens = definition.generators
-    pair_failures = check_pairwise_condition(definition)
-    failures: list[tuple[tuple, str]] = [((i, j), "pairwise") for i, j in pair_failures]
+    pairs, powers = _generator_failures(definition)
+    failures: list[tuple[tuple, str]] = [((i, j), "pairwise") for i, j in pairs]
+    failures += [(tuple(int(k == i) for k in range(len(gens))), "generator-lattice")
+                 for i in powers]
     try:
         q, walks = _torsion_walks(definition)
         order = len(walks) + 1
     except GroupStructureError as exc:
         order, walks = 0, {}
-        q, cosets = _integer_generators(definition)
-        for i, coset in enumerate(cosets):
-            if any(x % q for x in _coset_power_sum(coset, q)[0]):
-                failures.append((tuple(int(k == i) for k in range(len(gens))), "generator-lattice"))
         failures.append(((), f"closure: {exc}"))
-    lattice_ok = not any(cond in ("pairwise", "generator-lattice") for _, cond in failures)
     torsion = [(word, "torsion") for word, walk in walks.items() if not _torsion_test(walk, q)]
 
     return ValidationReport(
         is_group_closed=order > 0,
-        has_translation_lattice_Zn=lattice_ok,
-        is_torsion_free=order > 0 and not pair_failures and not torsion,
+        has_translation_lattice_Zn=not pairs and not powers,
+        is_torsion_free=order > 0 and not torsion,
         holonomy_order=order,
         holonomy_structure=tuple(g.order for g in gens if g.order > 1),
         failures=tuple(failures + torsion),
@@ -391,7 +381,7 @@ def first_homology(definition: GroupDefinition) -> AbelianGroupType:
                 col[image[j]] += sign[j]
                 col[j] -= 1
                 rows.append([0] * r + col)
-        w, _ = _coset_power_sum(gens[i], q)
+        w = _coset_power_sum(gens[i])
         # require_valid passed the coset of gamma_i, so q divides q S_i b_i
         rows.append([g.order * (k == i) for k in range(r)] + [-(x // q) for x in w])
 

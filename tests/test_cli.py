@@ -348,6 +348,26 @@ class TestLimitErrors:
             assert_one_line_error(status, text, prefix="error: limit: ")
             assert message in text
 
+    @pytest.mark.parametrize("diagonal", [(1, 1), (-1, 1)], ids=["identity", "order-2"])
+    def test_generator_count_cap_refused_before_any_work(self, capsys, tmp_path, diagonal):
+        gen = {"matrix": [[diagonal[0], 0], [0, diagonal[1]]], "translation": ["0", "1/2"]}
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps({"dim": 2, "generators": [gen] * 2000}))
+        start = time.perf_counter()
+        status, text = run_cli_all(capsys, "validate", "--input", str(path))
+        assert time.perf_counter() - start < 1
+        assert_one_line_error(status, text, prefix="error: limit: ")
+        assert "generator count 2000 exceeds cap 64" in text
+
+    def test_generator_count_cap_admits_64(self, capsys, tmp_path):
+        n = 64
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        gen = {"matrix": identity, "translation": [0] * n}
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps({"dim": n, "generators": [gen] * n}))
+        status, out = run_cli(capsys, "homology", "--input", str(path))
+        assert status == 0 and out.endswith(": Z^64")
+
     def test_dimension_cap_admits_every_family_at_64(self, capsys):
         for catalog_id in ("4.1(n=64,k=63)", "4.2h(n=64,h=32)", "5.9(k=58)b"):
             status, out = run_cli(capsys, "betti", "--corpus", catalog_id)

@@ -13,12 +13,12 @@ from flatspec.crystal import (
     AffineGenerator,
     PointGroupElement,
     _coset_power_sum,
+    _generator_failures,
     CosetCapError,
     GroupDefinition,
     GroupStructureError,
     HWMatrix,
     build_hw_group,
-    check_pairwise_condition,
     check_torsion_condition,
     close_point_group,
     extend_with_characters,
@@ -29,7 +29,6 @@ from flatspec.crystal import (
 )
 from flatspec.exact_linear import UsageError, signed_permutation_order
 from flatspec import crystal, example, exact_linear
-from flatspec.oracles import in_image_lattice
 
 from conftest import (
     classical_hw_matrix,
@@ -197,7 +196,7 @@ class TestClosureDiagnosis:
         assert assert_matches_references(defn) == message
         assert validate_bieberbach(defn).failures == (
             ((0, 1), "generator-lattice"), ((), "closure: " + message))
-        assert check_pairwise_condition(defn) == []
+        assert _generator_failures(defn) == ([], [1])
 
 
 def invalid_hw7():
@@ -232,9 +231,13 @@ class TestColdValidation:
         assert report.holonomy_order == 64 and not report.is_torsion_free
         assert not built
 
-    @pytest.mark.parametrize("make", [invalid_hw7, lambda: example("5.1a"), lambda: example("5.8b")],
+    @pytest.mark.parametrize("make, expected",
+                             [(invalid_hw7, 93), (lambda: example("5.1a"), 9),
+                              (lambda: example("5.8b"), 3)],
                              ids=["hw7", "5.1a", "5.8b"])
-    def test_a_cold_closure_makes_few_coset_products(self, monkeypatch, make):
+    def test_a_cold_closure_makes_few_coset_products(self, monkeypatch, make, expected):
+        """|F| - 1 products build the word cosets and r(r - 1) check that the
+        generator matrices commute; the generator conditions take none."""
         defn = make()
         clear_crystal_caches()
         products = []
@@ -242,28 +245,28 @@ class TestColdValidation:
         monkeypatch.setattr(crystal, "_coset_product",
                             lambda x, y, q: products.append(q) or original(x, y, q))
         order, r = len(close_point_group(defn)), len(defn.generators)
-        assert 0 < len(products) <= (order - 1) + r + r * (r - 1)
+        assert len(products) == (order - 1) + r * (r - 1) == expected
 
 
 class TestPairwiseCondition:
     def test_catalog_pairs_pass(self):
         for key in ("4.5", "5.1", "5.8"):
             for defn in example(key):
-                assert check_pairwise_condition(defn) == []
+                assert _generator_failures(defn)[0] == []
 
     def test_diagonal_with_half_translations_passes(self):
         gens = (
             AffineGenerator(diag(-1, 1, 1), (Fraction(0), HALF, Fraction(0))),
             AffineGenerator(diag(1, -1, 1), (Fraction(0), Fraction(0), HALF)),
         )
-        assert check_pairwise_condition(GroupDefinition(3, gens)) == []
+        assert _generator_failures(GroupDefinition(3, gens))[0] == []
 
     def test_quarter_translations_fail(self):
         gens = (
             AffineGenerator(diag(-1, 1), (Fraction(0), QUARTER)),
             AffineGenerator(diag(1, -1), (QUARTER, Fraction(0))),
         )
-        assert check_pairwise_condition(GroupDefinition(2, gens)) == [(0, 1)]
+        assert _generator_failures(GroupDefinition(2, gens))[0] == [(0, 1)]
 
 
 class TestTorsionCondition:
@@ -303,13 +306,9 @@ def assert_power_sum_matches(matrix, b):
     s = power_sum_oracle(matrix)
     defn = GroupDefinition(len(matrix), [AffineGenerator(matrix, b)])
     q, (coset,) = crystal._integer_generators(defn)
-    w, off = _coset_power_sum(coset, q)
+    w = _coset_power_sum(coset)
     assert q == lcm(*(x.denominator for x in b))
     assert tuple(Fraction(x, q) for x in w) == mat_vec(s, b)
-    # u_c . q b is divisible by q on every fixed cycle c iff S q b lies in q S Z^n
-    t = tuple(int(x * q) for x in b)
-    qs = tuple(tuple(q * x for x in row) for row in s)
-    assert off == (not in_image_lattice(qs, mat_vec(s, t)))
     element = PointGroupElement(matrix=matrix, translation=b, word=(1,))
     expected = torsion_oracle(matrix, b)
     assert check_torsion_condition(element) == expected
@@ -347,7 +346,7 @@ def assert_matches_references(defn) -> str:
 
     Returns the outcome: the closure error message, "valid" or "invalid".
     """
-    assert check_pairwise_condition(defn) == pairwise_condition_reference(defn)
+    assert _generator_failures(defn)[0] == pairwise_condition_reference(defn)
     try:
         report = validate_bieberbach_reference(defn)
     except CosetCapError as exc:
@@ -421,6 +420,13 @@ class TestManyGenerators:
         groups += [random_diagonal_candidate(rng) for _ in range(80)]
         outcomes = Counter(sweep_outcome(defn) for defn in groups)
         assert all(outcomes[o] >= 5 for o in ("valid", "torsion", "pairwise", "closure")), outcomes
+        powers = [_generator_failures(defn)[1] for defn in groups]
+        assert powers == [
+            [k for k, g in enumerate(defn.generators)
+             if any(x.denominator != 1 for x in mat_vec(power_sum_oracle(g.matrix), g.translation))]
+            for defn in groups
+        ]
+        assert sum(map(bool, powers)) >= 5
         assert max(validate_bieberbach(defn).holonomy_order for defn in groups) == 256
         assert max(len(defn.generators) for defn in groups) == 8
 

@@ -307,3 +307,25 @@ def test_the_table_path_reduces_no_polynomial():
                   if isinstance(node, ast.Call)}
         assert called <= {"_ramanujan", "_norm_trace", "sum", "map", "Fraction",
                           "NonRationalSumError"}, (name, called)
+
+
+def test_each_generator_condition_is_decided_once():
+    """The pairwise and power conditions are decided in ``_generator_failures``
+    alone, which the closure and the validation report both read: the terms
+    they test are computed there and, as relations, in ``first_homology``."""
+    from flatspec import crystal
+
+    assert not hasattr(crystal, "check_pairwise_condition")
+    callers = {}
+    for top in ast.parse((SRC / "crystal.py").read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                callers.setdefault(node.func.id, set()).add(getattr(top, "name", None))
+    for name in ("_commutator_term", "_coset_power_sum"):
+        assert callers[name] == {"_generator_failures", "first_homology"}, name
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "crystal":
+            assert not {"_commutator_term", "_coset_power_sum"} & {
+                getattr(node, field, None) for node in ast.walk(ast.parse(path.read_text()))
+                for field in ("id", "attr", "name")
+            }, path.stem
