@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, product
 from math import lcm, prod
+from operator import mul
 from typing import Sequence
 
 from .exact_linear import (
@@ -24,12 +25,10 @@ from .exact_linear import (
     Record,
     UsageError,
     as_int_matrix,
-    coset_walk,
     fixed_cycles,
     signed_perm,
     signed_perm_matrix,
     smith_normal_form,
-    walk_order,
 )
 
 COSET_CAP = 1024
@@ -68,7 +67,7 @@ class AffineGenerator(Record):
         translation = tuple(_as_fraction(x) % 1 for x in self.translation)
         if len(translation) != len(matrix):
             raise UsageError("translation length does not match matrix size")
-        true_order = walk_order(coset_walk(perm + ((0,) * len(matrix),), 1))
+        true_order = fixed_cycles(perm)[0]
         if self.order and self.order != true_order:
             raise UsageError(
                 f"declared order {self.order} wrong: matrix has order {true_order}"
@@ -181,14 +180,17 @@ def _scaled(b: RatVector, q: int) -> IntVector:
     return tuple(x.numerator * (q // x.denominator) for x in b)
 
 
-def _coset_product(x: Coset, y: Coset, q: int) -> Coset:
-    # (A L_a)(B L_b) = AB L_{B^{-1} a + b}, and (B^{-1} a)_j = sign_B[j] a[image_B[j]]
-    (ai, asg, at), (bi, bsg, bt) = x, y
-    return (
-        tuple(ai[k] for k in bi),
-        tuple(s * asg[k] for s, k in zip(bsg, bi)),
-        tuple((s * at[k] + b) % q for s, k, b in zip(bsg, bi, bt)),
-    )
+def _perm_product(x: tuple[IntVector, IntVector], y: tuple[IntVector, IntVector]):
+    """AB for A, B given as (image, sign): column j of AB is sign_B[j] A e_{image_B[j]}."""
+    (ai, asg), (bi, bsg) = x, y
+    return tuple([ai[k] for k in bi]), tuple([s * asg[k] for s, k in zip(bsg, bi)])
+
+
+def _translate(t: IntVector, move, q: int) -> IntVector:
+    """Q times the translation of gamma^w gamma_k from t, Q times gamma^w's:
+    (A L_a)(B L_b) = AB L_{B^{-1} a + b} and (B^{-1} a)_j = sign[j] a[image[j]],
+    with ``move`` the (sign[j], image[j], Q b[j]) of gamma_k = B L_b."""
+    return tuple([(s * t[i] + b) % q for s, i, b in move])
 
 
 def _commutator_term(x: Coset, y: Coset) -> list[int]:
@@ -203,61 +205,135 @@ def _commutator_term(x: Coset, y: Coset) -> list[int]:
     ]
 
 
+class MatrixClosure:
+    """What the closure of one tuple of generator matrices decides and
+    builds: matrix-only data, shared by every group with those matrices.
+
+    ``generators`` holds each generator's ``fixed_cycles``.  ``error`` is
+    (exception type, message) when the matrices close into no group of the
+    declared shape, and the word fields are then empty.  Otherwise they run
+    over the words w of prod_k Z_{m_k} by length, then word, identity first:
+    ``perms`` the (image, sign) of B^w, ``walks`` its ``fixed_cycles``, and
+    ``steps`` the (position of w - e_k, k) of each word but the identity, k
+    its last nonzero exponent, so B^w = B^(w - e_k) B_k.
+    """
+
+    __slots__ = ("dim", "generators", "error", "words", "steps", "perms", "_walks")
+
+    def __init__(self, dim, generators, error=None, words=(), steps=(), perms=()):
+        self.dim, self.generators, self.error = dim, generators, error
+        self.words, self.steps, self.perms, self._walks = words, steps, perms, None
+
+    @property
+    def walks(self):
+        """Each word's matrix walked once, on first use, a generator's own walk
+        serving its word e_k: a group that fails its generator conditions
+        needs no walk past its generators'."""
+        if self._walks is None:
+            self._walks = (fixed_cycles(self.perms[0]),) + tuple([
+                self.generators[k] if prev == 0 else fixed_cycles(perm)
+                for (prev, k), perm in zip(self.steps, self.perms[1:])])
+        return self._walks
+
+
+@lru_cache(maxsize=None)
+def _close_matrices(n: int, perms: tuple[tuple[IntVector, IntVector], ...]) -> MatrixClosure:
+    """The closure of the signed permutations ``perms`` of Z^n, each as (image, sign).
+
+    Each check runs once the one before has passed, and the first failure is
+    kept as ``error``: the cap on prod_k m_k, read from the generators'
+    walks; that the matrices commute, by r(r - 1) products; that the matrix
+    group is the direct product of the cyclic <B_k>, i.e. that the |F|
+    words, each one product from its predecessor, have |F| distinct
+    matrices.
+    """
+    gens = tuple(map(fixed_cycles, perms))
+    orders = [walk[0] for walk in gens]
+    total = prod(orders)
+    if total > COSET_CAP:
+        return MatrixClosure(n, gens, (CosetCapError,
+                                       f"point group order {total} exceeds cap {COSET_CAP}"))
+    r = len(perms)
+    for i in range(r):
+        for j in range(i + 1, r):
+            if _perm_product(perms[i], perms[j]) != _perm_product(perms[j], perms[i]):
+                return MatrixClosure(n, gens, (GroupStructureError,
+                                               f"generator matrices {i} and {j} do not commute"))
+
+    # product() lists the words by their index sum_k w_k strides[k], and a
+    # stable sort by length keeps that order within each length
+    strides = [prod(orders[k + 1:]) for k in range(r)]
+    words = sorted(product(*map(range, orders)), key=sum)
+    position, steps = [0] * total, []
+    identity = (tuple(range(n)), (1,) * n)
+    built = [identity]
+    for word in words[1:]:
+        k = r - 1
+        while not word[k]:
+            k -= 1
+        index = sum(map(mul, word, strides))
+        position[index] = len(built)
+        prev = position[index - strides[k]]
+        steps.append((prev, k))
+        built.append(_perm_product(built[prev], perms[k]))
+    if len(set(built)) != total:
+        return MatrixClosure(n, gens, (GroupStructureError, "matrix group is not the direct "
+                                       "product of the declared cyclic factors"))
+    return MatrixClosure(n, gens, None, tuple(words), tuple(steps), tuple(built))
+
+
+@lru_cache(maxsize=None)
+def _matrices(definition: GroupDefinition) -> MatrixClosure:
+    """The closure of the definition's generator matrices, shared through
+    ``_close_matrices`` with every definition that has them."""
+    _, gens = _integer_generators(definition)
+    return _close_matrices(definition.dim, tuple([g[:2] for g in gens]))
+
+
 @lru_cache(maxsize=None)
 def _generator_failures(definition: GroupDefinition) -> tuple[list[tuple[int, int]], list[int]]:
     """The pairs i < j whose ``_commutator_term`` lies outside Q Z^n, and the
     k whose gamma_k^{m_k} is no lattice translation (q S_k b_k nonzero mod Q)."""
     q, gens = _integer_generators(definition)
+    walks = _matrices(definition).generators
     pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))
              if any(x % q for x in _commutator_term(gens[i], gens[j]))]
-    return pairs, [k for k, g in enumerate(gens) if any(x % q for x in _coset_power_sum(g))]
+    return pairs, [k for k, (g, walk) in enumerate(zip(gens, walks))
+                   if any(x % q for x in _coset_power_sum(g, walk))]
 
 
 @lru_cache(maxsize=None)
 def _cosets(definition: GroupDefinition) -> tuple[int, dict[tuple[int, ...], Coset]]:
     """Q and the Coset of each word, identity first, by word length then word.
 
-    Raises GroupStructureError unless the generator matrices commute, the
-    matrix group is the direct product of the cyclic <B_k>, and the word
-    cosets are closed: given the direct product, exactly when each
-    gamma_k^{m_k} is the identity coset and each pair gamma_i, gamma_j
+    Raises as the matrix closure finds (the cap, then commuting matrices,
+    then the direct product of the cyclic <B_k>), and GroupStructureError
+    unless the word cosets are closed: given the direct product, exactly when
+    each gamma_k^{m_k} is the identity coset and each pair gamma_i, gamma_j
     commutes, which ``_generator_failures`` decides.  If so, w -> gamma^w is
     a homomorphism from prod_k Z_{m_k} onto the word cosets, which are then
     a group.  If they are a group, taking the matrix maps it one to one onto
     the matrix group, so gamma_k^{m_k} and the identity, both over I, are
     equal, as are gamma_i gamma_j and gamma_j gamma_i, both over B_i B_j.
+    Each translation is one ``_translate`` step along the closure's steps.
     """
-    orders = [g.order for g in definition.generators]
-    total = prod(orders)
-    if total > COSET_CAP:
-        raise CosetCapError(f"point group order {total} exceeds cap {COSET_CAP}")
-
-    q, gens = _integer_generators(definition)
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if _coset_product(gens[i], gens[j], q)[:2] != _coset_product(gens[j], gens[i], q)[:2]:
-                raise GroupStructureError(f"generator matrices {i} and {j} do not commute")
-
-    n = definition.dim
-    words = sorted(product(*map(range, orders)), key=lambda w: (sum(w), w))
-    # gamma^w = gamma^(w - e_k) gamma_k for the last nonzero exponent k; the
-    # shorter word is built already
-    built = {words[0]: (tuple(range(n)), (1,) * n, (0,) * n)}
-    for word in words[1:]:
-        k = max(i for i, l in enumerate(word) if l)
-        prev = word[:k] + (word[k] - 1,) + word[k + 1:]
-        built[word] = _coset_product(built[prev], gens[k], q)
-
-    if len({c[:2] for c in built.values()}) != total:
-        raise GroupStructureError(
-            "matrix group is not the direct product of the declared cyclic factors"
-        )
+    closure = _matrices(definition)
+    if closure.error:
+        error, message = closure.error
+        raise error(message)
     pairs, powers = _generator_failures(definition)
-    failed = [f"gamma_{k}^{orders[k]} is not a lattice translation" for k in powers]
+    failed = [f"gamma_{k}^{definition.generators[k].order} is not a lattice translation"
+              for k in powers]
     failed += [f"gamma_{i} and gamma_{j} do not commute" for i, j in pairs]
     if failed:
         raise GroupStructureError(f"word cosets are not closed under multiplication; {failed[0]}")
-    return q, built
+
+    q, gens = _integer_generators(definition)
+    moves = [tuple(zip(sign, image, t)) for image, sign, t in gens]
+    ts = [(0,) * definition.dim]
+    for prev, k in closure.steps:
+        ts.append(_translate(ts[prev], moves[k], q))
+    return q, dict(zip(closure.words, [perm + (t,) for perm, t in zip(closure.perms, ts)]))
 
 
 @lru_cache(maxsize=None)
@@ -271,20 +347,24 @@ def close_point_group(definition: GroupDefinition) -> tuple[PointGroupElement, .
     )
 
 
-def _torsion_test(walk, q: int) -> bool:
-    """Whether S b lies in Z^n but outside S Z^n, for S = sum_{j=0}^{m-1} B^{-j}:
+def _fixed_phases(fixed, t: IntVector, q: int) -> tuple[int, ...]:
+    """The phase u_c . t mod q of each fixed cycle c, given by its entries (j, u_c[j])."""
+    return tuple([sum([u * t[j] for j, u in c]) % q for c in fixed])
+
+
+def _torsion_test(m: int, fixed, phases, q: int) -> bool:
+    """Whether S b lies in Z^n but outside S Z^n, for S = sum_{j=0}^{m-1} B^{-j},
+    B of order m with the fixed cycles ``fixed``, of phases q (u_c . b) mod q:
     S is (m / L_c) u_c u_c^T on a fixed cycle c and 0 on the others, and
     S Z^n = sum_c (m / L_c) Z u_c, the supports being disjoint."""
-    m = walk_order(walk)
-    fixed = [(length, a) for length, sign, a in walk if sign == 1]
-    return any(a for _, a in fixed) and not any(m // length * a % q for length, a in fixed)
+    return any(phases) and not any(m // len(c) * a % q for c, a in zip(fixed, phases))
 
 
-def _coset_power_sum(coset: Coset) -> IntVector:
-    """q S b for the Coset of B L_b, S as in ``_torsion_test``, from the
-    entries of B's fixed cycles."""
+def _coset_power_sum(coset: Coset, walk) -> IntVector:
+    """q S b for the Coset of B L_b, S as in ``_torsion_test``, from the order
+    and the fixed cycles in ``walk``, B's ``fixed_cycles``."""
     t = coset[2]
-    m, fixed = fixed_cycles(coset[:2])
+    m, _, fixed = walk
     w, phases = [0] * len(t), [sum(v * t[j] for j, v in c) for c in fixed]
     for c, ut in zip(fixed, phases):
         for j, v in c:
@@ -301,16 +381,20 @@ def _element_coset(element: PointGroupElement) -> tuple[Coset, int]:
 def check_torsion_condition(element: PointGroupElement) -> bool:
     """True iff S b(I) lies in Z^n but outside S Z^n, for S = sum_j B_I^{-j}:
     then the powers of the element reach a nonzero lattice translation."""
-    coset, q = _element_coset(element)
-    return _torsion_test(coset_walk(coset, q), q)
+    (image, sign, t), q = _element_coset(element)
+    m, _, fixed = fixed_cycles((image, sign))
+    return _torsion_test(m, fixed, _fixed_phases(fixed, t, q), q)
 
 
 @lru_cache(maxsize=None)
-def _torsion_walks(definition: GroupDefinition) -> tuple[int, dict[tuple[int, ...], tuple]]:
-    """Q and the walk of each coset but the identity, which has no torsion
-    condition; raises as ``_cosets`` does."""
+def _phases(definition: GroupDefinition) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Q and, for each word of ``_matrices(definition)`` in its order, the
+    phases of the word's fixed cycles, read through the closure's entries;
+    raises as ``_cosets`` does.  Only the first group over a closure walks
+    its words."""
     q, cosets = _cosets(definition)
-    return q, {word: coset_walk(c, q) for word, c in cosets.items() if any(word)}
+    return q, tuple([_fixed_phases(walk[2], coset[2], q)
+                     for coset, walk in zip(cosets.values(), _matrices(definition).walks)])
 
 
 @lru_cache(maxsize=None)
@@ -330,13 +414,17 @@ def validate_bieberbach(definition: GroupDefinition) -> ValidationReport:
     failures: list[tuple[tuple, str]] = [((i, j), "pairwise") for i, j in pairs]
     failures += [(tuple(int(k == i) for k in range(len(gens))), "generator-lattice")
                  for i in powers]
+    order, torsion = 0, []
     try:
-        q, walks = _torsion_walks(definition)
-        order = len(walks) + 1
+        q, phases = _phases(definition)
     except GroupStructureError as exc:
-        order, walks = 0, {}
         failures.append(((), f"closure: {exc}"))
-    torsion = [(word, "torsion") for word, walk in walks.items() if not _torsion_test(walk, q)]
+    else:
+        order, closure = len(phases), _matrices(definition)
+        # the identity, first, has no torsion condition
+        torsion = [(word, "torsion") for word, (m, _, fixed), a
+                   in zip(closure.words[1:], closure.walks[1:], phases[1:])
+                   if not _torsion_test(m, fixed, a, q)]
 
     return ValidationReport(
         is_group_closed=order > 0,
@@ -368,11 +456,14 @@ def first_homology(definition: GroupDefinition) -> AbelianGroupType:
     """
     require_valid(definition)
     q, gens = _integer_generators(definition)
+    _, cosets = _cosets(definition)
+    walks = _matrices(definition).generators
+    orders = [g.order for g in definition.generators]
     r = len(gens)
     n = definition.dim
     rows: list[list[int]] = []
 
-    for i, g in enumerate(definition.generators):
+    for i, m in enumerate(orders):
         image, sign, _ = gens[i]
         for j in range(n):
             # column j of B - I is sign[j] e_{image[j]} - e_j
@@ -381,15 +472,16 @@ def first_homology(definition: GroupDefinition) -> AbelianGroupType:
                 col[image[j]] += sign[j]
                 col[j] -= 1
                 rows.append([0] * r + col)
-        w = _coset_power_sum(gens[i])
+        w = _coset_power_sum(gens[i], walks[i])
         # require_valid passed the coset of gamma_i, so q divides q S_i b_i
-        rows.append([g.order * (k == i) for k in range(r)] + [-(x // q) for x in w])
+        rows.append([m * (k == i) for k in range(r)] + [-(x // q) for x in w])
 
     for i in range(r):
         for j in range(i + 1, r):
             # require_valid passed the pairwise condition, so the term is integral
             term = [x // q for x in _commutator_term(gens[i], gens[j])]
-            image, sign, _ = _coset_product(gens[i], gens[j], q)
+            # B_i B_j is the matrix of the word e_i + e_j, each exponent mod m_k
+            image, sign, _ = cosets[tuple([int(k in (i, j)) % m for k, m in enumerate(orders)])]
             mu = [0] * n
             for k in range(n):
                 mu[image[k]] = sign[k] * term[k]

@@ -3,11 +3,12 @@
 Matrices are tuples of row tuples of Python ints; vectors are plain tuples.
 Rational vectors use ``fractions.Fraction``.  ``coset_walk`` gives each cycle
 of a signed permutation its length, sign and phase, which fix the order, the
-determinant and the exterior traces; ``fixed_cycles`` keeps the coordinates
-of the fixed cycle vectors.  Lattice work goes through two routines: one
-Hermite basis and one invariant-factor Smith form.  Every operation is exact.
-The error taxonomy and the ``Record`` base of the package's value types live
-here too, since every other module imports this one.
+determinant and the exterior traces; ``fixed_cycles`` gives the order and the
+same cycle type and keeps the coordinates of the fixed cycle vectors, so the
+phases of any translation can be read off later.  Lattice work goes through
+two routines: one Hermite basis and one invariant-factor Smith form.  Every
+operation is exact.  The error taxonomy and the ``Record`` base of the
+package's value types live here too, since every other module imports this one.
 """
 
 from __future__ import annotations
@@ -162,10 +163,12 @@ def coset_walk(coset: Coset, q: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-def fixed_cycles(perm: tuple[IntVector, IntVector]) -> tuple[int, list[list[tuple[int, int]]]]:
-    """(order of B, the entries (j, u_c[j]) of each cycle c of sign +1, in the
-    order ``coset_walk`` visits them) for B given as (image, sign): the u_c
-    span ker(B - I)."""
+def fixed_cycles(perm: tuple[IntVector, IntVector]):
+    """(order, cycle type, fixed entries) of B given as (image, sign), by one
+    walk: B's multiplicative order, the (L_c, s_c) of each cycle c, and the
+    entries (j, u_c[j]) of each cycle of sign +1, all in the order
+    ``coset_walk`` visits them.  The cycle type fixes the determinant and the
+    exterior traces; the u_c span ker(B - I)."""
     image, sign = perm
     seen, walk, fixed = [False] * len(image), [], []
     for start in range(len(image)):
@@ -176,8 +179,8 @@ def fixed_cycles(perm: tuple[IntVector, IntVector]) -> tuple[int, list[list[tupl
             u, j = u * sign[j], image[j]
         if entries:
             walk.append((len(entries), u))
-            fixed += [entries] if u == 1 else []
-    return walk_order(walk), fixed
+            fixed += [tuple(entries)] if u == 1 else []
+    return walk_order(walk), tuple(walk), tuple(fixed)
 
 
 def walk_order(walk) -> int:

@@ -41,7 +41,8 @@ from .crystal import (
     GroupDefinition,
     PointGroupElement,
     _element_coset,
-    _torsion_walks,
+    _matrices,
+    _phases,
     require_valid,
 )
 from .exact_linear import (
@@ -177,7 +178,7 @@ def enumerate_fixed_shell(matrix: IntMatrix, mu: int) -> tuple[tuple[int, ...], 
     with weights |u_c|^2 = L_c and the search is a weighted norm enumeration.
     """
     n = len(matrix)
-    _, basis = fixed_cycles(signed_perm(matrix))
+    _, _, basis = fixed_cycles(signed_perm(matrix))
     require_series(mu, len(basis))
     if mu == 0:
         return ((0,) * n,)
@@ -197,13 +198,13 @@ def enumerate_fixed_shell(matrix: IntMatrix, mu: int) -> tuple[tuple[int, ...], 
 @lru_cache(maxsize=None)
 def _signature(element: PointGroupElement) -> tuple[int, tuple[tuple[int, int], ...]]:
     coset, r = _element_coset(element)
-    return _walk_signature(coset_walk(coset, r), r)
+    walk = coset_walk(coset, r)
+    return _walk_signature([(length, a) for length, sign, a in walk if sign == 1], r)
 
 
-def _walk_signature(walk, r: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """B's signature from the (L_c, s_c, a_c) of its cycles, a_c / r = u_c . b
+def _walk_signature(fixed, r: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """B's signature from the (L_c, a_c) of its fixed cycles, a_c / r = u_c . b
     mod 1: a_c and q - a_c give equal counts (send k_c to -k_c)."""
-    fixed = [(length, a) for length, sign, a in walk if sign == 1]
     q = lcm(*(r // gcd(a, r) for _, a in fixed))
     reduced = ((length, a * q // r % q) for length, a in fixed)
     return q, tuple(sorted((length, min(a, q - a)) for length, a in reduced))
@@ -249,22 +250,30 @@ def character_sum(element: PointGroupElement, mu: int) -> RootOfUnityTally:
 
 
 @lru_cache(maxsize=None)
+def _trace_rows(closure) -> tuple[tuple[int, ...], ...]:
+    """The exterior-trace row of each word's matrix, from the cycle type the
+    matrix closure holds: one row set per set of generator matrices."""
+    return tuple(exterior_traces(closure.dim, walk[1]) for walk in closure.walks)
+
+
+@lru_cache(maxsize=None)
 def _class_rows(defn: GroupDefinition) -> tuple:
     """The validated group's record: (|F|, one (least signature, trace row summed over its
-    elements) per Galois orbit of F's signature classes), read from one walk per element: the
-    torsion check's, and here the identity's.  sigma_t, t prime to q, maps the class of phases
-    a_c to that of t a_c, as B -> B^t' (t' = t mod q, prime to |F|) keeps cycle type and traces:
-    so every conjugate of a class must be a class with its trace row."""
+    elements) per Galois orbit of F's signature classes), read from the matrix closure's cycle
+    types and the validation's phases, so no element is walked here.  sigma_t, t prime to q,
+    maps the class of phases a_c to that of t a_c, as B -> B^t' (t' = t mod q, prime to |F|)
+    keeps cycle type and traces: so every conjugate of a class must be a class with its row."""
     order, n = require_valid(defn).holonomy_order, defn.dim
-    q, walks = _torsion_walks(defn)
+    (q, phases), closure = _phases(defn), _matrices(defn)
     classes, orbits = {}, {}
-    for walk in chain([coset_walk((range(n), (1,) * n, (0,) * n), q)], walks.values()):
-        row = classes.setdefault(_walk_signature(walk, q), [0] * (n + 1))
-        row[:] = map(add, row, exterior_traces(n, (c[:2] for c in walk)))
+    for walk, a, traces in zip(closure.walks, phases, _trace_rows(closure)):
+        row = classes.setdefault(_walk_signature(list(zip(map(len, walk[2]), a)), q), [0] * (n + 1))
+        row[:] = map(add, row, traces)
     for (m, factors), row in classes.items():
         units = (t for t in range(m) if gcd(t, m) == 1)
-        orbit = {_walk_signature([(w, 1, t * a) for w, a in factors], m) for t in units}
+        orbit = {_walk_signature([(w, t * a) for w, a in factors], m) for t in units}
         if any(classes.get(sig) != row for sig in orbit):
+            _trace_rows.cache_clear()  # a refused record keeps no trace rows either
             raise NonRationalSumError(f"{defn.label or '<unnamed>'}: class {(m, factors)} lacks a "
                                       "Galois conjugate of equal traces; upstream bug")
         orbits[min(orbit)] = tuple(len(orbit) * x for x in row)

@@ -395,17 +395,23 @@ def random_candidate(rng, max_dim=8) -> GroupDefinition:
 
 
 def count_walks(monkeypatch) -> list:
-    """The cosets that ``coset_walk`` walks from now on, in every module that
-    calls it."""
+    """The signed permutations, each as (image, sign), that ``fixed_cycles``
+    or ``coset_walk`` walks from now on, in every module that calls either."""
     walks = []
-    original = exact_linear.coset_walk
+    walk_fixed, walk_coset = exact_linear.fixed_cycles, exact_linear.coset_walk
 
-    def counting(coset, q):
-        walks.append(coset)
-        return original(coset, q)
+    def counting_fixed(perm):
+        walks.append(tuple(map(tuple, perm)))
+        return walk_fixed(perm)
+
+    def counting_coset(coset, q):
+        walks.append(tuple(map(tuple, coset[:2])))
+        return walk_coset(coset, q)
 
     for module in (exact_linear, crystal, spectral):
-        monkeypatch.setattr(module, "coset_walk", counting)
+        for name, counting in (("fixed_cycles", counting_fixed), ("coset_walk", counting_coset)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
     return walks
 
 
@@ -532,7 +538,7 @@ def character_sum_shell(element, mu):
     """
     b = element.translation
     r = lcm(*(x.denominator for x in b))
-    _, fixed = fixed_cycles(signed_perm(element.matrix))
+    _, _, fixed = fixed_cycles(signed_perm(element.matrix))
     phases = [(c[0][0], sum(u * int(b[j] * r) for j, u in c)) for c in fixed]
     q = lcm(*(r // gcd(a, r) for _, a in phases))
     counts = [0] * q

@@ -235,17 +235,96 @@ class TestColdValidation:
                              [(invalid_hw7, 93), (lambda: example("5.1a"), 9),
                               (lambda: example("5.8b"), 3)],
                              ids=["hw7", "5.1a", "5.8b"])
-    def test_a_cold_closure_makes_few_coset_products(self, monkeypatch, make, expected):
-        """|F| - 1 products build the word cosets and r(r - 1) check that the
-        generator matrices commute; the generator conditions take none."""
+    def test_a_cold_closure_makes_few_matrix_products(self, monkeypatch, make, expected):
+        """|F| - 1 signed-permutation products build the words' matrices and
+        r(r - 1) check that the generator matrices commute; |F| - 1
+        translation steps build the word cosets; the generator conditions
+        take neither."""
         defn = make()
         clear_crystal_caches()
-        products = []
-        original = crystal._coset_product
-        monkeypatch.setattr(crystal, "_coset_product",
-                            lambda x, y, q: products.append(q) or original(x, y, q))
+        products, steps = count_closure_work(monkeypatch)
         order, r = len(close_point_group(defn)), len(defn.generators)
         assert len(products) == (order - 1) + r * (r - 1) == expected
+        assert len(steps) == order - 1
+
+    def test_a_warm_closure_does_no_matrix_work(self, monkeypatch):
+        """A second 7-d Hantzsche-Wendt candidate has the first one's matrices:
+        its validation makes no signed-permutation product and walks no
+        matrix, and takes |F| - 1 = 63 translation steps."""
+        first, rng = invalid_hw7(), random.Random(8)
+        while (second := random_hw_candidate(rng, 7)) == first:
+            pass
+        clear_crystal_caches()
+        validate_bieberbach(first)
+        products, steps = count_closure_work(monkeypatch)
+        walks = count_walks(monkeypatch)
+        assert validate_bieberbach(second) == validate_bieberbach_reference(second)
+        assert products == [] and walks == [] and len(steps) == 63
+
+
+def count_closure_work(monkeypatch) -> tuple[list, list]:
+    """The signed-permutation products and the translation steps that
+    ``crystal`` makes from now on."""
+    products, steps = [], []
+    product, step = crystal._perm_product, crystal._translate
+    monkeypatch.setattr(crystal, "_perm_product",
+                        lambda x, y: products.append((x, y)) or product(x, y))
+    monkeypatch.setattr(crystal, "_translate",
+                        lambda t, move, q: steps.append(t) or step(t, move, q))
+    return products, steps
+
+
+class TestSharedMatrixClosure:
+    """Groups with equal generator matrices share one matrix closure, and
+    nothing that depends on a group's translations."""
+
+    def test_groups_over_shared_matrices_keep_their_own_reports(self):
+        """Over the 3-d Hantzsche-Wendt matrices, translations that pass, fail
+        torsion, fail a power condition or fail the pairwise condition,
+        validated in one process in shuffled order: each report is the
+        group's own cold report and the reference's, and each closed group
+        keeps its own cosets and homology."""
+        rng = random.Random(33)
+        steps = (Fraction(0), QUARTER, HALF, 3 * QUARTER)
+        groups = []
+        for _ in range(60):
+            gens = tuple(AffineGenerator(diag(*(1 if k == i else -1 for k in range(3))),
+                                         tuple(rng.choice(steps) for _ in range(3)))
+                         for i in range(2))
+            groups.append(GroupDefinition(3, gens))
+        cold = {}
+        for defn in groups:
+            clear_crystal_caches()
+            cold[defn] = validate_bieberbach(defn)
+        rng.shuffle(groups)
+        clear_crystal_caches()
+        outcomes = Counter()
+        for defn in groups:
+            report = validate_bieberbach(defn)
+            assert report == cold[defn] == validate_bieberbach_reference(defn)
+            outcomes.update({cond for _, cond in report.failures} or {"valid"})
+            if report.is_group_closed:
+                got = [(el.matrix, el.translation, el.word) for el in close_point_group(defn)]
+                assert got == close_point_group_reference(defn)
+            if report.is_torsion_free:
+                assert first_homology(defn) == first_homology_reference(defn)
+        closures = {crystal._matrices(defn) for defn in groups}
+        assert len(closures) == 1
+        assert {"valid", "torsion", "generator-lattice", "pairwise"} <= outcomes.keys(), outcomes
+
+    def test_tori_of_two_dimensions_share_no_closure(self):
+        """Tori of dimensions 1 and 3 both have no generators."""
+        tori = [GroupDefinition(n, ()) for n in (1, 3, 1)]
+        clear_crystal_caches()
+        for torus in tori:
+            assert validate_bieberbach(torus).is_torsion_free
+            (el,) = close_point_group(torus)
+            assert el.matrix == identity_matrix(torus.dim)
+            assert first_homology(torus) == first_homology_reference(torus)
+        first, third = crystal._matrices(tori[0]), crystal._matrices(tori[1])
+        assert first is not third and crystal._matrices(tori[2]) is first
+        assert [walk[1] for walk in first.walks] == [((1, 1),)]
+        assert [walk[1] for walk in third.walks] == [((1, 1),) * 3]
 
 
 class TestPairwiseCondition:
@@ -306,7 +385,7 @@ def assert_power_sum_matches(matrix, b):
     s = power_sum_oracle(matrix)
     defn = GroupDefinition(len(matrix), [AffineGenerator(matrix, b)])
     q, (coset,) = crystal._integer_generators(defn)
-    w = _coset_power_sum(coset)
+    w = _coset_power_sum(coset, exact_linear.fixed_cycles(coset[:2]))
     assert q == lcm(*(x.denominator for x in b))
     assert tuple(Fraction(x, q) for x in w) == mat_vec(s, b)
     element = PointGroupElement(matrix=matrix, translation=b, word=(1,))
@@ -499,14 +578,15 @@ class TestFirstHomology:
             first_homology(GroupDefinition(2, gens))
 
     def test_a_cold_homology_walks_each_coset_once(self, monkeypatch):
-        """Validation walks each coset but the identity; the power sums read
-        the generators' fixed cycles and walk nothing more."""
+        """The matrix closure walks the matrix of each coset once, the
+        identity's too; a generator's walk serves its word and its power sum,
+        and validation and homology walk nothing more."""
         defn = example("5.1a")
         order = len(close_point_group(defn))
         clear_crystal_caches()
         walks = count_walks(monkeypatch)
         assert str(first_homology(defn)) == "Z^2 + Z2^2"
-        assert len(walks) == len(set(walks)) == order - 1
+        assert len(walks) == len(set(walks)) == order
 
     def test_a_cold_validation_and_homology_build_the_generator_cosets_once(self):
         defn = example("5.1a")

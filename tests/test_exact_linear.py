@@ -149,17 +149,18 @@ class TestCycles:
         assert [coset_walk(signed_perm(m) + (unit(3, j),), 5) for j in range(3)] == [
             ((3, -1, 1),), ((3, -1, 1),), ((3, -1, 4),)
         ]
-        assert fixed_cycles(signed_perm(m)) == (6, [])
+        assert fixed_cycles(signed_perm(m)) == (6, ((3, -1),), ())
         # with e2 -> -e0 the same cycle has sign +1: its entries follow the walk
         flipped = ((0, 0, -1), (1, 0, 0), (0, -1, 0))
-        assert fixed_cycles(signed_perm(flipped)) == (3, [[(0, 1), (1, 1), (2, -1)]])
+        assert fixed_cycles(signed_perm(flipped)) == (3, ((3, 1),), (((0, 1), (1, 1), (2, -1)),))
 
     def test_fixed_cycle_vector_is_fixed(self):
         m = ((0, -1, 0, 0), (-1, 0, 0, 0), (0, 0, -1, 0), (0, 0, 0, 1))
         # cycles from coordinates 0, 2 and 3, of lengths 2, 1, 1
         assert coset_walk(signed_perm(m) + ((0,) * 4,), 1) == ((2, 1, 0), (1, -1, 0), (1, 1, 0))
-        order, fixed = fixed_cycles(signed_perm(m))
-        assert (order, fixed) == (2, [[(0, 1), (1, -1)], [(3, 1)]])
+        order, cycle_type, fixed = fixed_cycles(signed_perm(m))
+        assert (order, cycle_type) == (2, ((2, 1), (1, -1), (1, 1)))
+        assert fixed == (((0, 1), (1, -1)), ((3, 1),))
         assert cycle_vector(4, fixed[0]) == (1, -1, 0, 0)
         assert mat_vec(m, cycle_vector(4, fixed[0])) == (1, -1, 0, 0)
 
@@ -209,7 +210,7 @@ class TestCycleCoreDifferential:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 10).flatmap(signed_permutations))
     def test_fixed_cycles_span_the_kernel(self, m):
-        order, fixed = fixed_cycles(signed_perm(m))
+        order, _, fixed = fixed_cycles(signed_perm(m))
         assert order == signed_permutation_order(m)
         vectors = [cycle_vector(len(m), c) for c in fixed]
         for c, u in zip(fixed, vectors):
@@ -224,12 +225,14 @@ class TestCycleCoreDifferential:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 10).flatmap(signed_permutations), st.randoms(use_true_random=False))
     def test_walk_phases_match_the_fixed_cycles(self, m, rng):
-        """coset_walk's sign +1 cycles are fixed_cycles', in order, with phase
-        u_c . t mod q; its cycles cover every coordinate once."""
+        """coset_walk's cycles are fixed_cycles' cycle type, and its sign +1
+        cycles are fixed_cycles', in order, with phase u_c . t mod q; its
+        cycles cover every coordinate once."""
         n, q = len(m), 12
         t = tuple(rng.randrange(q) for _ in range(n))
         walk = coset_walk(signed_perm(m) + (t,), q)
-        _, fixed = fixed_cycles(signed_perm(m))
+        _, cycle_type, fixed = fixed_cycles(signed_perm(m))
+        assert cycle_type == tuple((length, sign) for length, sign, _ in walk)
         assert sum(length for length, _, _ in walk) == n
         assert [(length, a) for length, sign, a in walk if sign == 1] == [
             (len(c), sum(u * t[j] for j, u in c) % q) for c in fixed

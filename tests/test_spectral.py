@@ -15,6 +15,7 @@ from flatspec.crystal import (
     CosetCapError,
     GroupDefinition,
     PointGroupElement,
+    build_hw_group,
     close_point_group,
     require_valid,
     validate_bieberbach,
@@ -536,14 +537,15 @@ class TestThetaSeries:
         clear_spectral_caches()
         assert multiplicity_table(g, None, 40) == raised
 
-    def test_betti_row_walks_each_element_at_most_twice(self, monkeypatch):
+    def test_the_betti_row_of_a_validated_group_walks_nothing(self, monkeypatch):
+        """The group record reads the cycle types and phases that validation
+        left in the crystal caches."""
         g = example("5.1a")
         require_valid(g)
-        order = len(close_point_group(g))
         clear_spectral_caches()
         walks = count_walks(monkeypatch)
         assert betti_row(g) == (1, 2, 3, 4, 3, 2, 1)
-        assert 0 < len(walks) <= order
+        assert walks == []
 
     def test_a_cold_betti_row_walks_each_element_once(self, monkeypatch):
         g = example("5.1a")
@@ -552,7 +554,7 @@ class TestThetaSeries:
         clear_crystal_caches()
         walks = count_walks(monkeypatch)
         assert betti_row(g) == (1, 2, 3, 4, 3, 2, 1)
-        assert 0 < len(walks) <= order
+        assert 0 < len(walks) == len(set(walks)) == order
 
 
     def test_a_deeper_cold_table_hashes_no_more_fractions(self, monkeypatch):
@@ -635,11 +637,13 @@ class TestSpectrumTable:
     def test_class_signatures_are_the_elements_own(self):
         for defn in table_test_groups():
             n = defn.dim
-            q, walks = crystal._torsion_walks(defn)
+            (q, phases), closure = crystal._phases(defn), crystal._matrices(defn)
+            elements = close_point_group(defn)
+            assert tuple(el.word for el in elements) == closure.words
             expected = {}
-            for el in close_point_group(defn):
-                if any(el.word):
-                    assert spectral._walk_signature(walks[el.word], q) == spectral._signature(el)
+            for el, walk, a in zip(elements, closure.walks, phases):
+                fixed = list(zip(map(len, walk[2]), a))
+                assert spectral._walk_signature(fixed, q) == spectral._signature(el)
                 row = expected.setdefault(spectral._signature(el), [0] * (n + 1))
                 row[:] = [a + trace_p(el.matrix, p) for p, a in enumerate(row)]
             orbits = {}  # the least signature of each Galois orbit: a -> t a mod q, t prime to q
@@ -663,6 +667,26 @@ class TestSpectrumTable:
         walks = count_walks(monkeypatch)
         call(g)
         assert len(walks) == len(set(walks)) == order
+
+    def test_groups_over_shared_matrices_compute_their_traces_once(self, monkeypatch):
+        """Each element's trace row comes from the cycle type in the matrix
+        closure: 4.5b after 4.5a, and a 3-d Hantzsche-Wendt group after
+        another over the same matrices, compute none."""
+        half = Fraction(1, 2)
+        hw = [build_hw_group(HWMatrix(n=3, rows=rows)) for rows in
+              (((half, half, 0), (0, half, half)), ((half, 0, half), (0, half, 0)))]
+        for first, second in (example("4.5"), hw):
+            assert first != second and crystal._matrices(first) is crystal._matrices(second)
+            clear_spectral_caches()
+            clear_crystal_caches()
+            traces = count_calls(monkeypatch, "exterior_traces")
+            betti_row(first)
+            assert len(traces) == len(close_point_group(first))
+            traces.clear()
+            row = betti_row(second)
+            assert traces == []
+            monkeypatch.undo()
+            assert row == tuple(multiplicity_reference(second, p, 0) for p in range(second.dim + 1))
 
     def test_a_cold_compare_builds_each_table_once(self, monkeypatch):
         clear_spectral_caches()
