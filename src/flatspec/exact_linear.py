@@ -1,14 +1,14 @@
 """Signed permutations, walked once per cycle, and integer lattices in Z^n.
 
 Matrices are tuples of row tuples of Python ints; vectors are plain tuples.
-Rational vectors use ``fractions.Fraction``.  ``coset_walk`` gives each cycle
-of a signed permutation its length, sign and phase, which fix the order, the
-determinant and the exterior traces; ``fixed_cycles`` gives the order and the
-same cycle type and keeps the coordinates of the fixed cycle vectors, so the
-phases of any translation can be read off later.  Lattice work goes through
-two routines: one Hermite basis and one invariant-factor Smith form.  Every
-operation is exact.  The error taxonomy and the ``Record`` base of the
-package's value types live here too, since every other module imports this one.
+Rational vectors use ``fractions.Fraction``.  ``fixed_cycles`` is the one
+walk of a signed permutation: it gives the order and the cycle type, which fix
+the determinant and the exterior traces, and keeps the coordinates of the
+fixed cycle vectors, so the phases of any translation can be read off later.
+Lattice work goes through two routines: one Hermite basis and one
+invariant-factor Smith form.  Every operation is exact.  The error taxonomy
+and the ``Record`` base of the package's value types live here too, since
+every other module imports this one.
 """
 
 from __future__ import annotations
@@ -143,32 +143,13 @@ def signed_perm_matrix(image: Sequence[int], sign: Sequence[int]) -> IntMatrix:
 Coset = tuple[IntVector, IntVector, IntVector]
 
 
-def coset_walk(coset: Coset, q: int) -> tuple[tuple[int, int, int], ...]:
-    """(L_c, s_c, u_c . t mod q) for each cycle c of B, by one walk over (image,
-    sign): c visits its L_c coordinates from the least, u_c is the +-1 vector
-    met along it, and s_c the product of its signs, so B u_c = u_c iff s_c = 1."""
-    image, sign, t = coset
-    seen = [False] * len(image)
-    out = []
-    for start in range(len(image)):
-        j, u, length, phase = start, 1, 0, 0
-        while not seen[j]:
-            seen[j] = True
-            length += 1
-            phase += u * t[j]
-            u *= sign[j]
-            j = image[j]
-        if length:
-            out.append((length, u, phase % q))
-    return tuple(out)
-
-
 def fixed_cycles(perm: tuple[IntVector, IntVector]):
     """(order, cycle type, fixed entries) of B given as (image, sign), by one
     walk: B's multiplicative order, the (L_c, s_c) of each cycle c, and the
-    entries (j, u_c[j]) of each cycle of sign +1, all in the order
-    ``coset_walk`` visits them.  The cycle type fixes the determinant and the
-    exterior traces; the u_c span ker(B - I)."""
+    entries (j, u_c[j]) of each cycle of sign +1, where c visits its L_c
+    coordinates from the least, u_c is the +-1 vector met along it and s_c the
+    product of its signs, so B u_c = u_c iff s_c = 1.  The cycle type fixes
+    the determinant and the exterior traces; the u_c span ker(B - I)."""
     image, sign = perm
     seen, walk, fixed = [False] * len(image), [], []
     for start in range(len(image)):
@@ -189,8 +170,9 @@ def walk_order(walk) -> int:
     return lcm(*(c[0] * (1 if c[1] == 1 else 2) for c in walk))
 
 
-def _matrix_walk(m: IntMatrix) -> tuple[tuple[int, int, int], ...]:
-    return coset_walk(signed_perm(m) + ((0,) * len(m),), 1)
+def _matrix_walk(m: IntMatrix) -> tuple[tuple[int, int], ...]:
+    """The cycle type of a signed permutation matrix."""
+    return fixed_cycles(signed_perm(m))[1]
 
 
 def signed_permutation_order(m: IntMatrix) -> int:
@@ -200,7 +182,7 @@ def signed_permutation_order(m: IntMatrix) -> int:
 
 def det(m: IntMatrix) -> int:
     """Determinant of a signed permutation: prod_c (-1)^(L_c + 1) s_c."""
-    return prod((-1) ** (length + 1) * sign for length, sign, _ in _matrix_walk(m))
+    return prod((-1) ** (length + 1) * sign for length, sign in _matrix_walk(m))
 
 
 def exterior_traces(n: int, cycle_type) -> tuple[int, ...]:
@@ -222,7 +204,7 @@ def trace_p(m: IntMatrix, p: int) -> int:
     n = len(m)
     if not 0 <= p <= n:
         raise UsageError(f"exterior power {p} out of range for dimension {n}")
-    return exterior_traces(n, (c[:2] for c in _matrix_walk(m)))[p]
+    return exterior_traces(n, _matrix_walk(m))[p]
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:

@@ -1,9 +1,9 @@
 """Independent cross-checks of the spectral engine, used only to test it: the
-projector oracle, the diagonal 2-torsion (HW) rewrite, full norm shells, theta
-series by slice convolution, sums of roots of unity reduced modulo the
-cyclotomic polynomial, binary Krawtchouk values, lattice membership by Hermite
-bases and Kunneth Betti numbers of a product with a torus.  The engine modules
-never import this one.
+projector oracle, the diagonal 2-torsion (HW) rewrite, full norm shells, the
+reference cycle walk, theta series by slice convolution, sums of roots of unity
+reduced modulo the cyclotomic polynomial, whole tables by signature classes,
+binary Krawtchouk values, lattice membership by Hermite bases and Kunneth Betti
+numbers of a product with a torus.  The engine modules never import this one.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress
-from math import comb, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from operator import add, eq, mul
 from typing import Sequence
 
@@ -23,7 +23,14 @@ from .crystal import (
     extend_with_characters,
     require_valid,
 )
-from .exact_linear import IntMatrix, InternalError, UsageError, hermite_row_basis, signed_perm
+from .exact_linear import (
+    Coset,
+    IntMatrix,
+    InternalError,
+    UsageError,
+    hermite_row_basis,
+    signed_perm,
+)
 from .spectral import (
     SHELL_DIM_CAP,
     EnumerationGuardError,
@@ -52,6 +59,30 @@ def enumerate_shell(n: int, mu: int) -> tuple[tuple[int, ...], ...]:
     if n > SHELL_DIM_CAP:
         raise EnumerationGuardError(f"dimension {n} exceeds guard {SHELL_DIM_CAP}")
     return tuple(_weighted_norm_solutions((1,) * n, mu))
+
+
+# ---------------------------------------------------------------------------
+# Signed permutations
+
+def coset_walk(coset: Coset, q: int) -> tuple[tuple[int, int, int], ...]:
+    """(L_c, s_c, u_c . t mod q) for each cycle c of B, by one walk over (image,
+    sign): c visits its L_c coordinates from the least, u_c is the +-1 vector
+    met along it, and s_c the product of its signs, so B u_c = u_c iff s_c = 1.
+    The reference for the engine's ``fixed_cycles`` and ``crystal._fixed_phases``."""
+    image, sign, t = coset
+    seen = [False] * len(image)
+    out = []
+    for start in range(len(image)):
+        j, u, length, phase = start, 1, 0, 0
+        while not seen[j]:
+            seen[j] = True
+            length += 1
+            phase += u * t[j]
+            u *= sign[j]
+            j = image[j]
+        if length:
+            out.append((length, u, phase % q))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +155,71 @@ def cyclotomic_residue(t: RootOfUnityTally) -> tuple[int, ...]:
     1, zeta_Q, ..., zeta_Q^(phi(Q)-1), so constant exactly when t is rational
     and 0 exactly when t is 0.  Independent of the engine's Ramanujan sums."""
     return tuple(_residue(t.counts, t.modulus))
+
+
+# ---------------------------------------------------------------------------
+# Tables by signature classes
+
+def _newton_traces(n: int, walk) -> list[int]:
+    """trace_p(B), p = 0..n, from the cycles (L_c, s_c, ...) of B: the elementary
+    symmetric functions e_p of its eigenvalues, by Newton's identities
+    p e_p = sum_{i=1}^p (-1)^(i-1) e_(p-i) tr(B^i), where tr(B^i) sums
+    L_c s_c^(i / L_c) over the cycles with L_c | i."""
+    power = [sum(c[0] * c[1] ** (i // c[0]) for c in walk if i % c[0] == 0) for i in range(n + 1)]
+    e = [1]
+    for p in range(1, n + 1):
+        total = sum((-1) ** (i - 1) * e[p - i] * power[i] for i in range(1, p + 1))
+        if total % p:
+            raise InternalError(f"Newton's identity gave {total} / {p}")
+        e.append(total // p)
+    return e
+
+
+def table_by_classes(defn: GroupDefinition, length: int) -> list[list[int]]:
+    """d_{p,mu} for every p and mu < length, from one ``theta_by_slices`` series per
+    signature class of elements (not per Galois orbit).  Each element is walked by
+    ``coset_walk``, its class keyed by its fixed cycles' lengths and phases a over their
+    own modulus q, a taken as min(a, q - a), phase-free cycles first (only for the
+    speed of the slices), and its traces taken by Newton's identities.  Each class's tally,
+    lifted to zeta_Q and weighted by the class's summed trace_p, is reduced modulo
+    Phi_Q by ``cyclotomic_residue``, which is linear, so it is taken once per monomial
+    zeta_Q^k and each series is combined through those residues.  Every cell must
+    reduce to a constant that is a nonnegative multiple of |F|.  Shares no step with
+    the engine's Galois orbits, Ramanujan sums or packed series."""
+    require_valid(defn)
+    n, elements = defn.dim, close_point_group(defn)
+    classes = {}
+    for el in elements:
+        r = lcm(*(x.denominator for x in el.translation))
+        walk = coset_walk(signed_perm(el.matrix) + (tuple(int(x * r) for x in el.translation),), r)
+        fixed = [(size, a) for size, sign, a in walk if sign == 1]
+        q = lcm(*(r // gcd(a, r) for _, a in fixed))
+        phases = ((size, a * q // r) for size, a in fixed)  # a and q - a: k -> -k
+        key = (q, tuple(sorted((a != 0, size, min(a, q - a)) for size, a in phases)))
+        row = classes.setdefault(key, [0] * (n + 1))
+        row[:] = map(add, row, _newton_traces(n, walk))
+    big_q = lcm(*(q for q, _ in classes))
+    units = [tuple(int(i == k) for i in range(big_q)) for k in range(big_q)]
+    monomials = [cyclotomic_residue(RootOfUnityTally(big_q, unit)) for unit in units]
+    sums = [[[0] * length for _ in monomials[0]] for _ in range(n + 1)]
+    for (q, factors), row in classes.items():
+        reduced = [[0] * length for _ in monomials[0]]
+        series = theta_by_slices((q, tuple((size, a) for _, size, a in factors)), length)
+        for j, counts in enumerate(series):
+            for i, coefficient in enumerate(monomials[j * (big_q // q)]):
+                if coefficient:
+                    reduced[i][:] = map(add, reduced[i], map(coefficient.__mul__, counts))
+        for p, w in enumerate(row):
+            for total, part in zip(sums[p], reduced) if w else ():
+                total[:] = map(add, total, map(w.__mul__, part))
+    order, table = len(elements), []
+    for p, (constant, *rest) in enumerate(sums):
+        for mu, x in enumerate(constant):
+            if x < 0 or x % order or any(part[mu] for part in rest):
+                raise ArithmeticError(f"class table at p={p}, mu={mu} came out {x} / {order} "
+                                      f"plus {[part[mu] for part in rest]}; internal error")
+        table.append([x // order for x in constant])
+    return table
 
 
 # ---------------------------------------------------------------------------

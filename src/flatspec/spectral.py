@@ -16,11 +16,13 @@ and Groups*, ch. 4)
 which depends only on B's signature (q, sorted (L_c, min(a_c, q - a_c))), so one series
 serves each signature; the fixed-shell walk and the oracles' slice convolution test it.
 Every factor shifts and adds its q phase rows, packed ints as in Kronecker substitution
-(Schoenhage, EUROCAM 1982; Harvey, J. Symb. Comput. 44, 2009), and one struct call
-unpacks a row of slots up to 8 bytes.  Each group keeps one table of checked integer
-rows d_p.  A cell is rational, so it is its trace to Q over phi(Q), Q the lcm of the
-class moduli: one series per Galois orbit of classes, summed by Ramanujan sums, times
-its trace row.  A failing check refuses the table by its first bad cell; every reader
+(Schoenhage, EUROCAM 1982; Harvey, J. Symb. Comput. 44, 2009).  Each group keeps one
+table of checked integer rows d_p.  A cell is rational, so it is its trace to Q over
+phi(Q), Q the lcm of the class moduli: one series per Galois orbit of classes, summed by
+Ramanujan sums, times its trace row.  The table is weighted and checked on the packed
+rows, one big-int operation per term and one int per p in a slot wide enough that every
+identity of flat manifolds is an equation of ints, and each row is decoded once, by one
+struct call.  A failing check refuses the table by its first bad cell; every reader
 slices the rows.  Asking past a table's length grows it in place to twice its length, or
 to the cutoff if longer: only the new columns are built, checked and kept.  A single
 tally is decided by the same Ramanujan sums, through its trace form Tr(t conj t).
@@ -34,13 +36,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
 from math import gcd, isqrt, lcm, prod
-from operator import add, mul, sub
+from operator import add, mul
 from struct import unpack
 
 from .crystal import (
     GroupDefinition,
     PointGroupElement,
     _element_coset,
+    _fixed_phases,
     _matrices,
     _phases,
     require_valid,
@@ -51,7 +54,6 @@ from .exact_linear import (
     LimitError,
     Record,
     UsageError,
-    coset_walk,
     exterior_traces,
     fixed_cycles,
     signed_perm,
@@ -197,9 +199,9 @@ def enumerate_fixed_shell(matrix: IntMatrix, mu: int) -> tuple[tuple[int, ...], 
 
 @lru_cache(maxsize=None)
 def _signature(element: PointGroupElement) -> tuple[int, tuple[tuple[int, int], ...]]:
-    coset, r = _element_coset(element)
-    walk = coset_walk(coset, r)
-    return _walk_signature([(length, a) for length, sign, a in walk if sign == 1], r)
+    (image, sign, t), r = _element_coset(element)
+    _, _, fixed = fixed_cycles((image, sign))
+    return _walk_signature(list(zip(map(len, fixed), _fixed_phases(fixed, t, r))), r)
 
 
 def _walk_signature(fixed, r: int) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -210,19 +212,56 @@ def _walk_signature(fixed, r: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return q, tuple(sorted((length, min(a, q - a)) for length, a in reduced))
 
 
+def _box(factors, length: int) -> int:
+    """prod_c (2 b_c + 1), b_c = isqrt((length - 1) // L_c): the vectors sum_c k_c u_c with
+    every L_c k_c^2 < length, so a bound on every count of x^m, m < length, in the series."""
+    return prod(2 * isqrt((length - 1) // weight) + 1 for weight, _ in factors)
+
+
+def _slot_width(bound: int) -> int:
+    """Bytes of a slot that holds 0 .. bound: bound.bit_length() // 8 + 1, so always a bit to
+    spare, raised to 1, 2, 4 or 8 if at most 8, so that one struct code decodes it."""
+    width = bound.bit_length() // 8 + 1
+    return 1 << (width - 1).bit_length() if width <= 8 else width
+
+
+def _spread(data: bytes, width: int, wider: int, count: int) -> bytearray:
+    """``count`` slots of width bytes, each moved into a slot of wider bytes with zeros above
+    it: one extended-slice copy per byte of a slot."""
+    out = bytearray(wider * count)
+    for b in range(width):
+        out[b::wider] = data[b::width]
+    return out
+
+
+def _decode(packed: int, width: int, length: int) -> tuple[int, ...]:
+    """The slots 0 .. length - 1, of width bytes each, of a packed int whose slots are all in
+    0 .. 2^(8 width) - 1, by one little-endian struct.unpack: a slot of 3, 5, 6 or 7 bytes is
+    first spread to 4 or 8, and one past 8 bytes to whole 8-byte words, which are then joined
+    by one map per word."""
+    data = packed.to_bytes(width * length, "little")
+    wider = 1 << (width - 1).bit_length() if width <= 8 else -(-width // 8) * 8
+    if wider != width:
+        data, width = _spread(data, width, wider, length), wider
+    if width <= 8:
+        return unpack(f"<{length}{'BHIQ'[width.bit_length() - 1]}", data)
+    words, k = unpack(f"<{length * width // 8}Q", data), width // 8
+    value = words[k - 1::k]
+    for i in range(k - 2, -1, -1):  # Horner in 2^64, lowest word last
+        value = map(add, words[i::k], map((1 << 64).__mul__, value))
+    return tuple(value)
+
+
 @lru_cache(maxsize=None)
-def _theta(signature, length: int) -> tuple[tuple[int, ...], ...]:
-    """Counts over zeta_q of x^0 .. x^(length - 1) in a signature's theta series: q tuples over mu,
-    one per phase, each one int with x^m's count in bits B m .. B m + B - 1.  Each factor shifts
-    each nonzero row j by B L k^2 into rows j + a k and j - a k (both j if a = 0), k = 1..b;
-    phase-free ones go first only for speed.  B = 8 width bits, width = box.bit_length() // 8 + 1,
-    raised to 1, 2, 4 or 8 if at most 8, box = prod_c (2 b_c + 1), b_c = isqrt((length - 1) //
-    L_c): any partial product's x^m count, m < length, counts k with all L_c k_c^2 <= m: at most
-    box < 2^B.  Counts are >= 0, so no slot below length carries, and masks drop the carries above.
-    Rows decode by one little-endian struct.unpack, or one int.from_bytes a slot past 8 bytes."""
+def _theta(signature, length: int, width: int) -> tuple[int, ...]:
+    """Counts over zeta_q of x^0 .. x^(length - 1) in a signature's theta series: q packed ints,
+    one per phase, each with x^m's count in bits B m .. B m + B - 1, B = 8 width.  Each factor
+    shifts each nonzero row j by B L k^2 into rows j + a k and j - a k (both j if a = 0),
+    k = 1..b; phase-free ones go first only for speed.  Any width whose slot holds the box will
+    do, box < 2^B: any partial product's x^m count, m < length, counts k with all
+    L_c k_c^2 <= m, so at most the box.  Counts are >= 0, so no slot below length carries, and
+    masks drop the carries above."""
     q, factors = signature
-    width = prod(2 * isqrt((length - 1) // w) + 1 for w, _ in factors).bit_length() // 8 + 1
-    width = 1 << (width - 1).bit_length() if width <= 8 else width
     slot, mask, rows = 8 * width, (1 << 8 * width * length) - 1, [1] + [0] * (q - 1)
     for weight, a in sorted(factors, key=lambda factor: factor[1] != 0):
         bound = isqrt((length - 1) // weight)
@@ -233,11 +272,15 @@ def _theta(signature, length: int) -> tuple[tuple[int, ...], ...]:
                 new[(j + a * k) % q] += row
                 new[(j - a * k) % q] += row
         rows = [row & mask for row in new]
-    data, from_bytes = [row.to_bytes(width * length, "little") for row in rows], int.from_bytes
-    if width <= 8:
-        return tuple(unpack(f"<{length}{'BHIQ'[width.bit_length() - 1]}", d) for d in data)
-    return tuple(tuple([from_bytes(d[i:i + width], "little") for i in range(0, len(d), width)])
-                 for d in data)
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _series(signature, length: int) -> tuple[tuple[int, ...], ...]:
+    """The theta series of a signature as q tuples of counts over mu, built and decoded in
+    slots of its own box's width, once per signature and length."""
+    width = _slot_width(_box(signature[1], length))
+    return tuple(_decode(row, width, length) for row in _theta(signature, length, width))
 
 
 @lru_cache(maxsize=None)
@@ -246,7 +289,7 @@ def character_sum(element: PointGroupElement, mu: int) -> RootOfUnityTally:
     zeta_q: the x^mu coefficient of the theta series of B's signature."""
     q, factors = signature = _signature(element)
     require_series(mu, len(factors))
-    return RootOfUnityTally(q, tuple(s[mu] for s in _theta(signature, 1 << mu.bit_length())))
+    return RootOfUnityTally(q, tuple(s[mu] for s in _series(signature, 1 << mu.bit_length())))
 
 
 @lru_cache(maxsize=None)
@@ -280,52 +323,112 @@ def _class_rows(defn: GroupDefinition) -> tuple:
     return order, tuple(orbits.items())
 
 
-def _build_table(defn: GroupDefinition, length: int) -> list:
-    """Per p, phi(Q) |F| d_{p,mu} for held length <= mu < length, Q the lcm of the class moduli:
-    each orbit adds its trace row times the trace to Q of its series' new columns, (phi(Q)/phi(q))
-    sum_j c_q(j) counts_j.  A series not real, counts_j != counts_(q-j), is refused."""
+# Below this many columns a series is built in the table's slot: spreading a narrower one
+# into it costs more than the narrower build saves.
+_OWN_SLOT_LENGTH = 256
+
+
+def _build_table(defn: GroupDefinition, length: int) -> tuple:
+    """(rows, width, bound, columns) for the columns held length <= mu < length: rows holds per p
+    one packed int whose slot mu - held length, of B = 8 width bits, is phi(Q) |F| d_{p,mu}, Q the
+    lcm of the class moduli.  Each orbit adds its trace row t times the trace to Q of its series,
+    (phi(Q)/phi(q)) sum_j c_q(j) row_j, one big-int operation per term.
+
+    A series count is at most its box, so the orbit's term has cells of magnitude at most
+    cell = (phi(Q)/phi(q)) (sum_j |c_q(j)|) box, and every table cell, and every signed sum over p
+    of one column, at most bound = sum over orbits and p of |t_p| cell.  The width holds
+    4 bound, as ``_slot_width`` rounds it, so those all lie within 2^(B-2) of 0.  A series
+    longer than _OWN_SLOT_LENGTH is built in the narrowest slot that holds 2 cell (it holds its
+    box), weighted there and spread into the table's slot once; a shorter one is built in the
+    table's slot, which holds its box since bound >= cell (t_0 >= 1).  Rows are >= 0, so
+    dropping the held slots by a shift is exact.  A series not real, row_j != row_(q-j), is
+    refused at its first mu."""
     start, (_, orbits) = _tables(defn)[0], _class_rows(defn)
     phi = _ramanujan(lcm(*(q for (q, _), _ in orbits)))[0]
-    rows = [[0] * (length - start) for _ in range(defn.dim + 1)]
-    for sig, traces in orbits:
-        phases, ram, total = _theta(sig, length), _ramanujan(sig[0]), [0] * (length - start)
-        if any(phases[j] != phases[-j] for j in range(1, len(phases))):
+    cells = [phi // _ramanujan(q)[0] * sum(map(abs, _ramanujan(q))) * _box(factors, length)
+             for (q, factors), _ in orbits]
+    bound = sum(cell * sum(map(abs, traces)) for cell, (_, traces) in zip(cells, orbits))
+    width, accs = _slot_width(4 * bound), [0] * (defn.dim + 1)
+    for cell, (sig, traces) in zip(cells, orbits):
+        own = (2 * cell).bit_length() // 8 + 1 if length > _OWN_SLOT_LENGTH else width
+        rows, ram = _theta(sig, length, own), _ramanujan(sig[0])
+        if any(rows[j] != rows[-j] for j in range(1, len(rows))):
+            phases = [_decode(row, own, length) for row in rows]
             mu = next(mu for mu, col in enumerate(zip(*phases)) if col[1:] != col[:0:-1])
             raise NonRationalSumError(f"{_cell(defn, 0, mu)}: tally reduces to a non-real sum; "
                                       "upstream bug")
-        for c, counts in zip(ram, phases):
-            if c:
-                total[:] = map(add, total, map((c * phi // ram[0]).__mul__, counts[start:]))
-        for row, w in zip(rows, traces):
-            if w:
-                row[:] = map(add, row, map(w.__mul__, total))
-    return rows
+        total = sum([c * (row >> 8 * own * start) for c, row in zip(ram, rows) if c])
+        total *= phi // ram[0]
+        if own != width:
+            total = _respace(total, own, width, length - start)
+        for p, t in enumerate(traces):
+            if t:
+                accs[p] += t * total
+    return accs, width, bound, length - start
 
 
-def _check_table(defn: GroupDefinition, rows, start: int = 0) -> list:
-    """The rows d_p of table columns from mu = start on, once every cell is a nonnegative
-    integer and they pass the identities of flat manifolds: d_{0,0} = 1, d_{n,0} = 1 exactly
-    if orientable (at start 0), then row p = row n - p, and a zero Euler sum at every mu.
-    Otherwise raises, naming the first bad cell by p, then mu."""
+def _bias(half: int, width: int, columns: int) -> int:
+    """half in each of ``columns`` slots of width bytes."""
+    return int.from_bytes(half.to_bytes(width, "little") * columns, "little")
+
+
+def _respace(packed: int, width: int, wider: int, columns: int) -> int:
+    """A packed int with slots of width bytes, each within 2^(8 width - 1) of 0, with the same
+    cells in slots of wider bytes: a bias of 2^(8 width - 1) per slot makes each one >= 0, so
+    none borrows, the slots are spread, and the bias is taken off in the wider slots."""
+    half = 1 << 8 * width - 1
+    data = (packed + _bias(half, width, columns)).to_bytes(width * columns, "little")
+    spread = int.from_bytes(_spread(data, width, wider, columns), "little")
+    return spread - _bias(half, wider, columns)
+
+
+def _cells(packed: int, width: int, columns: int) -> list:
+    """The signed slots of a packed int whose slots all lie in -2^(B-1) .. 2^(B-1) - 1,
+    B = 8 width: a bias of 2^(B-1) per slot makes each one nonnegative, so none borrows."""
+    half = 1 << 8 * width - 1
+    return [x - half for x in _decode(packed + _bias(half, width, columns), width, columns)]
+
+
+def _check_table(defn: GroupDefinition, built, start: int = 0) -> list:
+    """The rows d_p of table columns from mu = start on, from ``_build_table``'s packed rows, once
+    every cell is a nonnegative integer and they pass the identities of flat manifolds:
+    d_{0,0} = 1, d_{n,0} = 1 exactly if orientable (at start 0), then row p = row n - p, and a
+    zero Euler sum at every mu.  Otherwise raises, naming the first bad cell by p, then mu.
+
+    Each is decided on the n + 1 packed ints.  A sum S = sum_mu w_mu 2^(B mu) with every
+    |w_mu| < 2^(B-1) is 0 only if every w_mu is: else take the least mu with w_mu != 0; then
+    S / 2^(B mu) = w_mu + 2^B m for an integer m, so 2^B divides w_mu, yet 0 < |w_mu| < 2^B.
+    The cells, their differences and their signed column sums all lie within 2^(B-1) of 0, so
+    duality is acc_p == acc_(n-p) and the Euler sum is sum_p (-1)^p acc_p == 0.  A row's cells
+    are all >= 0 exactly when acc_p >= 0 and no decoded slot exceeds the bound: below its least
+    negative cell v nothing borrows, so that slot reads 2^B + v >= 2^B - bound > bound.  Only a
+    row that fails this is decoded again slot by slot, with signs, to name its cell."""
     order, classes = _class_rows(defn)
     scale = order * _ramanujan(lcm(*(q for (q, _), _ in classes)))[0]
-    for p, row in enumerate(rows):
-        if min(row) < 0 or any(map(scale.__rmod__, row)):
-            mu, x = next((mu, x) for mu, x in enumerate(row, start) if x < 0 or x % scale)
-            raise InternalError(f"{_cell(defn, p, mu)}: multiplicity came out "
-                                f"{Fraction(x, scale)}; must be a nonnegative integer")
-    n, d = defn.dim, [list(map(scale.__rfloordiv__, row)) for row in rows]
-    orientable, euler = sum(row[n] for _, row in classes) == order, d[0]
-    for row in d[1:]:  # d_p - d_{p-1} + ... + (-1)^p d_0
-        euler = list(map(sub, row, euler))
-    bad = [] if start else [(0, 0)] if d[0][0] != 1 else [(n, 0)] if d[n][0] != orientable else []
-    for p in range(n + 1) if orientable else ():
-        if d[p] != d[n - p]:
-            bad += [(p, mu) for mu, (a, b) in enumerate(zip(d[p], d[n - p]), start) if a != b]
-    if any(euler):
-        bad.append((f"0..{n}", next(mu for mu, e in enumerate(euler, start) if e)))
+    (accs, width, bound, columns), n, d = built, defn.dim, []
+    for p, acc in enumerate(accs):
+        if p > n - p and acc == accs[n - p]:  # the row of n - p, already checked
+            d.append(d[n - p][:])
+            continue
+        row = _decode(acc, width, columns) if acc >= 0 else None
+        if row is None or max(row) > bound or any(map(scale.__rmod__, row)):
+            row = _cells(acc, width, columns)
+            for mu, x in enumerate(row, start):
+                if x < 0 or x % scale:
+                    raise InternalError(f"{_cell(defn, p, mu)}: multiplicity came out "
+                                        f"{Fraction(x, scale)}; must be a nonnegative integer")
+        d.append(list(map(scale.__rfloordiv__, row)))
+    bad, orientable = None, sum(row[n] for _, row in classes) == order
+    if not start and (d[0][0] != 1 or d[n][0] != orientable):
+        bad = (0, 0) if d[0][0] != 1 else (n, 0)
+    elif orientable and accs != accs[::-1]:
+        p = next(p for p in range(n + 1) if accs[p] != accs[n - p])
+        bad = p, next(mu for mu, (a, b) in enumerate(zip(d[p], d[n - p]), start) if a != b)
+    elif sum(accs[::2]) != sum(accs[1::2]):  # d_0 - d_1 + ... + (-1)^n d_n
+        bad = f"0..{n}", next(mu for mu, col in enumerate(zip(*d), start)
+                              if sum(col[::2]) != sum(col[1::2]))
     if bad:
-        raise InternalError(f"{_cell(defn, *bad[0])}: table breaks an identity of flat "
+        raise InternalError(f"{_cell(defn, *bad)}: table breaks an identity of flat "
                             "manifolds; upstream bug")
     return d
 

@@ -9,7 +9,7 @@ from math import gcd, isqrt, lcm
 import pytest
 from hypothesis import strategies as st
 
-from flatspec import HWMatrix, build_hw_group, crystal, example, exact_linear, spectral
+from flatspec import HWMatrix, build_hw_group, crystal, example, exact_linear, oracles, spectral
 from flatspec.crystal import (
     COSET_CAP,
     AbelianGroupType,
@@ -396,9 +396,10 @@ def random_candidate(rng, max_dim=8) -> GroupDefinition:
 
 def count_walks(monkeypatch) -> list:
     """The signed permutations, each as (image, sign), that ``fixed_cycles``
-    or ``coset_walk`` walks from now on, in every module that calls either."""
+    (the engine's walker) or the reference ``oracles.coset_walk`` walks from
+    now on, in every module that calls either."""
     walks = []
-    walk_fixed, walk_coset = exact_linear.fixed_cycles, exact_linear.coset_walk
+    walk_fixed, walk_coset = exact_linear.fixed_cycles, oracles.coset_walk
 
     def counting_fixed(perm):
         walks.append(tuple(map(tuple, perm)))
@@ -408,11 +409,31 @@ def count_walks(monkeypatch) -> list:
         walks.append(tuple(map(tuple, coset[:2])))
         return walk_coset(coset, q)
 
-    for module in (exact_linear, crystal, spectral):
+    for module in (exact_linear, crystal, spectral, oracles):
         for name, counting in (("fixed_cycles", counting_fixed), ("coset_walk", counting_coset)):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting)
     return walks
+
+
+def pack(rows, width: int) -> tuple:
+    """Each tuple of counts as one int with count m in slot m of width bytes,
+    the lowest first: a series as ``spectral._theta`` returns it, for tests
+    that inject one.  A negative count borrows from the slots above it."""
+    return tuple(sum(c << 8 * width * m for m, c in enumerate(row)) for row in rows)
+
+
+def bump(built, p: int, column: int, delta: int) -> None:
+    """Add delta to the cell of row p at ``column`` (counted from the build's
+    first column, negative from its end) of a ``spectral._build_table`` result."""
+    rows, width, _, columns = built
+    rows[p] += delta << 8 * width * (column % columns)
+
+
+def unpacked(built) -> list:
+    """The signed cells of each row of a ``spectral._build_table`` result."""
+    rows, width, _, columns = built
+    return [spectral._cells(row, width, columns) for row in rows]
 
 
 def clear_crystal_caches():

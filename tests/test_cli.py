@@ -17,7 +17,7 @@ from flatspec.exact_linear import FlatspecError, InternalError, LimitError, Usag
 from flatspec.spectral import EnumerationGuardError, NonRationalSumError
 from flatspec import example
 
-from conftest import clear_spectral_caches
+from conftest import clear_spectral_caches, pack
 
 
 def run_cli(capsys, *argv):
@@ -536,8 +536,8 @@ class TestErrorClasses:
     def test_internal_error_is_one_line(self, capsys, monkeypatch):
         clear_spectral_caches()
         # every class series is zeta_4 alone at each mu
-        monkeypatch.setattr(spectral, "_theta", lambda sig, length: ((0,) * length, (1,) * length,
-                                                                     (0,) * length, (0,) * length))
+        monkeypatch.setattr(spectral, "_theta", lambda sig, length, width: pack(
+            ((0,) * length, (1,) * length, (0,) * length, (0,) * length), width))
         try:
             status = main(["multiplicity", "--corpus", "5.1a", "--p", "1", "--mu", "3"])
         finally:

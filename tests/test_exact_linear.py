@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatspec.exact_linear import (
-    coset_walk,
     det,
     fixed_cycles,
     hermite_row_basis,
@@ -18,7 +17,7 @@ from flatspec.exact_linear import (
     trace_p,
 )
 from flatspec import example
-from flatspec.oracles import in_image_lattice
+from flatspec.oracles import coset_walk, in_image_lattice
 
 from conftest import (
     char_poly,

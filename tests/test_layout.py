@@ -28,6 +28,8 @@ ORACLES = {
     "krawtchouk_subset_oracle",
     "diagonal_trace",
     "theta_by_slices",
+    "coset_walk",
+    "table_by_classes",
     "in_image_lattice",
     "kunneth_betti",
 }
@@ -260,23 +262,26 @@ def test_each_series_guard_is_raised_from_one_place():
 
 
 def test_signed_permutations_have_one_walker():
-    """``coset_walk`` and ``fixed_cycles`` are the only cycle walks: each is
-    defined once, in exact_linear, and every loop over unseen coordinates lies
-    in one of them; the cycle tuples they replaced resolve nowhere."""
+    """``fixed_cycles`` is the engine's one cycle walk, and ``coset_walk`` the
+    oracles' reference walk: each is defined once, every loop over unseen
+    coordinates lies in one of them, and no engine module names
+    ``coset_walk``; the cycle tuples they replaced resolve nowhere."""
     modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     defined = {
         (node.name, stem) for stem, tree in modules.items()
         for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
     }
-    for name in ("coset_walk", "fixed_cycles"):
-        assert {stem for fn, stem in defined if fn == name} == {"exact_linear"}, name
+    for name, home in (("fixed_cycles", "exact_linear"), ("coset_walk", "oracles")):
+        assert {stem for fn, stem in defined if fn == name} == {home}, name
     walkers = [
         (stem, fn.name) for stem, tree in modules.items()
         for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
         for loop in ast.walk(fn)
         if isinstance(loop, ast.While) and "seen" in ast.unparse(loop.test)
     ]
-    assert sorted(walkers) == [("exact_linear", "coset_walk"), ("exact_linear", "fixed_cycles")]
+    assert sorted(walkers) == [("exact_linear", "fixed_cycles"), ("oracles", "coset_walk")]
+    for stem in ENGINE:
+        assert "coset_walk" not in (SRC / f"{stem}.py").read_text(), stem
     for stem in modules:
         module = importlib.import_module(f"flatspec.{stem}" if stem != "__init__" else "flatspec")
         for name in ("cycles", "Cycle", "fixed_cycle_phases"):

@@ -51,6 +51,7 @@ from conftest import (
     character_sum_shell,
     classical_hw_matrix,
     clear_crystal_caches,
+    bump,
     clear_spectral_caches,
     corpus_defs,
     count_walks,
@@ -58,10 +59,12 @@ from conftest import (
     identity_matrix,
     multiplicity_cell_reference,
     multiplicity_reference,
+    pack,
     _ramanujan_sums,
     random_candidate,
     random_hw_candidate,
     tallies_equal,
+    unpacked,
 )
 
 HALF = Fraction(1, 2)
@@ -252,13 +255,14 @@ class TestMultiplicity:
         probe = GroupDefinition(dim=2, generators=(), label="probe")
         clear_spectral_caches()  # an earlier test may have cached these 2-torus cells
         # every class series is zeta_4 alone at each mu
-        monkeypatch.setattr(spectral, "_theta", lambda sig, length: ((0,) * length, (1,) * length,
-                                                                     (0,) * length, (0,) * length))
+        monkeypatch.setattr(spectral, "_theta", lambda sig, length, width: pack(
+            ((0,) * length, (1,) * length, (0,) * length, (0,) * length), width))
         # the table is refused by its first bad cell, whichever cell is asked
         with pytest.raises(NonRationalSumError, match=r"^probe at p=0, mu=0: tally reduces"):
             multiplicity(probe, 1, 3)
         clear_spectral_caches()
-        monkeypatch.setattr(spectral, "_theta", lambda sig, length: ((-1,) * length,))
+        monkeypatch.setattr(spectral, "_theta",
+                            lambda sig, length, width: pack(((-1,) * length,), width))
         with pytest.raises(ArithmeticError, match=r"^probe at p=0, mu=0: multiplicity came out -1;"):
             multiplicity(probe, 0, 2)
 
@@ -729,7 +733,7 @@ class TestSpectrumTable:
         rows = spectral._build_table(g, 9)  # cold: the columns 0 .. 8
         assert spectral._check_table(g, rows) == spectral._table(g, 8)  # the finished table passes
         p, mu = cell
-        rows[p][mu] += scale
+        bump(rows, p, mu, scale)
         with pytest.raises(InternalError, match=rf"^{re.escape(key)} at {re.escape(named)}: "):
             spectral._check_table(g, rows)
 
@@ -768,7 +772,7 @@ class TestSpectrumTable:
         g = example("5.1a")
         clear_spectral_caches()
         rows = spectral._build_table(g, 9)
-        rows[2][3] += 1  # not a multiple of |F| phi(Q)
+        bump(rows, 2, 3, 1)  # not a multiple of |F| phi(Q)
         with pytest.raises(InternalError, match=r"^5\.1a at p=2, mu=3: multiplicity came out "):
             spectral._check_table(g, rows)
 
@@ -861,7 +865,7 @@ class TestRowReads:
         def corrupted(defn, length):
             rows = build(defn, length)
             if defn == pair[0]:
-                rows[p][mu] += 1  # not a multiple of |F| phi(Q), so the table is refused
+                bump(rows, p, mu, 1)  # not a multiple of |F| phi(Q), so the table is refused
             return rows
 
         clear_spectral_caches()
@@ -882,7 +886,7 @@ def held_table(defn, length=None) -> tuple:
     held = spectral._tables(defn)
     size, d = held
     held[0] = 0  # the build starts at mu = 0
-    rows = spectral._build_table(defn, size)
+    rows = unpacked(spectral._build_table(defn, size))
     held[0] = size
     return [row[:length] for row in rows], [row[:length] for row in d]
 
@@ -929,7 +933,7 @@ class TestTableGrowth:
         rows = spectral._build_table(g, 20)  # the columns start .. 19
         assert [len(row) for row in spectral._check_table(g, rows, start)] == [20 - start] * (g.dim + 1)
         p, mu = cell
-        rows[p][mu - start] += scale
+        bump(rows, p, mu - start, scale)
         with pytest.raises(InternalError, match=rf"^{re.escape(key)} at {re.escape(named)}: "):
             spectral._check_table(g, rows, start)
 
@@ -950,7 +954,7 @@ class TestTableGrowth:
             start = spectral._tables(defn)[0]
             rows = build(defn, length)
             if defn == pair[0] and start <= mu < length:
-                rows[p][mu - start] += 1  # not a multiple of |F| phi(Q)
+                bump(rows, p, mu - start, 1)  # not a multiple of |F| phi(Q)
             return rows
 
         clear_spectral_caches()
@@ -982,7 +986,7 @@ class TestTableGrowth:
 
         def corrupted(defn, length):
             rows = build(defn, length)
-            rows[3][-1] += 1  # the last new cell of row 3 is not a multiple of |F| phi(Q)
+            bump(rows, 3, -1, 1)  # the last new cell of row 3 is not a multiple of |F| phi(Q)
             return rows
 
         monkeypatch.setattr(spectral, "_build_table", corrupted)
@@ -1049,7 +1053,7 @@ class TestGaloisOrbits:
         series = count_calls(monkeypatch, "_theta")
         multiplicity_table(g, None, 24)
         assert len(series) == len(set(series)) == 12
-        assert {sig for sig, _ in series} == {sig for sig, _ in spectral._class_rows(g)[1]}
+        assert {sig for sig, *_ in series} == {sig for sig, _ in spectral._class_rows(g)[1]}
 
     def test_every_z60_cell_matches_the_per_cell_route(self):
         g = z60_group()
@@ -1080,6 +1084,111 @@ class TestGaloisOrbits:
         assert betti_row(g)[0] == 1
 
 
+def inject_count(monkeypatch, sig, phase, mu, change):
+    """Patch spectral._theta so that the series of ``sig`` has ``change`` added
+    to its count of x^mu at ``phase``, in the packed row the build asked for."""
+    theta = spectral._theta
+
+    def patched(signature, length, width):
+        rows = list(theta(signature, length, width))
+        if signature == sig and mu < length:
+            rows[phase] += change << 8 * width * mu
+        return tuple(rows)
+
+    monkeypatch.setattr(spectral, "_theta", patched)
+
+
+def inject_trace(monkeypatch, defn):
+    """Patch spectral._class_rows so that the identity orbit's trace_1 of
+    ``defn`` is raised by |F|: every cell d_{1,mu} then gains r_n(mu), still a
+    nonnegative integer, so only the identities of flat manifolds can see it."""
+    order, orbits = spectral._class_rows(defn)
+    identity = (1, ((1, 0),) * defn.dim)
+    changed = tuple((sig, tuple(t + order * (p == 1) for p, t in enumerate(row)))
+                    if sig == identity else (sig, row) for sig, row in orbits)
+    original = spectral._class_rows
+    monkeypatch.setattr(spectral, "_class_rows",
+                        lambda g: (order, changed) if g == defn else original(g))
+
+
+class TestPackedFaults:
+    """Faults injected at mu > 0 into the packed series and the trace rows:
+    each is refused with its exact message, naming its first bad cell."""
+
+    @pytest.mark.parametrize("sig, phase, mu, change, message", [
+        # a negative cell in mid-row borrows from the slot above it
+        ((1, ((1, 0),) * 4), 0, 5, -1000,
+         "5.8b at p=0, mu=5: multiplicity came out -238; must be a nonnegative integer"),
+        # not a multiple of |F| phi(Q)
+        ((1, ((1, 0),) * 4), 0, 5, 1,
+         "5.8b at p=0, mu=5: multiplicity came out 49/4; must be a nonnegative integer"),
+        # zeta_4 and its conjugate zeta_4^3 differ
+        ((4, ((1, 1),)), 1, 4, 1,
+         "5.8b at p=0, mu=4: tally reduces to a non-real sum; upstream bug"),
+    ])
+    def test_a_bad_series_is_refused_at_its_cell(self, monkeypatch, sig, phase, mu, change,
+                                                 message):
+        g = example("5.8")[1]
+        assert sig in {s for s, _ in spectral._class_rows(g)[1]}
+        clear_spectral_caches()
+        inject_count(monkeypatch, sig, phase, mu, change)
+        with pytest.raises(InternalError) as refused:
+            multiplicity_table(g, None, 20)
+        assert str(refused.value) == message
+        assert spectral._tables(g)[0] == 0
+
+    @pytest.mark.parametrize("key, message", [
+        # orientable: row 1 against row n - 1
+        ("5.1a", "5.1a at p=1, mu=9: table breaks an identity of flat manifolds; upstream bug"),
+        # not orientable: the Euler sum
+        ("5.6b", "5.6b at p=0..8, mu=9: table breaks an identity of flat manifolds; upstream bug"),
+    ])
+    def test_a_bad_trace_row_is_refused_in_the_new_columns(self, monkeypatch, key, message):
+        g = example(key[:-1])["ab".index(key[-1])]
+        clear_spectral_caches()
+        held = [row[:] for row in spectral._table(g, 8)]
+        inject_trace(monkeypatch, g)
+        with pytest.raises(InternalError) as refused:
+            multiplicity_table(g, None, 40)
+        assert str(refused.value) == message
+        assert spectral._tables(g) == [9, held]
+
+
+class TestPackedCells:
+    """The packed-row helpers on seeded cells of every sign and every slot
+    width from 1 to 20 bytes, against plain integer arithmetic."""
+
+    def test_cells_decode_and_respace_exactly(self):
+        rng = random.Random(34)
+        for width in range(1, 21):
+            half = 1 << 8 * width - 1
+            for columns in (1, 2, 3, 17, 100):
+                cells = [rng.choice((-half, half - 1, -1, 0, rng.randrange(-half, half)))
+                         for _ in range(columns)]
+                packed = sum(c << 8 * width * m for m, c in enumerate(cells))
+                assert spectral._cells(packed, width, columns) == cells, (width, columns)
+                counts = [c + half for c in cells]
+                assert list(spectral._decode(packed + spectral._bias(half, width, columns),
+                                             width, columns)) == counts
+                for wider in (width + 1, width + 3, 2 * width + 5):
+                    moved = spectral._respace(packed, width, wider, columns)
+                    assert moved == sum(c << 8 * wider * m for m, c in enumerate(cells))
+
+
+class TestTableOracle:
+    """Every catalog group and the Z_60 group, every p to mu = 2000, against
+    oracles.table_by_classes: one slice-convolution series per signature class,
+    reduced modulo the cyclotomic polynomial, sharing no step with the engine's
+    Galois orbits, Ramanujan sums and packed rows."""
+
+    @pytest.mark.parametrize("defn", [defn for _, defn in corpus_defs()] + [z60_group()],
+                             ids=lambda defn: defn.label)
+    def test_tables_to_2000_match_the_class_oracle(self, defn):
+        clear_spectral_caches()
+        rows = spectral.read_rows(defn, range(defn.dim + 1), 2000)
+        assert rows == oracles.table_by_classes(defn, 2001)
+
+
 def random_signature(rng) -> tuple:
     """A signature with q <= 60 and up to 8 factors, its phases drawn from all
     of 0..q-1."""
@@ -1089,7 +1198,7 @@ def random_signature(rng) -> tuple:
 
 def count_box(signature, length) -> int:
     """prod(2 b_c + 1), b_c = isqrt((length - 1) // L_c): the count bound of
-    _theta's slot width."""
+    the slot width that spectral._series builds and decodes in."""
     box = 1
     for weight, _ in signature[1]:
         box *= 2 * isqrt((length - 1) // weight) + 1
@@ -1106,7 +1215,7 @@ def byte_edge_length(signature, start=1) -> int:
 
 
 def assert_theta_matches_the_slices(sig, length):
-    assert spectral._theta(sig, length) == oracles.theta_by_slices(sig, length), (sig, length)
+    assert spectral._series(sig, length) == oracles.theta_by_slices(sig, length), (sig, length)
 
 
 def divisor_sums(top, f) -> list:
@@ -1169,22 +1278,22 @@ class TestPackedTheta:
         }
         for rank, counts in r.items():
             counts[0] = 1
-            assert spectral._theta((1, ((1, 0),) * rank), top) == (tuple(counts),), rank
-            plus, minus = spectral._theta((2, ((1, 1),) * rank), top)
+            assert spectral._series((1, ((1, 0),) * rank), top) == (tuple(counts),), rank
+            plus, minus = spectral._series((2, ((1, 1),) * rank), top)
             signed = [(-1) ** m * c for m, c in enumerate(counts)]
             assert [a - b for a, b in zip(plus, minus)] == signed, rank
         spectral._theta.cache_clear()
 
     def test_a_class_without_a_fixed_cycle_has_the_series_1(self):
         for length in (1, 2, 17, 300):
-            assert spectral._theta((1, ()), length) == ((1,) + (0,) * (length - 1),)
+            assert spectral._series((1, ()), length) == ((1,) + (0,) * (length - 1),)
 
     def test_every_signature_at_length_1_is_its_constant_term(self):
         rng = random.Random(29)
         sigs = [random_signature(rng) for _ in range(100)]
         sigs += [sig for g in table_test_groups() for sig, _ in spectral._class_rows(g)[1]]
         for q, factors in sigs:
-            assert spectral._theta((q, factors), 1) == ((1,),) + ((0,),) * (q - 1), (q, factors)
+            assert spectral._series((q, factors), 1) == ((1,),) + ((0,),) * (q - 1), (q, factors)
 
 
 class TestThetaSlotWidth:
@@ -1223,7 +1332,7 @@ DECODE_CASES = [(1, 4, 4), (2, 4, 31), (3, 6, 44), (4, 7, 105), (5, 9, 97),
 
 class TestThetaDecode:
     """Each raw slot width from 1 to 9 bytes, decoded by struct.unpack in
-    slots of 1, 2, 4 or 8 bytes or by one int.from_bytes a slot past 8."""
+    slots of 1, 2, 4 or 8 bytes or, past 8, in whole 8-byte words."""
 
     @pytest.mark.parametrize("raw, rank, length", DECODE_CASES)
     @pytest.mark.parametrize("q, a", [(1, 0), (2, 1)])
