@@ -170,19 +170,14 @@ def walk_order(walk) -> int:
     return lcm(*(c[0] * (1 if c[1] == 1 else 2) for c in walk))
 
 
-def _matrix_walk(m: IntMatrix) -> tuple[tuple[int, int], ...]:
-    """The cycle type of a signed permutation matrix."""
-    return fixed_cycles(signed_perm(m))[1]
-
-
 def signed_permutation_order(m: IntMatrix) -> int:
     """Multiplicative order: lcm of L_c, or 2 L_c for a cycle of sign -1."""
-    return walk_order(_matrix_walk(m))
+    return fixed_cycles(signed_perm(m))[0]
 
 
 def det(m: IntMatrix) -> int:
     """Determinant of a signed permutation: prod_c (-1)^(L_c + 1) s_c."""
-    return prod((-1) ** (length + 1) * sign for length, sign in _matrix_walk(m))
+    return prod((-1) ** (length + 1) * sign for length, sign in fixed_cycles(signed_perm(m))[1])
 
 
 def exterior_traces(n: int, cycle_type) -> tuple[int, ...]:
@@ -204,7 +199,7 @@ def trace_p(m: IntMatrix, p: int) -> int:
     n = len(m)
     if not 0 <= p <= n:
         raise UsageError(f"exterior power {p} out of range for dimension {n}")
-    return exterior_traces(n, _matrix_walk(m))[p]
+    return exterior_traces(n, fixed_cycles(signed_perm(m))[1])[p]
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:

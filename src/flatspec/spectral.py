@@ -256,11 +256,11 @@ def _decode(packed: int, width: int, length: int) -> tuple[int, ...]:
 def _theta(signature, length: int, width: int) -> tuple[int, ...]:
     """Counts over zeta_q of x^0 .. x^(length - 1) in a signature's theta series: q packed ints,
     one per phase, each with x^m's count in bits B m .. B m + B - 1, B = 8 width.  Each factor
-    shifts each nonzero row j by B L k^2 into rows j + a k and j - a k (both j if a = 0),
-    k = 1..b; phase-free ones go first only for speed.  Any width whose slot holds the box will
-    do, box < 2^B: any partial product's x^m count, m < length, counts k with all
-    L_c k_c^2 <= m, so at most the box.  Counts are >= 0, so no slot below length carries, and
-    masks drop the carries above."""
+    shifts each nonzero row j by B L k^2 into rows j + a k and j - a k, k = 1..b, or by one bit
+    more into row j alone if a = 0; phase-free ones go first only for speed.  Any width whose
+    slot holds the box will do, box < 2^B: any partial product's x^m count, m < length, counts
+    k with all L_c k_c^2 <= m, so at most the box.  Counts are >= 0, so no slot below length
+    carries, and masks drop the carries above."""
     q, factors = signature
     slot, mask, rows = 8 * width, (1 << 8 * width * length) - 1, [1] + [0] * (q - 1)
     for weight, a in sorted(factors, key=lambda factor: factor[1] != 0):
@@ -268,17 +268,17 @@ def _theta(signature, length: int, width: int) -> tuple[int, ...]:
         live, new = [(j, row) for j, row in enumerate(rows) if row], rows[:]
         for k in range(1, bound + 1):
             for j, row in live:
-                row <<= slot * weight * k * k
+                row <<= slot * weight * k * k + (a == 0)
                 new[(j + a * k) % q] += row
-                new[(j - a * k) % q] += row
+                if a:
+                    new[(j - a * k) % q] += row
         rows = [row & mask for row in new]
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
 def _series(signature, length: int) -> tuple[tuple[int, ...], ...]:
     """The theta series of a signature as q tuples of counts over mu, built and decoded in
-    slots of its own box's width, once per signature and length."""
+    slots of its own box's width; the packed build is cached, the decoded counts are not."""
     width = _slot_width(_box(signature[1], length))
     return tuple(_decode(row, width, length) for row in _theta(signature, length, width))
 
@@ -323,11 +323,6 @@ def _class_rows(defn: GroupDefinition) -> tuple:
     return order, tuple(orbits.items())
 
 
-# Below this many columns a series is built in the table's slot: spreading a narrower one
-# into it costs more than the narrower build saves.
-_OWN_SLOT_LENGTH = 256
-
-
 def _build_table(defn: GroupDefinition, length: int) -> tuple:
     """(rows, width, bound, columns) for the columns held length <= mu < length: rows holds per p
     one packed int whose slot mu - held length, of B = 8 width bits, is phi(Q) |F| d_{p,mu}, Q the
@@ -337,56 +332,36 @@ def _build_table(defn: GroupDefinition, length: int) -> tuple:
     A series count is at most its box, so the orbit's term has cells of magnitude at most
     cell = (phi(Q)/phi(q)) (sum_j |c_q(j)|) box, and every table cell, and every signed sum over p
     of one column, at most bound = sum over orbits and p of |t_p| cell.  The width holds
-    4 bound, as ``_slot_width`` rounds it, so those all lie within 2^(B-2) of 0.  A series
-    longer than _OWN_SLOT_LENGTH is built in the narrowest slot that holds 2 cell (it holds its
-    box), weighted there and spread into the table's slot once; a shorter one is built in the
-    table's slot, which holds its box since bound >= cell (t_0 >= 1).  Rows are >= 0, so
+    4 bound, as ``_slot_width`` rounds it, so those all lie within 2^(B-2) of 0.  Every series is
+    built in that slot, which holds its box since bound >= cell (t_0 >= 1).  Rows are >= 0, so
     dropping the held slots by a shift is exact.  A series not real, row_j != row_(q-j), is
     refused at its first mu."""
     start, (_, orbits) = _tables(defn)[0], _class_rows(defn)
     phi = _ramanujan(lcm(*(q for (q, _), _ in orbits)))[0]
-    cells = [phi // _ramanujan(q)[0] * sum(map(abs, _ramanujan(q))) * _box(factors, length)
-             for (q, factors), _ in orbits]
-    bound = sum(cell * sum(map(abs, traces)) for cell, (_, traces) in zip(cells, orbits))
+    bound = sum(phi // _ramanujan(q)[0] * sum(map(abs, _ramanujan(q))) * _box(factors, length)
+                * sum(map(abs, traces)) for (q, factors), traces in orbits)
     width, accs = _slot_width(4 * bound), [0] * (defn.dim + 1)
-    for cell, (sig, traces) in zip(cells, orbits):
-        own = (2 * cell).bit_length() // 8 + 1 if length > _OWN_SLOT_LENGTH else width
-        rows, ram = _theta(sig, length, own), _ramanujan(sig[0])
+    for sig, traces in orbits:
+        rows, ram = _theta(sig, length, width), _ramanujan(sig[0])
         if any(rows[j] != rows[-j] for j in range(1, len(rows))):
-            phases = [_decode(row, own, length) for row in rows]
+            phases = [_decode(row, width, length) for row in rows]
             mu = next(mu for mu, col in enumerate(zip(*phases)) if col[1:] != col[:0:-1])
             raise NonRationalSumError(f"{_cell(defn, 0, mu)}: tally reduces to a non-real sum; "
                                       "upstream bug")
-        total = sum([c * (row >> 8 * own * start) for c, row in zip(ram, rows) if c])
+        total = sum([c * (row >> 8 * width * start) for c, row in zip(ram, rows) if c])
         total *= phi // ram[0]
-        if own != width:
-            total = _respace(total, own, width, length - start)
         for p, t in enumerate(traces):
             if t:
                 accs[p] += t * total
     return accs, width, bound, length - start
 
 
-def _bias(half: int, width: int, columns: int) -> int:
-    """half in each of ``columns`` slots of width bytes."""
-    return int.from_bytes(half.to_bytes(width, "little") * columns, "little")
-
-
-def _respace(packed: int, width: int, wider: int, columns: int) -> int:
-    """A packed int with slots of width bytes, each within 2^(8 width - 1) of 0, with the same
-    cells in slots of wider bytes: a bias of 2^(8 width - 1) per slot makes each one >= 0, so
-    none borrows, the slots are spread, and the bias is taken off in the wider slots."""
-    half = 1 << 8 * width - 1
-    data = (packed + _bias(half, width, columns)).to_bytes(width * columns, "little")
-    spread = int.from_bytes(_spread(data, width, wider, columns), "little")
-    return spread - _bias(half, wider, columns)
-
-
 def _cells(packed: int, width: int, columns: int) -> list:
     """The signed slots of a packed int whose slots all lie in -2^(B-1) .. 2^(B-1) - 1,
     B = 8 width: a bias of 2^(B-1) per slot makes each one nonnegative, so none borrows."""
     half = 1 << 8 * width - 1
-    return [x - half for x in _decode(packed + _bias(half, width, columns), width, columns)]
+    bias = int.from_bytes(half.to_bytes(width, "little") * columns, "little")
+    return [x - half for x in _decode(packed + bias, width, columns)]
 
 
 def _check_table(defn: GroupDefinition, built, start: int = 0) -> list:
