@@ -163,18 +163,6 @@ class HWMatrix(Record):
         object.__setattr__(self, "rows", rows)
 
 
-@lru_cache(maxsize=None)
-def _integer_generators(definition: GroupDefinition) -> tuple[int, tuple[Coset, ...]]:
-    """Q and each generator as a Coset.
-
-    Signed permutations only permute and negate coordinates, so Q, the lcm of
-    the generator denominators, serves every product of generators.
-    """
-    gens = definition.generators
-    q = lcm(*(x.denominator for g in gens for x in g.translation))
-    return q, tuple(signed_perm(g.matrix) + (_scaled(g.translation, q),) for g in gens)
-
-
 def _scaled(b: RatVector, q: int) -> IntVector:
     """q b, for q a multiple of every denominator of b."""
     return tuple(x.numerator * (q // x.denominator) for x in b)
@@ -282,68 +270,76 @@ def _close_matrices(n: int, perms: tuple[tuple[IntVector, IntVector], ...]) -> M
     return MatrixClosure(n, gens, None, tuple(words), tuple(steps), tuple(built))
 
 
-@lru_cache(maxsize=None)
-def _matrices(definition: GroupDefinition) -> MatrixClosure:
-    """The closure of the definition's generator matrices, shared through
-    ``_close_matrices`` with every definition that has them."""
-    _, gens = _integer_generators(definition)
-    return _close_matrices(definition.dim, tuple([g[:2] for g in gens]))
+class GroupRecord:
+    """One definition's closure: ``q``, Q, and ``gens``, each generator as a Coset; the
+    ``closure`` of their matrices, shared with every definition that has them; the failing
+    generator ``pairs`` and ``powers``, decided for every definition; the first closure
+    ``error`` as (exception type, message), or None; and for a closed group only, each word's
+    Q t and fixed-cycle phases, in the closure's word order."""
+
+    __slots__ = ("q", "gens", "closure", "pairs", "powers", "error", "translations", "phases")
+
+    def __init__(self, q, gens, closure, pairs, powers, error, translations=(), phases=()):
+        self.q, self.gens, self.closure, self.pairs, self.powers = q, gens, closure, pairs, powers
+        self.error, self.translations, self.phases = error, translations, phases
+
+    def closed(self) -> GroupRecord:
+        """The record of a closed group; raises the first closure error otherwise."""
+        if self.error:
+            raise self.error[0](self.error[1])
+        return self
 
 
 @lru_cache(maxsize=None)
-def _generator_failures(definition: GroupDefinition) -> tuple[list[tuple[int, int]], list[int]]:
-    """The pairs i < j whose ``_commutator_term`` lies outside Q Z^n, and the
-    k whose gamma_k^{m_k} is no lattice translation (q S_k b_k nonzero mod Q)."""
-    q, gens = _integer_generators(definition)
-    walks = _matrices(definition).generators
-    pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))
-             if any(x % q for x in _commutator_term(gens[i], gens[j]))]
-    return pairs, [k for k, (g, walk) in enumerate(zip(gens, walks))
-                   if any(x % q for x in _coset_power_sum(g, walk))]
+def _group(definition: GroupDefinition) -> GroupRecord:
+    """The definition's record.  Signed permutations only permute and negate coordinates, so
+    Q, the lcm of the generator denominators, serves every product of generators.  A pair
+    i < j fails when its ``_commutator_term`` lies outside Q Z^n, a power k when
+    gamma_k^{m_k} is no lattice translation (q S_k b_k nonzero mod Q).
 
-
-@lru_cache(maxsize=None)
-def _cosets(definition: GroupDefinition) -> tuple[int, dict[tuple[int, ...], Coset]]:
-    """Q and the Coset of each word, identity first, by word length then word.
-
-    Raises as the matrix closure finds (the cap, then commuting matrices,
-    then the direct product of the cyclic <B_k>), and GroupStructureError
-    unless the word cosets are closed: given the direct product, exactly when
-    each gamma_k^{m_k} is the identity coset and each pair gamma_i, gamma_j
-    commutes, which ``_generator_failures`` decides.  If so, w -> gamma^w is
-    a homomorphism from prod_k Z_{m_k} onto the word cosets, which are then
-    a group.  If they are a group, taking the matrix maps it one to one onto
-    the matrix group, so gamma_k^{m_k} and the identity, both over I, are
-    equal, as are gamma_i gamma_j and gamma_j gamma_i, both over B_i B_j.
-    Each translation is one ``_translate`` step along the closure's steps.
+    The error is the matrix closure's (the cap, then commuting matrices, then the direct
+    product of the cyclic <B_k>), else, naming the first failing power, else pair, that the
+    word cosets are not closed: given the direct product, they are exactly when none fails.
+    If none fails, w -> gamma^w is a homomorphism from prod_k Z_{m_k} onto the word cosets,
+    which are then a group.  If they are a group, taking the matrix maps it one to one onto
+    the matrix group, so gamma_k^{m_k} and the identity, both over I, are equal, as are
+    gamma_i gamma_j and gamma_j gamma_i, both over B_i B_j.  Each translation is one
+    ``_translate`` step along the closure's steps, and each word's phases are read through
+    its walk: only the first closed group over a matrix closure walks its words.
     """
-    closure = _matrices(definition)
-    if closure.error:
-        error, message = closure.error
-        raise error(message)
-    pairs, powers = _generator_failures(definition)
-    failed = [f"gamma_{k}^{definition.generators[k].order} is not a lattice translation"
-              for k in powers]
-    failed += [f"gamma_{i} and gamma_{j} do not commute" for i, j in pairs]
-    if failed:
-        raise GroupStructureError(f"word cosets are not closed under multiplication; {failed[0]}")
-
-    q, gens = _integer_generators(definition)
-    moves = [tuple(zip(sign, image, t)) for image, sign, t in gens]
-    ts = [(0,) * definition.dim]
-    for prev, k in closure.steps:
-        ts.append(_translate(ts[prev], moves[k], q))
-    return q, dict(zip(closure.words, [perm + (t,) for perm, t in zip(closure.perms, ts)]))
+    gens = definition.generators
+    q = lcm(*(x.denominator for g in gens for x in g.translation))
+    cosets = tuple(signed_perm(g.matrix) + (_scaled(g.translation, q),) for g in gens)
+    closure = _close_matrices(definition.dim, tuple([c[:2] for c in cosets]))
+    pairs = tuple((i, j) for i in range(len(cosets)) for j in range(i + 1, len(cosets))
+                  if any(x % q for x in _commutator_term(cosets[i], cosets[j])))
+    powers = tuple(k for k, (c, walk) in enumerate(zip(cosets, closure.generators))
+                   if any(x % q for x in _coset_power_sum(c, walk)))
+    record = GroupRecord(q, cosets, closure, pairs, powers, closure.error)
+    if not record.error and (powers or pairs):
+        first = (f"gamma_{powers[0]}^{gens[powers[0]].order} is not a lattice translation"
+                 if powers else "gamma_{} and gamma_{} do not commute".format(*pairs[0]))
+        record.error = (GroupStructureError,
+                        f"word cosets are not closed under multiplication; {first}")
+    if not record.error:
+        moves = [tuple(zip(sign, image, t)) for image, sign, t in cosets]
+        ts = [(0,) * definition.dim]
+        for prev, k in closure.steps:
+            ts.append(_translate(ts[prev], moves[k], q))
+        record.translations = tuple(ts)
+        record.phases = tuple([_fixed_phases(walk[2], t, q) for walk, t in zip(closure.walks, ts)])
+    return record
 
 
 @lru_cache(maxsize=None)
 def close_point_group(definition: GroupDefinition) -> tuple[PointGroupElement, ...]:
     """One representative per coset of Lambda\\Gamma, ordered and checked as
-    ``_cosets`` orders and checks them."""
-    q, cosets = _cosets(definition)
+    ``_group`` orders and checks them."""
+    group = _group(definition).closed()
+    q, closure = group.q, group.closure
     return tuple(
-        PointGroupElement(signed_perm_matrix(image, sign), tuple(Fraction(x, q) for x in t), word)
-        for word, (image, sign, t) in cosets.items()
+        PointGroupElement(signed_perm_matrix(*perm), tuple(Fraction(x, q) for x in t), word)
+        for word, perm, t in zip(closure.words, closure.perms, group.translations)
     )
 
 
@@ -387,17 +383,6 @@ def check_torsion_condition(element: PointGroupElement) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _phases(definition: GroupDefinition) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Q and, for each word of ``_matrices(definition)`` in its order, the
-    phases of the word's fixed cycles, read through the closure's entries;
-    raises as ``_cosets`` does.  Only the first group over a closure walks
-    its words."""
-    q, cosets = _cosets(definition)
-    return q, tuple([_fixed_phases(walk[2], coset[2], q)
-                     for coset, walk in zip(cosets.values(), _matrices(definition).walks)])
-
-
-@lru_cache(maxsize=None)
 def validate_bieberbach(definition: GroupDefinition) -> ValidationReport:
     """Decide whether the definition gives a torsion-free group with lattice Z^n.
 
@@ -405,26 +390,26 @@ def validate_bieberbach(definition: GroupDefinition) -> ValidationReport:
     closed point group; every coset arises from a generator word, and the
     condition only depends on the coset, so this is equivalent to checking
     all index words with repetitions.  The lattice flag and the pairwise and
-    generator-lattice failures read the closure's ``_generator_failures``
-    (pairwise condition; S_i b_i in Z^n, that is, gamma_i^{m_i} a lattice
-    translation), so a closed group passes both.
+    generator-lattice failures read the failing pairs and powers of the
+    group's record (pairwise condition; S_i b_i in Z^n, that is,
+    gamma_i^{m_i} a lattice translation), so a closed group passes both.
     """
-    gens = definition.generators
-    pairs, powers = _generator_failures(definition)
+    gens, group = definition.generators, _group(definition)
+    pairs, powers = group.pairs, group.powers
     failures: list[tuple[tuple, str]] = [((i, j), "pairwise") for i, j in pairs]
     failures += [(tuple(int(k == i) for k in range(len(gens))), "generator-lattice")
                  for i in powers]
     order, torsion = 0, []
     try:
-        q, phases = _phases(definition)
+        closure = group.closed().closure
     except GroupStructureError as exc:
         failures.append(((), f"closure: {exc}"))
     else:
-        order, closure = len(phases), _matrices(definition)
+        order = len(group.phases)
         # the identity, first, has no torsion condition
         torsion = [(word, "torsion") for word, (m, _, fixed), a
-                   in zip(closure.words[1:], closure.walks[1:], phases[1:])
-                   if not _torsion_test(m, fixed, a, q)]
+                   in zip(closure.words[1:], closure.walks[1:], group.phases[1:])
+                   if not _torsion_test(m, fixed, a, group.q)]
 
     return ValidationReport(
         is_group_closed=order > 0,
@@ -455,9 +440,8 @@ def first_homology(definition: GroupDefinition) -> AbelianGroupType:
     The (redundant) relation set is absorbed by the Smith normal form.
     """
     require_valid(definition)
-    q, gens = _integer_generators(definition)
-    _, cosets = _cosets(definition)
-    walks = _matrices(definition).generators
+    group = _group(definition)
+    q, gens, walks = group.q, group.gens, group.closure.generators
     orders = [g.order for g in definition.generators]
     r = len(gens)
     n = definition.dim
@@ -480,8 +464,7 @@ def first_homology(definition: GroupDefinition) -> AbelianGroupType:
         for j in range(i + 1, r):
             # require_valid passed the pairwise condition, so the term is integral
             term = [x // q for x in _commutator_term(gens[i], gens[j])]
-            # B_i B_j is the matrix of the word e_i + e_j, each exponent mod m_k
-            image, sign, _ = cosets[tuple([int(k in (i, j)) % m for k, m in enumerate(orders)])]
+            image, sign = _perm_product(gens[i][:2], gens[j][:2])  # B_i B_j
             mu = [0] * n
             for k in range(n):
                 mu[image[k]] = sign[k] * term[k]

@@ -44,8 +44,7 @@ from .crystal import (
     PointGroupElement,
     _element_coset,
     _fixed_phases,
-    _matrices,
-    _phases,
+    _group,
     require_valid,
 )
 from .exact_linear import (
@@ -303,13 +302,13 @@ def _trace_rows(closure) -> tuple[tuple[int, ...], ...]:
 def _class_rows(defn: GroupDefinition) -> tuple:
     """The validated group's record: (|F|, one (least signature, trace row summed over its
     elements) per Galois orbit of F's signature classes), read from the matrix closure's cycle
-    types and the validation's phases, so no element is walked here.  sigma_t, t prime to q,
+    types and the group record's phases, so no element is walked here.  sigma_t, t prime to q,
     maps the class of phases a_c to that of t a_c, as B -> B^t' (t' = t mod q, prime to |F|)
     keeps cycle type and traces: so every conjugate of a class must be a class with its row."""
     order, n = require_valid(defn).holonomy_order, defn.dim
-    (q, phases), closure = _phases(defn), _matrices(defn)
-    classes, orbits = {}, {}
-    for walk, a, traces in zip(closure.walks, phases, _trace_rows(closure)):
+    group = _group(defn)
+    q, closure, classes, orbits = group.q, group.closure, {}, {}
+    for walk, a, traces in zip(closure.walks, group.phases, _trace_rows(closure)):
         row = classes.setdefault(_walk_signature(list(zip(map(len, walk[2]), a)), q), [0] * (n + 1))
         row[:] = map(add, row, traces)
     for (m, factors), row in classes.items():
@@ -323,9 +322,9 @@ def _class_rows(defn: GroupDefinition) -> tuple:
     return order, tuple(orbits.items())
 
 
-def _build_table(defn: GroupDefinition, length: int) -> tuple:
-    """(rows, width, bound, columns) for the columns held length <= mu < length: rows holds per p
-    one packed int whose slot mu - held length, of B = 8 width bits, is phi(Q) |F| d_{p,mu}, Q the
+def _build_table(defn: GroupDefinition, start: int, length: int) -> tuple:
+    """(rows, width, bound, columns) for the columns start <= mu < length: rows holds per p
+    one packed int whose slot mu - start, of B = 8 width bits, is phi(Q) |F| d_{p,mu}, Q the
     lcm of the class moduli.  Each orbit adds its trace row t times the trace to Q of its series,
     (phi(Q)/phi(q)) sum_j c_q(j) row_j, one big-int operation per term.
 
@@ -334,9 +333,9 @@ def _build_table(defn: GroupDefinition, length: int) -> tuple:
     of one column, at most bound = sum over orbits and p of |t_p| cell.  The width holds
     4 bound, as ``_slot_width`` rounds it, so those all lie within 2^(B-2) of 0.  Every series is
     built in that slot, which holds its box since bound >= cell (t_0 >= 1).  Rows are >= 0, so
-    dropping the held slots by a shift is exact.  A series not real, row_j != row_(q-j), is
+    dropping the slots below start by a shift is exact.  A series not real, row_j != row_(q-j), is
     refused at its first mu."""
-    start, (_, orbits) = _tables(defn)[0], _class_rows(defn)
+    _, orbits = _class_rows(defn)
     phi = _ramanujan(lcm(*(q for (q, _), _ in orbits)))[0]
     bound = sum(phi // _ramanujan(q)[0] * sum(map(abs, _ramanujan(q))) * _box(factors, length)
                 * sum(map(abs, traces)) for (q, factors), traces in orbits)
@@ -423,7 +422,7 @@ def _table(defn: GroupDefinition, mu: int) -> list:
     held = _tables(defn)
     if mu >= held[0]:
         length = min(max(2 * held[0], mu + 1), SHELL_NORM_CAP + 1)
-        new = _check_table(defn, _build_table(defn, length), held[0])
+        new = _check_table(defn, _build_table(defn, held[0], length), held[0])
         held[:] = length, list(map(add, held[1], new))
     return held[1]
 
@@ -445,11 +444,6 @@ def multiplicity(defn: GroupDefinition, p: int, mu: int) -> int:
     _class_rows(defn)
     form_degrees(defn.dim, (p,))
     return _table(defn, mu)[p][mu]
-
-
-def betti(defn: GroupDefinition, p: int) -> int:
-    """p-th Betti number; equals the multiplicity of eigenvalue 0 on p-forms."""
-    return multiplicity(defn, p, 0)
 
 
 def betti_row(defn: GroupDefinition) -> tuple[int, ...]:

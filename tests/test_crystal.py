@@ -13,7 +13,6 @@ from flatspec.crystal import (
     AffineGenerator,
     PointGroupElement,
     _coset_power_sum,
-    _generator_failures,
     CosetCapError,
     GroupDefinition,
     GroupStructureError,
@@ -29,10 +28,12 @@ from flatspec.crystal import (
 )
 from flatspec.exact_linear import UsageError, signed_permutation_order
 from flatspec import crystal, example, exact_linear
+from flatspec.spectral import betti_row
 
 from conftest import (
     classical_hw_matrix,
     clear_crystal_caches,
+    clear_spectral_caches,
     close_point_group_reference,
     count_walks,
     first_homology_reference,
@@ -196,7 +197,7 @@ class TestClosureDiagnosis:
         assert assert_matches_references(defn) == message
         assert validate_bieberbach(defn).failures == (
             ((0, 1), "generator-lattice"), ((), "closure: " + message))
-        assert _generator_failures(defn) == ([], [1])
+        assert (crystal._group(defn).pairs, crystal._group(defn).powers) == ((), (1,))
 
 
 def invalid_hw7():
@@ -308,7 +309,7 @@ class TestSharedMatrixClosure:
                 assert got == close_point_group_reference(defn)
             if report.is_torsion_free:
                 assert first_homology(defn) == first_homology_reference(defn)
-        closures = {crystal._matrices(defn) for defn in groups}
+        closures = {crystal._group(defn).closure for defn in groups}
         assert len(closures) == 1
         assert {"valid", "torsion", "generator-lattice", "pairwise"} <= outcomes.keys(), outcomes
 
@@ -321,8 +322,8 @@ class TestSharedMatrixClosure:
             (el,) = close_point_group(torus)
             assert el.matrix == identity_matrix(torus.dim)
             assert first_homology(torus) == first_homology_reference(torus)
-        first, third = crystal._matrices(tori[0]), crystal._matrices(tori[1])
-        assert first is not third and crystal._matrices(tori[2]) is first
+        first, third = crystal._group(tori[0]).closure, crystal._group(tori[1]).closure
+        assert first is not third and crystal._group(tori[2]).closure is first
         assert [walk[1] for walk in first.walks] == [((1, 1),)]
         assert [walk[1] for walk in third.walks] == [((1, 1),) * 3]
 
@@ -331,21 +332,21 @@ class TestPairwiseCondition:
     def test_catalog_pairs_pass(self):
         for key in ("4.5", "5.1", "5.8"):
             for defn in example(key):
-                assert _generator_failures(defn)[0] == []
+                assert crystal._group(defn).pairs == ()
 
     def test_diagonal_with_half_translations_passes(self):
         gens = (
             AffineGenerator(diag(-1, 1, 1), (Fraction(0), HALF, Fraction(0))),
             AffineGenerator(diag(1, -1, 1), (Fraction(0), Fraction(0), HALF)),
         )
-        assert _generator_failures(GroupDefinition(3, gens))[0] == []
+        assert crystal._group(GroupDefinition(3, gens)).pairs == ()
 
     def test_quarter_translations_fail(self):
         gens = (
             AffineGenerator(diag(-1, 1), (Fraction(0), QUARTER)),
             AffineGenerator(diag(1, -1), (QUARTER, Fraction(0))),
         )
-        assert _generator_failures(GroupDefinition(2, gens))[0] == [(0, 1)]
+        assert crystal._group(GroupDefinition(2, gens)).pairs == ((0, 1),)
 
 
 class TestTorsionCondition:
@@ -384,7 +385,8 @@ def assert_power_sum_matches(matrix, b):
     """_coset_power_sum and check_torsion_condition against the S matrix."""
     s = power_sum_oracle(matrix)
     defn = GroupDefinition(len(matrix), [AffineGenerator(matrix, b)])
-    q, (coset,) = crystal._integer_generators(defn)
+    group = crystal._group(defn)
+    q, (coset,) = group.q, group.gens
     w = _coset_power_sum(coset, exact_linear.fixed_cycles(coset[:2]))
     assert q == lcm(*(x.denominator for x in b))
     assert tuple(Fraction(x, q) for x in w) == mat_vec(s, b)
@@ -425,7 +427,7 @@ def assert_matches_references(defn) -> str:
 
     Returns the outcome: the closure error message, "valid" or "invalid".
     """
-    assert _generator_failures(defn)[0] == pairwise_condition_reference(defn)
+    assert list(crystal._group(defn).pairs) == pairwise_condition_reference(defn)
     try:
         report = validate_bieberbach_reference(defn)
     except CosetCapError as exc:
@@ -499,7 +501,7 @@ class TestManyGenerators:
         groups += [random_diagonal_candidate(rng) for _ in range(80)]
         outcomes = Counter(sweep_outcome(defn) for defn in groups)
         assert all(outcomes[o] >= 5 for o in ("valid", "torsion", "pairwise", "closure")), outcomes
-        powers = [_generator_failures(defn)[1] for defn in groups]
+        powers = [list(crystal._group(defn).powers) for defn in groups]
         assert powers == [
             [k for k, g in enumerate(defn.generators)
              if any(x.denominator != 1 for x in mat_vec(power_sum_oracle(g.matrix), g.translation))]
@@ -589,11 +591,16 @@ class TestFirstHomology:
         assert len(walks) == len(set(walks)) == order
 
     def test_a_cold_validation_and_homology_build_the_generator_cosets_once(self):
+        """Validation, homology, the Betti row and the closure all read one
+        record of the group, built on the first call."""
         defn = example("5.1a")
         clear_crystal_caches()
+        clear_spectral_caches()
         validate_bieberbach(defn)
         first_homology(defn)
-        assert crystal._integer_generators.cache_info().misses == 1
+        betti_row(defn)
+        close_point_group(defn)
+        assert crystal._group.cache_info().misses == 1
 
 
 class TestHWConstruction:

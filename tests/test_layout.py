@@ -315,9 +315,9 @@ def test_the_table_path_reduces_no_polynomial():
 
 
 def test_each_generator_condition_is_decided_once():
-    """The pairwise and power conditions are decided in ``_generator_failures``
-    alone, which the closure and the validation report both read: the terms
-    they test are computed there and, as relations, in ``first_homology``."""
+    """The pairwise and power conditions are decided in ``_group`` alone, whose
+    record the closure and the validation report both read: the terms they
+    test are computed there and, as relations, in ``first_homology``."""
     from flatspec import crystal
 
     assert not hasattr(crystal, "check_pairwise_condition")
@@ -327,10 +327,21 @@ def test_each_generator_condition_is_decided_once():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 callers.setdefault(node.func.id, set()).add(getattr(top, "name", None))
     for name in ("_commutator_term", "_coset_power_sum"):
-        assert callers[name] == {"_generator_failures", "first_homology"}, name
+        assert callers[name] == {"_group", "first_homology"}, name
     for path in sorted(SRC.glob("*.py")):
         if path.stem != "crystal":
             assert not {"_commutator_term", "_coset_power_sum"} & {
                 getattr(node, field, None) for node in ast.walk(ast.parse(path.read_text()))
                 for field in ("id", "attr", "name")
             }, path.stem
+
+
+def test_crystal_keeps_one_record_per_matrix_set_and_per_definition():
+    """The group layer caches the closure of each set of generator matrices,
+    the record of each definition built on it, and the two public results
+    read from that record; nothing else in ``crystal`` is cached."""
+    from flatspec import crystal
+
+    cached = {name for name, value in vars(crystal).items()
+              if hasattr(value, "cache_info") and value.__module__ == crystal.__name__}
+    assert cached == {"_close_matrices", "_group", "close_point_group", "validate_bieberbach"}

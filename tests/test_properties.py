@@ -15,7 +15,7 @@ from flatspec.crystal import (
 )
 from flatspec.exact_linear import integer_kernel, trace_p
 from flatspec.oracles import PROJECTOR_BASIS_CAP, diagonal_trace, projector_oracle
-from flatspec.spectral import betti, multiplicity
+from flatspec.spectral import multiplicity
 
 from conftest import (
     diagonal_fixed_count,
@@ -64,7 +64,7 @@ def test_betti_agrees_with_constant_form_projector(all_corpus_defs):
         for p in range(n + 1):
             if comb(n, p) > PROJECTOR_BASIS_CAP:
                 continue
-            assert projector_oracle(defn, p, 0) == betti(defn, p), (label, p)
+            assert projector_oracle(defn, p, 0) == multiplicity(defn, p, 0), (label, p)
 
 
 def test_spectra_invariant_under_lattice_translation():
@@ -101,7 +101,7 @@ def test_spectra_invariant_under_signed_permutation_conjugation():
 
 def test_homology_free_rank_equals_first_betti(all_corpus_defs):
     for label, defn in all_corpus_defs:
-        assert first_homology(defn).free_rank == betti(defn, 1), label
+        assert first_homology(defn).free_rank == multiplicity(defn, 1, 0), label
 
 
 @settings(max_examples=40, deadline=None)

@@ -32,7 +32,6 @@ from flatspec.spectral import (
     EnumerationGuardError,
     NonRationalSumError,
     RootOfUnityTally,
-    betti,
     betti_row,
     character_sum,
     enumerate_fixed_shell,
@@ -390,7 +389,7 @@ class TestDiagonalFastPath:
             total = sum(
                 diagonal_trace(p, 9, diagonal_fixed_count(el.matrix)) for el in elements
             )
-            assert total == len(elements) * betti(g, p)
+            assert total == len(elements) * multiplicity(g, p, 0)
 
 
 class TestHWFastPath:
@@ -641,7 +640,8 @@ class TestSpectrumTable:
     def test_class_signatures_are_the_elements_own(self):
         for defn in table_test_groups():
             n = defn.dim
-            (q, phases), closure = crystal._phases(defn), crystal._matrices(defn)
+            group = crystal._group(defn)
+            q, phases, closure = group.q, group.phases, group.closure
             elements = close_point_group(defn)
             assert tuple(el.word for el in elements) == closure.words
             expected = {}
@@ -680,7 +680,8 @@ class TestSpectrumTable:
         hw = [build_hw_group(HWMatrix(n=3, rows=rows)) for rows in
               (((half, half, 0), (0, half, half)), ((half, 0, half), (0, half, 0)))]
         for first, second in (example("4.5"), hw):
-            assert first != second and crystal._matrices(first) is crystal._matrices(second)
+            assert first != second
+            assert crystal._group(first).closure is crystal._group(second).closure
             clear_spectral_caches()
             clear_crystal_caches()
             traces = count_calls(monkeypatch, "exterior_traces")
@@ -696,7 +697,7 @@ class TestSpectrumTable:
         clear_spectral_caches()
         builds = count_calls(monkeypatch, "_build_table")
         compare_spectra(*example("5.1"), mu_max=8)
-        assert builds == [(g, 9) for g in example("5.1")]
+        assert builds == [(g, 0, 9) for g in example("5.1")]
 
     def test_a_raised_cutoff_builds_once_more(self, monkeypatch):
         g = example("4.5a")
@@ -716,7 +717,7 @@ class TestSpectrumTable:
             for p in range(g.dim + 1):
                 multiplicity(g, p, mu)
         assert len(builds) <= 8
-        assert [n for _, n in builds] == [1 << k for k in range(len(builds))]
+        assert [n for _, _, n in builds] == [1 << k for k in range(len(builds))]
 
     @pytest.mark.parametrize("key, cell, named", [
         ("5.1a", (1, 3), "p=1, mu=3"),  # orientable: row 1 against row 5
@@ -730,7 +731,7 @@ class TestSpectrumTable:
         g = example(key)
         scale = table_scale(g)
         clear_spectral_caches()
-        rows = spectral._build_table(g, 9)  # cold: the columns 0 .. 8
+        rows = spectral._build_table(g, 0, 9)  # the columns 0 .. 8
         assert spectral._check_table(g, rows) == spectral._table(g, 8)  # the finished table passes
         p, mu = cell
         bump(rows, p, mu, scale)
@@ -751,10 +752,9 @@ class TestSpectrumTable:
 
     def test_a_non_integer_degree_is_refused(self):
         g = example("5.1a")
-        assert multiplicity(g, 1, 0) == betti(g, 1) == 2  # warm: a float key must not hit these
+        assert multiplicity(g, 1, 0) == 2  # warm: a float key must not hit this entry
         for call in (
             lambda: multiplicity(g, 1.0, 0),
-            lambda: betti(g, 1.0),
             lambda: multiplicity_table(g, [1.5], 2),
         ):
             with pytest.raises(UsageError, match=r"^form degree \S+ must be an integer$"):
@@ -771,7 +771,7 @@ class TestSpectrumTable:
     def test_a_non_integral_table_is_refused_at_its_cell(self):
         g = example("5.1a")
         clear_spectral_caches()
-        rows = spectral._build_table(g, 9)
+        rows = spectral._build_table(g, 0, 9)
         bump(rows, 2, 3, 1)  # not a multiple of |F| phi(Q)
         with pytest.raises(InternalError, match=r"^5\.1a at p=2, mu=3: multiplicity came out "):
             spectral._check_table(g, rows)
@@ -862,8 +862,8 @@ class TestRowReads:
         p, mu = cell
         build = spectral._build_table
 
-        def corrupted(defn, length):
-            rows = build(defn, length)
+        def corrupted(defn, start, length):
+            rows = build(defn, start, length)
             if defn == pair[0]:
                 bump(rows, p, mu, 1)  # not a multiple of |F| phi(Q), so the table is refused
             return rows
@@ -883,11 +883,8 @@ class TestRowReads:
 def held_table(defn, length=None) -> tuple:
     """The rows of a cold build to the group's held length, and its held
     checked rows d, each cut to ``length`` columns."""
-    held = spectral._tables(defn)
-    size, d = held
-    held[0] = 0  # the build starts at mu = 0
-    rows = unpacked(spectral._build_table(defn, size))
-    held[0] = size
+    size, d = spectral._tables(defn)
+    rows = unpacked(spectral._build_table(defn, 0, size))
     return [row[:length] for row in rows], [row[:length] for row in d]
 
 
@@ -918,7 +915,7 @@ class TestTableGrowth:
         builds = count_calls(monkeypatch, "_build_table")
         for mu_max in cutoffs:
             multiplicity_table(g, None, mu_max)
-        assert builds == [(g, n) for n in lengths]
+        assert builds == [(g, start, n) for start, n in zip([0] + lengths, lengths)]
 
     @pytest.mark.parametrize("key, cell, named", [
         ("5.1a", (1, 13), "p=1, mu=13"),  # orientable: row 1 against row 5
@@ -930,7 +927,7 @@ class TestTableGrowth:
         scale = table_scale(g)
         spectral._table(g, 8)
         start = spectral._tables(g)[0]
-        rows = spectral._build_table(g, 20)  # the columns start .. 19
+        rows = spectral._build_table(g, start, 20)  # the columns start .. 19
         assert [len(row) for row in spectral._check_table(g, rows, start)] == [20 - start] * (g.dim + 1)
         p, mu = cell
         bump(rows, p, mu - start, scale)
@@ -950,9 +947,8 @@ class TestTableGrowth:
         p, mu = cell
         build = spectral._build_table
 
-        def corrupted(defn, length):
-            start = spectral._tables(defn)[0]
-            rows = build(defn, length)
+        def corrupted(defn, start, length):
+            rows = build(defn, start, length)
             if defn == pair[0] and start <= mu < length:
                 bump(rows, p, mu - start, 1)  # not a multiple of |F| phi(Q)
             return rows
@@ -984,8 +980,8 @@ class TestTableGrowth:
         before = copy.deepcopy(spectral._tables(g))
         build = spectral._build_table
 
-        def corrupted(defn, length):
-            rows = build(defn, length)
+        def corrupted(defn, start, length):
+            rows = build(defn, start, length)
             bump(rows, 3, -1, 1)  # the last new cell of row 3 is not a multiple of |F| phi(Q)
             return rows
 
