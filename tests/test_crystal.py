@@ -197,7 +197,8 @@ class TestClosureDiagnosis:
         assert assert_matches_references(defn) == message
         assert validate_bieberbach(defn).failures == (
             ((0, 1), "generator-lattice"), ((), "closure: " + message))
-        assert (crystal._group(defn).pairs, crystal._group(defn).powers) == ((), (1,))
+        group = crystal._group(defn)
+        assert (group.pairs, group.powers) == ((), (1,))
 
 
 def invalid_hw7():
