@@ -213,22 +213,21 @@ def _multiplicity(args, groups) -> str:
 
 
 def _spectrum(args, groups) -> str:
-    mus = range(args.mu_max + 1)
-    tables = []
-    for label, defn in groups:
-        ps = form_degrees(defn.dim, args.p_set)
-        tables.append((label, ps, multiplicity_table(defn, ps, args.mu_max).as_dict()))
+    tables = [(label, multiplicity_table(defn, form_degrees(defn.dim, args.p_set), args.mu_max))
+              for label, defn in groups]
     if args.fmt == "json":
         return _dump_json([
             {"label": label, "mu_max": args.mu_max,
-             "entries": {str(p): {str(mu): table[(p, mu)] for mu in mus} for p in ps}}
-            for label, ps, table in tables
+             "entries": {str(p): {str(mu): d for mu, d in enumerate(row)}
+                         for p, row in zip(table.degrees, table.rows)}}
+            for label, table in tables
         ])
-    header = "p\\mu " + " ".join(f"{mu:>5}" for mu in mus)
+    header = "p\\mu " + " ".join(f"{mu:>5}" for mu in range(args.mu_max + 1))
     return "\n\n".join(
         "\n".join([f"{label}  (eigenvalue = 4*pi^2*mu)", header]
-                  + [f"{p:>4} " + " ".join(f"{table[(p, mu)]:>5}" for mu in mus) for p in ps])
-        for label, ps, table in tables
+                  + [f"{p:>4} " + " ".join(f"{d:>5}" for d in row)
+                     for p, row in zip(table.degrees, table.rows)])
+        for label, table in tables
     )
 
 

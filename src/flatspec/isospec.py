@@ -174,6 +174,7 @@ def check_pairing_criterion(
     pairing must pair the elements of first with those of second.
     """
     require_cutoff(mu_max)
+    form_degrees(first.dim, (p,))
     require_valid(first)
     require_valid(second)
     if ({a for a, _ in pairing.pairs} != set(close_point_group(first))

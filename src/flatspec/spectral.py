@@ -21,11 +21,12 @@ table of checked integer rows d_p.  A cell is rational, so it is its trace to Q 
 phi(Q), Q the lcm of the class moduli: one series per Galois orbit of classes, summed by
 Ramanujan sums, times its trace row.  The table is weighted and checked on the packed
 rows, one big-int operation per term and one int per p in a slot wide enough that every
-identity of flat manifolds is an equation of ints, and each row is decoded once, by one
-struct call.  A failing check refuses the table by its first bad cell; every reader
-slices the rows.  Asking past a table's length grows it in place to twice its length, or
-to the cutoff if longer: only the new columns are built, checked and kept.  A single
-tally is decided by the same Ramanujan sums, through its trace form Tr(t conj t).
+identity of flat manifolds is an equation of ints; each row is one division by |F| phi(Q),
+its quotient d_p decoded once, by one struct call.  A failing check refuses the table by its
+first bad cell; every reader slices the rows.  Asking past a table's length grows it in
+place to twice its length, or to the cutoff if longer: only the new columns are built,
+checked and kept.  A single tally is decided by the same Ramanujan sums, through its trace
+form Tr(t conj t).
 
 Table keys use mu throughout; the eigenvalue itself is 4*pi^2*mu.
 """
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
 from math import gcd, isqrt, lcm, prod
 from operator import add, mul
 from struct import unpack
@@ -143,7 +143,7 @@ def require_series(mu: int, rank: int = 0) -> None:
     """Refuse a shell or series of squared norm mu on a fixed lattice of the
     given rank: mu must lie in 0..SHELL_NORM_CAP and, for mu > 0, the rank
     may not exceed SHELL_DIM_CAP."""
-    if not isinstance(mu, int):
+    if not isinstance(mu, int) or isinstance(mu, bool):
         raise UsageError(f"squared norm {mu} must be an integer")
     if mu < 0:
         raise UsageError("squared norm must be nonnegative")
@@ -373,10 +373,12 @@ def _check_table(defn: GroupDefinition, built, start: int = 0) -> list:
     |w_mu| < 2^(B-1) is 0 only if every w_mu is: else take the least mu with w_mu != 0; then
     S / 2^(B mu) = w_mu + 2^B m for an integer m, so 2^B divides w_mu, yet 0 < |w_mu| < 2^B.
     The cells, their differences and their signed column sums all lie within 2^(B-1) of 0, so
-    duality is acc_p == acc_(n-p) and the Euler sum is sum_p (-1)^p acc_p == 0.  A row's cells
-    are all >= 0 exactly when acc_p >= 0 and no decoded slot exceeds the bound: below its least
-    negative cell v nothing borrows, so that slot reads 2^B + v >= 2^B - bound > bound.  Only a
-    row that fails this is decoded again slot by slot, with signs, to name its cell."""
+    duality is acc_p == acc_(n-p) and the Euler sum is sum_p (-1)^p acc_p == 0.  A row is one
+    divmod by scale = |F| phi(Q) and one decode: if acc_p >= 0, scale | acc_p and each slot x_mu
+    of the quotient is at most bound / scale, acc_p = sum_mu c_mu 2^(B mu) = sum_mu scale x_mu
+    2^(B mu), and the lemma on c_mu - scale x_mu, all within 2 bound < 2^(B-1) of 0, makes the
+    quotient the row d_p; a row of multiples of scale in 0..bound passes.  Only a row that fails
+    is decoded again slot by slot, with signs, to name its cell."""
     order, classes = _class_rows(defn)
     scale = order * _ramanujan(lcm(*(q for (q, _), _ in classes)))[0]
     (accs, width, bound, columns), n, d = built, defn.dim, []
@@ -384,14 +386,14 @@ def _check_table(defn: GroupDefinition, built, start: int = 0) -> list:
         if p > n - p and acc == accs[n - p]:  # the row of n - p, already checked
             d.append(d[n - p][:])
             continue
-        row = _decode(acc, width, columns) if acc >= 0 else None
-        if row is None or max(row) > bound or any(map(scale.__rmod__, row)):
-            row = _cells(acc, width, columns)
-            for mu, x in enumerate(row, start):
+        quot, rem = divmod(acc, scale)
+        row = _decode(quot, width, columns) if acc >= 0 and not rem else None
+        if row is None or max(row) > bound // scale:
+            for mu, x in enumerate(_cells(acc, width, columns), start):
                 if x < 0 or x % scale:
                     raise InternalError(f"{_cell(defn, p, mu)}: multiplicity came out "
                                         f"{Fraction(x, scale)}; must be a nonnegative integer")
-        d.append(list(map(scale.__rfloordiv__, row)))
+        d.append(list(row))
     bad, orientable = None, sum(row[n] for _, row in classes) == order
     if not start and (d[0][0] != 1 or d[n][0] != orientable):
         bad = (0, 0) if d[0][0] != 1 else (n, 0)
@@ -451,12 +453,12 @@ def betti_row(defn: GroupDefinition) -> tuple[int, ...]:
 
 
 class MultiplicityTable(Record):
-    """Map (p, mu) -> d_{p,mu}; the eigenvalue for key mu is 4 pi^2 mu."""
+    """Rows d_{p,0..mu_max}, one per p of ``degrees``, rising; column mu is eigenvalue 4 pi^2 mu."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("degrees", "rows")
 
     def as_dict(self) -> dict[tuple[int, int], int]:
-        return dict(self.entries)
+        return {(p, mu): d for p, row in zip(self.degrees, self.rows) for mu, d in enumerate(row)}
 
 
 def form_degrees(dim: int, p_set=None) -> list[int]:
@@ -466,7 +468,7 @@ def form_degrees(dim: int, p_set=None) -> list[int]:
         return list(range(dim + 1))
     seen = set()
     for p in p_set:
-        if not isinstance(p, int):
+        if not isinstance(p, int) or isinstance(p, bool):
             raise UsageError(f"form degree {p} must be an integer")
         if not 0 <= p <= dim:
             raise UsageError(f"form degree {p} out of range for dimension {dim}")
@@ -477,7 +479,7 @@ def form_degrees(dim: int, p_set=None) -> list[int]:
 def require_cutoff(mu_max: int) -> None:
     """Refuse a cutoff that is not a nonnegative integer, or one that the norm
     guard would stop part way."""
-    if not isinstance(mu_max, int):
+    if not isinstance(mu_max, int) or isinstance(mu_max, bool):
         raise UsageError(f"cutoff {mu_max} must be an integer")
     if mu_max < 0:
         raise UsageError(f"cutoff {mu_max} must be nonnegative")
@@ -485,10 +487,7 @@ def require_cutoff(mu_max: int) -> None:
         raise EnumerationGuardError(f"cutoff {mu_max} exceeds guard {SHELL_NORM_CAP}")
 
 
-def multiplicity_table(
-    defn: GroupDefinition, p_set, mu_max: int
-) -> MultiplicityTable:
+def multiplicity_table(defn: GroupDefinition, p_set, mu_max: int) -> MultiplicityTable:
     require_cutoff(mu_max)
     degrees = form_degrees(defn.dim, p_set)
-    rows = read_rows(defn, degrees, mu_max)
-    return MultiplicityTable(tuple(zip(product(degrees, range(mu_max + 1)), chain(*rows))))
+    return MultiplicityTable(tuple(degrees), tuple(map(tuple, read_rows(defn, degrees, mu_max))))

@@ -97,6 +97,29 @@ class TestMultiplicityAndSpectrum:
                 assert str(value) in table_out
         assert entries["0"]["0"] == 1
 
+    @pytest.mark.parametrize("catalog_id", ["4.3", "4.5", "5.1", "5.5", "5.6", "5.7", "5.8",
+                                            "5.9(k=1)", "4.1(n=4,k=1)", "4.2h(n=6,h=3)"])
+    def test_spectrum_renders_the_library_table(self, capsys, catalog_id):
+        """Both formats carry exactly the cells of ``multiplicity_table(...).as_dict()``,
+        in rising p and mu, for the default degrees and a sparse set."""
+        entry = example(catalog_id)
+        groups = entry if isinstance(entry, tuple) else (entry,)
+        for spec in ([], ["--p", "3,1"]):
+            argv = ["spectrum", "--corpus", catalog_id, "--mu-max", "6", *spec]
+            status, json_out = run_cli(capsys, *argv, "--format", "json")
+            assert status == 0
+            status, table_out = run_cli(capsys, *argv)
+            assert status == 0
+            blocks = table_out.split("\n\n")
+            for g, payload, block in zip(groups, json.loads(json_out), blocks, strict=True):
+                cells = spectral.multiplicity_table(g, [3, 1] if spec else None, 6).as_dict()
+                assert payload["entries"] == {
+                    str(p): {str(mu): cells[p, mu] for mu in range(7)} for p in {p for p, _ in cells}}
+                lines = block.split("\n")
+                assert lines[1] == "p\\mu " + " ".join(f"{mu:>5}" for mu in range(7))
+                assert {(int(line.split()[0]), mu): int(d) for line in lines[2:]
+                        for mu, d in enumerate(line.split()[1:])} == cells
+
     def test_spectrum_to_the_norm_guard(self, capsys):
         status = main(
             ["spectrum", "--corpus", "4.5a", "--p", "0", "--mu-max", "10000", "--format", "json"]

@@ -1,3 +1,4 @@
+import re
 from math import comb
 
 import pytest
@@ -121,6 +122,16 @@ class TestPairings:
         for p in range(5):
             if check_pairing_criterion(g, gp, pairing, p, mu_max=6):
                 assert verdicts[p].equal_up_to_cutoff
+
+    def test_pairing_criterion_refuses_a_bad_degree(self):
+        g, gp = example("4.5")
+        pairing = identity_pairing(g, gp)
+        for p, message in ((2.0, "form degree 2.0 must be an integer"),
+                           (True, "form degree True must be an integer"),
+                           (99, "form degree 99 out of range for dimension 4"),
+                           (-1, "form degree -1 out of range for dimension 4")):
+            with pytest.raises(UsageError, match=rf"^{re.escape(message)}$"):
+                check_pairing_criterion(g, gp, pairing, p, mu_max=4)
 
     def test_identity_pairing_needs_equal_point_groups(self):
         g, _ = example("4.5")

@@ -479,6 +479,28 @@ class TestMultiplicityTable:
         assert table[(0, 0)] == 1
         assert all(v >= 0 for v in table.values())
 
+    def test_as_dict_matches_the_per_cell_reads(self, all_corpus_defs):
+        for _, g in all_corpus_defs:
+            for p_set in (None, (), (2, 0, 2)):
+                degrees = range(g.dim + 1) if p_set is None else sorted(set(p_set))
+                for mu_max in (0, 12):
+                    table = multiplicity_table(g, p_set, mu_max)
+                    assert table.degrees == tuple(degrees)
+                    assert table.as_dict() == {(p, mu): multiplicity(g, p, mu)
+                                               for p in degrees for mu in range(mu_max + 1)}
+                    assert table.rows == tuple(tuple(multiplicity(g, p, mu) for mu in range(mu_max + 1))
+                                               for p in degrees), (g, p_set, mu_max)
+
+    def test_tables_with_equal_cells_compare_equal(self):
+        first, second = example("4.5")  # isospectral on every p
+        clear_spectral_caches()
+        table = multiplicity_table(first, None, 12)
+        assert table == multiplicity_table(second, range(5), 12)
+        assert hash(table) == hash(multiplicity_table(second, None, 12))
+        assert multiplicity_table(first, (2, 0, 2), 5) == multiplicity_table(first, [0, 2], 5)
+        assert table != multiplicity_table(first, None, 11)
+        assert table != multiplicity_table(first, range(4), 12)
+
 
 def assert_series_match_the_shell(groups):
     """character_sum against the fixed-shell oracle, count for count, to
@@ -760,6 +782,20 @@ class TestSpectrumTable:
             with pytest.raises(UsageError, match=r"^form degree \S+ must be an integer$"):
                 call()
 
+    def test_a_bool_degree_cutoff_or_norm_is_refused(self):
+        g = example("5.1a")
+        assert multiplicity(g, 1, 1) == 10  # warm: a bool key must not hit this entry
+        for call, named in (
+            (lambda: multiplicity_table(g, (True,), 2), "form degree True"),
+            (lambda: multiplicity_table(g, None, True), "cutoff True"),
+            (lambda: compare_spectra(*example("5.1"), mu_max=False), "cutoff False"),
+            (lambda: multiplicity(g, True, 1), "form degree True"),
+            (lambda: multiplicity(g, 1, True), "squared norm True"),
+            (lambda: spectral.require_series(False), "squared norm False"),
+        ):
+            with pytest.raises(UsageError, match=rf"^{named} must be an integer$"):
+                call()
+
     def test_an_invalid_group_is_refused_for_every_degree_set(self):
         bad = GroupDefinition(2, (AffineGenerator(diag(-1, -1), (0, 0)),), label="bad")
         for p_set in (None, [], [0]):
@@ -775,6 +811,47 @@ class TestSpectrumTable:
         bump(rows, 2, 3, 1)  # not a multiple of |F| phi(Q)
         with pytest.raises(InternalError, match=r"^5\.1a at p=2, mu=3: multiplicity came out "):
             spectral._check_table(g, rows)
+
+    @pytest.mark.parametrize("cells, mu", [((-1, 1), 0), ((1, -1), 1)])
+    def test_a_multiple_of_the_scale_with_a_negative_cell_is_refused_at_it(self, cells, mu):
+        """Cells (-scale, scale) pack to scale (2^B - 1), a multiple of scale whose
+        quotient's slot 0 is over the bound; cells (scale, -scale) to a negative one."""
+        g = example("5.1a")
+        scale = table_scale(g)
+        clear_spectral_caches()
+        accs, width, bound, columns = rows = spectral._build_table(g, 0, 2)
+        accs[2] = scale * cells[0] + (scale * cells[1] << 8 * width)
+        assert accs[2] % scale == 0
+        with pytest.raises(InternalError, match=rf"^5\.1a at p=2, mu={mu}: multiplicity came out -1; "):
+            spectral._check_table(g, rows)
+
+    def test_a_multiple_of_the_scale_with_a_fractional_cell_is_refused_at_it(self):
+        """Two cells in 0..bound, cell 0 not a multiple of scale, whose packed int
+        is one: found by a search over z60, as 2^B is prime to scale's factor 15."""
+        g = z60_group()
+        scale = table_scale(g)
+        accs, width, bound, columns = rows = spectral._build_table(g, 0, 2)
+        shift = 8 * width
+        cells = next((c0, c1) for c0 in range(1, bound + 1) if c0 % scale
+                     for c1 in range(min(bound, 4 * scale) + 1) if (c0 + (c1 << shift)) % scale == 0)
+        assert max(cells) <= bound
+        accs[1] = cells[0] + (cells[1] << shift)
+        with pytest.raises(InternalError, match=rf"^z60 at p=1, mu=0: multiplicity came out "
+                                                rf"{re.escape(str(Fraction(cells[0], scale)))}; "):
+            spectral._check_table(g, rows)
+
+    @pytest.mark.parametrize("key", ["5.1a", "5.6b", "4.3a"])
+    def test_a_clean_check_decodes_each_row_once(self, monkeypatch, key):
+        """One decode per row that is not the copy of its dual, and no signed
+        decode: every row passes the division check."""
+        g = example(key)
+        clear_spectral_caches()
+        accs, n = spectral._build_table(g, 0, 40), g.dim
+        checked = [p for p in range(n + 1) if not (p > n - p and accs[0][p] == accs[0][n - p])]
+        decodes, cells = count_calls(monkeypatch, "_decode"), count_calls(monkeypatch, "_cells")
+        spectral._check_table(g, accs)
+        assert cells == []
+        assert len(decodes) == len(checked)
 
 
 # Every reader of whole rows, each given a catalog pair and a cutoff.
